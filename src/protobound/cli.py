@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .cnn import UpdateTrace, default_checkpoints, run_cnn, run_cnn_online
+from .cnn import default_checkpoints, run_cnn, run_cnn_online
 from .dataset import (
     DEFAULT_LABEL_COLUMN,
     Dataset,
@@ -46,7 +46,7 @@ from .neighborly import (
     sufficient_sigma,
     verify_neighborly,
 )
-from .nn_rule import is_consistent
+from .nn_rule import UpdateTrace, is_consistent
 
 
 def _fail_input(message) -> None:
@@ -387,7 +387,7 @@ def neighborly_cmd(dataset_path, label_column, sigma, mode, cap, seed, trials, o
         violation = verify_neighborly(
             dataset, KernelConfig(sigma), mode, cap=cap, seed=seed, trials=trials
         )
-    except ExhaustiveCapError as exc:
+    except (ExhaustiveCapError, ValueError) as exc:
         _fail_input(exc)
     results = {
         "sigma": sigma,

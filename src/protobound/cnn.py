@@ -9,42 +9,13 @@ classifies the full training set correctly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, LabeledPoint
-from .nn_rule import PrototypeSet, classify, sq_dists_to
-
-
-@dataclass(frozen=True)
-class UpdateEvent:
-    """One addition to the prototype set.
-
-    `predicted` is the (wrong) label the current set produced, or None when
-    the addition happened because the set was still empty.
-    """
-
-    pass_number: int
-    source_index: int
-    true_class: str
-    predicted: str | None
-
-
-@dataclass
-class UpdateTrace:
-    """Additions in order, plus the final prototype set.
-
-    `n_passes` counts every executed sweep including the final clean one.
-    """
-
-    events: list[UpdateEvent]
-    prototypes: PrototypeSet
-    n_passes: int
-
-    def event_keys(self) -> list[tuple[int, int]]:
-        return [(e.pass_number, e.source_index) for e in self.events]
+from .dataset import Dataset, LabeledPoint, sq_dists_to
+from .nn_rule import PrototypeSet, UpdateEvent, UpdateTrace, _doubled, classify
 
 
 def run_cnn(dataset: Dataset, shuffle_seed: int | None = None) -> UpdateTrace:
@@ -121,8 +92,6 @@ def run_cnn_online(
     next_mark = next(marks, None)
 
     dim: int | None = None
-    cap = 16
-    coords = np.empty((cap, 1), dtype=np.float64)
     labels: list[str] = []
     kept: dict[tuple[float, ...], str] = {}
     curve: list[tuple[int, int]] = []
@@ -138,7 +107,7 @@ def run_cnn_online(
         seen += 1
         if dim is None:
             dim = len(item.coords)
-            coords = np.empty((cap, dim), dtype=np.float64)
+            coords = np.empty((16, dim), dtype=np.float64)
         elif len(item.coords) != dim:
             raise ValueError(
                 f"stream item {seen} has dimension {len(item.coords)}, "
@@ -158,11 +127,8 @@ def run_cnn_online(
                 # source index because arrival order is insertion order.
                 misclassified = labels[int(np.argmin(d2))] != item.label
         if misclassified:
-            if n == cap:
-                cap *= 2
-                grown = np.empty((cap, dim), dtype=np.float64)
-                grown[:n] = coords[:n]
-                coords = grown
+            if n == len(coords):
+                coords = _doubled(coords)
             coords[n] = item.coords
             labels.append(item.label)
             kept[item.coords] = item.label

@@ -1,4 +1,4 @@
-"""Training-set ingestion, validation, and synthetic data generation.
+"""Training-set ingestion, validation, synthetic data, and the distance kernel.
 
 A dataset is an immutable, ordered list of labeled points in R^d. The class
 alphabet is derived from the data: labels in order of first appearance.
@@ -18,6 +18,24 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 DEFAULT_LABEL_COLUMN = "label"
+
+
+def sq_dists_to(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from each row of `coords` to `x`.
+
+    This is the single distance kernel for the whole package; everything that
+    must agree bit-for-bit on distances routes through it.
+    """
+    diff = coords - x
+    return np.sum(diff * diff, axis=1)
+
+
+def pairwise_sq_dists(coords: np.ndarray) -> np.ndarray:
+    """The n x n matrix whose row q is `sq_dists_to(coords, coords[q])`."""
+    out = np.empty((len(coords), len(coords)), dtype=np.float64)
+    for q, x in enumerate(coords):
+        out[q] = sq_dists_to(coords, x)
+    return out
 
 
 class DatasetError(Exception):
@@ -156,11 +174,9 @@ class Dataset:
 
     def diameter(self) -> float:
         """Largest pairwise Euclidean distance."""
-        best = 0.0
-        for i in range(len(self._points)):
-            diff = self._coords - self._coords[i]
-            best = max(best, float(np.max(np.sum(diff * diff, axis=1))))
-        return math.sqrt(best)
+        return math.sqrt(
+            max(float(sq_dists_to(self._coords, x).max()) for x in self._coords)
+        )
 
     def __len__(self) -> int:
         return len(self._points)

@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset
-from .nn_rule import PrototypeSet, sq_dists_to
+from .dataset import Dataset, sq_dists_to
+from .nn_rule import PrototypeSet, UpdateEvent, UpdateTrace, _doubled
 
 
 class PassBudgetError(Exception):
@@ -54,10 +54,8 @@ def log_kernel_row(coords: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarra
 
 def kernel_log_eval(cfg: KernelConfig, x, y) -> float:
     """log k(x, y); finite even where k itself underflows."""
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(y, dtype=np.float64)
-    diff = a - b
-    return float(-np.sum(diff * diff) / (2.0 * cfg.sigma * cfg.sigma))
+    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return float(log_kernel_row(a, np.asarray(y, dtype=np.float64), cfg.sigma)[0])
 
 
 def kernel_eval(cfg: KernelConfig, x, y) -> float:
@@ -84,8 +82,9 @@ class DualWeightVector:
     """Weight vector represented by its update records.
 
     Materializing the feature space is never needed: scores against any query
-    are kernel sums over the records. Internally keeps growing arrays so the
-    per-query scan stays vectorized.
+    are kernel sums over the records. The records are kept as growing arrays
+    so the per-query scan stays vectorized; `records` rebuilds them as
+    `UpdateRecord`s on demand.
     """
 
     def __init__(self, kernel: KernelConfig, classes: Sequence[str], dim: int):
@@ -97,30 +96,46 @@ class DualWeightVector:
             raise ValueError("duplicate labels in the class alphabet")
         self.dim = int(dim)
         self._code = {c: k for k, c in enumerate(self.classes)}
-        self._records: list[UpdateRecord] = []
-        self._cap = 8
-        self._coords = np.empty((self._cap, self.dim), dtype=np.float64)
-        self._c_codes = np.empty(self._cap, dtype=np.int64)
-        self._y_codes = np.empty(self._cap, dtype=np.int64)
+        self._size = 0
+        self._coords = np.empty((8, self.dim), dtype=np.float64)
+        self._c_codes = np.empty(8, dtype=np.int64)
+        self._y_codes = np.empty(8, dtype=np.int64)
+        self._indices = np.empty(8, dtype=np.int64)
 
     @property
     def records(self) -> tuple[UpdateRecord, ...]:
-        return tuple(self._records)
+        n = self._size
+        return tuple(
+            UpdateRecord(
+                None if i < 0 else i,
+                tuple(x),
+                self.classes[c],
+                None if y < 0 else self.classes[y],
+            )
+            for i, x, c, y in zip(
+                self._indices[:n].tolist(),
+                self._coords[:n].tolist(),
+                self._c_codes[:n].tolist(),
+                self._y_codes[:n].tolist(),
+            )
+        )
 
     @property
     def coords(self) -> np.ndarray:
-        return self._coords[: len(self._records)]
+        return self._coords[: self._size]
 
     @property
     def c_codes(self) -> np.ndarray:
-        return self._c_codes[: len(self._records)]
+        return self._c_codes[: self._size]
 
     @property
     def y_codes(self) -> np.ndarray:
         """Subtracted-channel codes; -1 stands for no subtraction."""
-        return self._y_codes[: len(self._records)]
+        return self._y_codes[: self._size]
 
     def append(self, index: int | None, x, c: str, y: str | None) -> None:
+        if index is not None and index < 0:
+            raise ValueError(f"source index must be nonnegative, got {index}")
         if c not in self._code:
             raise ValueError(f"unknown class {c!r}")
         if y is not None and y not in self._code:
@@ -130,21 +145,20 @@ class DualWeightVector:
         coords = tuple(float(v) for v in x)
         if len(coords) != self.dim:
             raise ValueError(f"point has dimension {len(coords)}, expected {self.dim}")
-        n = len(self._records)
-        if n == self._cap:
-            self._cap *= 2
-            for name in ("_coords", "_c_codes", "_y_codes"):
-                old = getattr(self, name)
-                grown = np.empty((self._cap,) + old.shape[1:], dtype=old.dtype)
-                grown[:n] = old[:n]
-                setattr(self, name, grown)
+        n = self._size
+        if n == len(self._indices):
+            self._coords = _doubled(self._coords)
+            self._c_codes = _doubled(self._c_codes)
+            self._y_codes = _doubled(self._y_codes)
+            self._indices = _doubled(self._indices)
         self._coords[n] = coords
         self._c_codes[n] = self._code[c]
         self._y_codes[n] = -1 if y is None else self._code[y]
-        self._records.append(UpdateRecord(index, coords, c, y))
+        self._indices[n] = -1 if index is None else index
+        self._size = n + 1
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._size
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,48 +166,39 @@ class DualWeightVector:
             "classes": list(self.classes),
             "records": [
                 {"index": r.index, "x": list(r.x), "c": r.c, "y": r.y}
-                for r in self._records
+                for r in self.records
             ],
         }
-
-
-def score(w: DualWeightVector, x, y: str) -> float:
-    """Inner product of w with the query's class-y feature, in linear domain.
-
-    Positive and negative contributions are summed separately before the
-    final subtraction. Underflows to 0.0 at tiny sigma; use the shifted path
-    for ranking.
-    """
-    if y not in w.classes:
-        raise ValueError(f"unknown class {y!r}")
-    if len(w) == 0:
-        return 0.0
-    q = np.asarray(x, dtype=np.float64)
-    k = np.exp(log_kernel_row(w.coords, q, w.kernel.sigma))
-    code = w.classes.index(y)
-    pos = float(np.sum(k[w.c_codes == code]))
-    neg = float(np.sum(k[w.y_codes == code]))
-    return pos - neg
 
 
 def _scores_from_ratios(
     ratios: np.ndarray,
     c_codes: np.ndarray,
-    y_codes: np.ndarray,
+    y_rows: np.ndarray,
     n_classes: int,
 ) -> np.ndarray:
-    """Per-class signed sums of shifted kernel ratios."""
+    """Per-class signed sums of shifted kernel ratios, one row of scores per
+    row of subtracted-channel codes (-1 for no subtraction).
+
+    Record j adds ratios[j] to class c_codes[j] and subtracts it from class
+    y_rows[r, j] in row r. All rows go through one flat bincount, which sums
+    each bin in record order; each row's column 0 collects its -1 codes and
+    is dropped.
+    """
+    n_rows = len(y_rows)
+    width = n_classes + 1
     pos = np.bincount(c_codes, weights=ratios, minlength=n_classes)
-    mask = y_codes >= 0
-    neg = np.bincount(y_codes[mask], weights=ratios[mask], minlength=n_classes)
-    return pos - neg
+    bins = y_rows + np.arange(1, n_rows * width, width)[:, None]
+    weights = ratios[None].repeat(n_rows, axis=0)
+    neg = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=n_rows * width)
+    return pos - neg.reshape(n_rows, width)[:, 1:]
 
 
-def _argmax_code(scores: np.ndarray) -> tuple[int, bool]:
-    """First maximal position and whether the maximum is tied."""
-    top = scores.max()
-    degenerate = int(np.sum(scores == top)) > 1
-    return int(np.argmax(scores)), degenerate
+def _argmax_codes(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First maximal position along the last axis and whether that maximum
+    is tied."""
+    tops = scores.max(axis=-1, keepdims=True)
+    return scores.argmax(axis=-1), (scores == tops).sum(axis=-1) > 1
 
 
 def shifted_class_scores(w: DualWeightVector, x) -> np.ndarray:
@@ -204,7 +209,8 @@ def shifted_class_scores(w: DualWeightVector, x) -> np.ndarray:
     q = np.asarray(x, dtype=np.float64)
     logk = log_kernel_row(w.coords, q, w.kernel.sigma)
     ratios = np.exp(logk - logk.max())
-    return _scores_from_ratios(ratios, w.c_codes, w.y_codes, len(w.classes))
+    scores = _scores_from_ratios(ratios, w.c_codes, w.y_codes[None], len(w.classes))
+    return scores[0]
 
 
 def argmax_class(w: DualWeightVector, x) -> tuple[str, bool]:
@@ -217,9 +223,8 @@ def argmax_class(w: DualWeightVector, x) -> tuple[str, bool]:
     """
     if len(w) == 0:
         return w.classes[0], True
-    scores = shifted_class_scores(w, x)
-    code, degenerate = _argmax_code(scores)
-    return w.classes[code], degenerate
+    code, degenerate = _argmax_codes(shifted_class_scores(w, x))
+    return w.classes[int(code)], bool(degenerate)
 
 
 def _first_other_class(classes: Sequence[str], c: str) -> str | None:
@@ -236,7 +241,7 @@ def run_mp(
     dataset: Dataset,
     cfg: KernelConfig,
     max_passes: int = DEFAULT_MAX_PASSES,
-) -> tuple["UpdateTrace", DualWeightVector]:
+) -> tuple[UpdateTrace, DualWeightVector]:
     """Multiclass perceptron: sweep until a full pass makes no update.
 
     A degenerate argmax counts as a mistake, so the first point always
@@ -249,8 +254,6 @@ def run_mp(
     Termination is not guaranteed for arbitrary bandwidths; `max_passes`
     bounds the loop and the raised error carries the partial trace.
     """
-    from .cnn import UpdateEvent, UpdateTrace  # local import to avoid a cycle
-
     w = DualWeightVector(cfg, dataset.classes, dataset.dim)
     prototypes = PrototypeSet(dataset)
     events: list[UpdateEvent] = []

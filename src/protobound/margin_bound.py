@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cnn import UpdateTrace, run_cnn
-from .dataset import Dataset
+from .cnn import run_cnn
+from .dataset import Dataset, pairwise_sq_dists
 from .kernel_machine import KernelConfig
 from .neighborly import (
     DEFAULT_EXHAUSTIVE_CAP,
@@ -34,10 +34,13 @@ from .neighborly import (
     sufficient_sigma,
     verify_neighborly,
 )
-from .nn_rule import sq_dists_to
+from .nn_rule import UpdateTrace
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 100_000
+# Every difference vector has squared norm exactly 2 (the gram diagonal), so
+# the radius is this constant rather than anything computed from the data.
+RADIUS = math.sqrt(2.0)
 
 
 class VacuousBoundError(Exception):
@@ -82,8 +85,7 @@ class DifferenceVectorSet:
         pt = np.array([i for i, _ in self.pairs], dtype=np.int64)
         wc = np.array([dataset.class_code(y) for _, y in self.pairs], dtype=np.int64)
         lc = dataset.label_codes[pt]
-        coords = dataset.coords
-        d2 = np.stack([sq_dists_to(coords, coords[i]) for i in range(len(dataset))])
+        d2 = pairwise_sq_dists(dataset.coords)
         kernel = np.exp(-d2 / (2.0 * cfg.sigma * cfg.sigma))
         signs = (
             (lc[:, None] == lc[None, :]).astype(np.float64)
@@ -93,18 +95,8 @@ class DifferenceVectorSet:
         )
         self.matrix = signs * kernel[np.ix_(pt, pt)]
 
-    def gram(self, a: int, b: int) -> float:
-        return float(self.matrix[a, b])
-
     def __len__(self) -> int:
         return len(self.pairs)
-
-
-def radius(dataset: Dataset, cfg: KernelConfig) -> float:
-    """Largest difference-vector norm. Evaluates the gram diagonal, whose
-    entries are all exactly 2, so the result is sqrt(2) to machine precision."""
-    dvs = DifferenceVectorSet(dataset, cfg)
-    return math.sqrt(float(np.max(np.diag(dvs.matrix))))
 
 
 @dataclass
@@ -167,18 +159,17 @@ def margin(
     below.
 
     Iterates on the convex coefficients only, driven by gram evaluations:
-    starting from the shortest difference vector, each step moves weight from
-    the currently worst-scoring active vertex toward the vertex minimizing
-    p . v, with an exact line search. Stops when the duality gap
-    ||p|| - min_v (p . v) / ||p|| falls to `tol` or the iteration budget runs
-    out; either way the reported delta_hat is feasible.
+    starting from the first difference vector (all have norm RADIUS), each
+    step moves weight from the currently worst-scoring active vertex toward
+    the vertex minimizing p . v, with an exact line search. Stops when the
+    duality gap ||p|| - min_v (p . v) / ||p|| falls to `tol` or the
+    iteration budget runs out; either way the reported delta_hat is feasible.
     """
     dvs = DifferenceVectorSet(dataset, cfg)
     G = dvs.matrix
     m = len(dvs)
     alpha = np.zeros(m, dtype=np.float64)
-    start = int(np.argmin(np.diag(G)))
-    alpha[start] = 1.0
+    alpha[0] = 1.0
     g = G @ alpha
     history: list[float] = []
     iterations = 0
@@ -221,12 +212,11 @@ def margin(
         delta_hat = 0.0
         gap = 0.0
     converged = converged and gap <= tol
-    r = math.sqrt(float(np.max(np.diag(G))))
-    bound = (r * r) / (delta_hat * delta_hat) if delta_hat > 0.0 else math.inf
+    bound = RADIUS * RADIUS / (delta_hat * delta_hat) if delta_hat > 0.0 else math.inf
     return MarginCertificate(
         cfg.sigma,
         delta_hat,
-        r,
+        RADIUS,
         bound,
         gap,
         alpha,

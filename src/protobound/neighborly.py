@@ -36,14 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, pairwise_sq_dists, sq_dists_to
 from .kernel_machine import (
     DualWeightVector,
     KernelConfig,
+    _argmax_codes,
+    _scores_from_ratios,
     argmax_class,
-    log_kernel_row,
 )
-from .nn_rule import PrototypeSet, _nearest_position, classify, sq_dists_to
+from .nn_rule import PrototypeSet, _nearest_position, classify
 
 DEFAULT_EXHAUSTIVE_CAP = 8
 DEFAULT_SAMPLED_TRIALS = 2000
@@ -94,13 +95,6 @@ class SigmaCertificate:
             "method": self.method,
             "verified": self.verified,
         }
-
-
-def _squared_distance_matrix(dataset: Dataset) -> np.ndarray:
-    coords = dataset.coords
-    return np.stack(
-        [sq_dists_to(coords, coords[q]) for q in range(len(dataset))]
-    )
 
 
 def min_squared_gap(dataset: Dataset) -> float:
@@ -184,12 +178,10 @@ def replay_violation(
     return label, degenerate, nn_label
 
 
-def _wrong_code_lists(dataset: Dataset) -> list[list[int]]:
-    n_classes = len(dataset.classes)
-    out = []
-    for code in range(n_classes):
-        out.append([c for c in range(n_classes) if c != code])
-    return [out[int(c)] for c in dataset.label_codes]
+def _wrong_codes(dataset: Dataset) -> list[list[int]]:
+    """Per point, the alphabet positions of every class but its own."""
+    k = len(dataset.classes)
+    return [[c for c in range(k) if c != own] for own in dataset.label_codes.tolist()]
 
 
 def _verify_exhaustive(
@@ -202,11 +194,10 @@ def _verify_exhaustive(
             f"use mode='sampled' or raise the cap"
         )
     n_classes = len(dataset.classes)
-    coords = dataset.coords
     label_codes = dataset.label_codes
-    d2_rows = _squared_distance_matrix(dataset)
-    logk_rows = [log_kernel_row(coords, coords[q], cfg.sigma) for q in range(n)]
-    wrong = _wrong_code_lists(dataset)
+    d2_rows = pairwise_sq_dists(dataset.coords)
+    logk_rows = -d2_rows / (2.0 * cfg.sigma * cfg.sigma)
+    wrong = _wrong_codes(dataset)
 
     # Subsets ascend as bitmasks, assignments ascend lexicographically by
     # member order, queries ascend by index: the first violation reported is
@@ -219,27 +210,17 @@ def _verify_exhaustive(
         assignments = np.array(
             list(itertools.product(*choice_lists)), dtype=np.int64
         )
-        n_assign = len(assignments)
         members_arr = np.array(members, dtype=np.int64)
         member_codes = label_codes[members_arr]
-        rows = np.arange(n_assign)
 
         hit: tuple[int, int] | None = None  # (assignment rank, query)
         for q in range(n):
-            logk = logk_rows[q][members_arr]
+            logk = logk_rows[q, members_arr]
             ratios = np.exp(logk - logk.max())
-            pos = np.bincount(member_codes, weights=ratios, minlength=n_classes)
-            neg = np.zeros((n_assign, n_classes), dtype=np.float64)
-            for j in range(len(members)):
-                neg[rows, assignments[:, j]] += ratios[j]
-            scores = pos[None, :] - neg
-            tops = scores.max(axis=1)
-            degenerate = (scores == tops[:, None]).sum(axis=1) > 1
-            argmaxes = scores.argmax(axis=1)
-
-            nn_pos = _nearest_position(d2_rows[q][members_arr], members_arr)
-            nn_code = int(label_codes[members_arr[nn_pos]])
-            bad = degenerate | (argmaxes != nn_code)
+            scores = _scores_from_ratios(ratios, member_codes, assignments, n_classes)
+            argmaxes, degenerate = _argmax_codes(scores)
+            nn_pos = _nearest_position(d2_rows[q, members_arr], members_arr)
+            bad = degenerate | (argmaxes != member_codes[nn_pos])
             if bad.any():
                 rank = int(np.argmax(bad))
                 if hit is None or (rank, q) < hit:
@@ -250,24 +231,13 @@ def _verify_exhaustive(
                 m: dataset.classes[int(assignments[rank, j])]
                 for j, m in enumerate(members)
             }
-            nn_pos = _nearest_position(d2_rows[q][members_arr], members_arr)
-            nn_label = dataset[int(members_arr[nn_pos])].label
-            candidate = Violation(
-                tuple(members),
-                assignment,
-                q,
-                dataset.classes[int(argmaxes[rank])],
-                nn_label,
-                bool(degenerate[rank]),
-            )
+            candidate = Violation(tuple(members), assignment, q, "", "", False)
             label, degen, nn = replay_violation(dataset, cfg, candidate)
             if not degen and label == nn:  # pragma: no cover - internal check
                 raise RuntimeError(
                     "enumerated violation did not replay; scoring paths diverged"
                 )
-            return Violation(
-                candidate.subset, candidate.assignment, q, label, nn, degen
-            )
+            return Violation(candidate.subset, assignment, q, label, nn, degen)
     return None
 
 
@@ -275,13 +245,10 @@ def _verify_sampled(
     dataset: Dataset, cfg: KernelConfig, seed: int, trials: int
 ) -> Violation | None:
     n = len(dataset)
-    n_classes = len(dataset.classes)
-    if n_classes < 2:
+    if len(dataset.classes) < 2:
         return None  # no restricted vector exists
     rng = np.random.default_rng(seed)
-    wrong_labels = [
-        [c for c in dataset.classes if c != dataset[i].label] for i in range(n)
-    ]
+    wrong = _wrong_codes(dataset)
     for _ in range(trials):
         while True:
             take = rng.random(n) < 0.5
@@ -289,7 +256,7 @@ def _verify_sampled(
                 break
         members = [i for i in range(n) if take[i]]
         assignment = {
-            i: wrong_labels[i][int(rng.integers(len(wrong_labels[i])))]
+            i: dataset.classes[wrong[i][int(rng.integers(len(wrong[i])))]]
             for i in members
         }
         q = int(rng.integers(n))
@@ -313,13 +280,16 @@ def verify_neighborly(
     Exhaustive mode enumerates every nonempty subset, assignment of a wrong
     class to each member, and training query; it refuses sets larger than
     `cap`. Sampled mode draws `trials` random triples (membership by fair
-    coin, assignments and query uniform) from `seed`. Returns None on a pass
-    or the first violation found; a degenerate (tied) argmax counts as a
+    coin, assignments and query uniform) from `seed` and refuses fewer than
+    one trial, which would pass without checking anything. Returns None on a
+    pass or the first violation found; a degenerate (tied) argmax counts as a
     violation even when its resolution happens to match the NN label.
     """
     if mode == "exhaustive":
         return _verify_exhaustive(dataset, cfg, cap)
     if mode == "sampled":
+        if trials < 1:
+            raise ValueError(f"sampled mode needs at least one trial, got {trials}")
         return _verify_sampled(dataset, cfg, seed, trials)
     raise ValueError(f"unknown mode {mode!r}")
 

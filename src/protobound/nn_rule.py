@@ -7,41 +7,42 @@ every consumer of the rule deterministic.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .dataset import Dataset, LabeledPoint
+from .dataset import Dataset, LabeledPoint, sq_dists_to
 
 
 class EmptyPrototypeSetError(Exception):
     """The nearest-neighbor map does not exist for an empty prototype set."""
 
 
-def sq_dists_to(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance from each row of `coords` to `x`.
-
-    This is the single distance kernel for the whole package; everything that
-    must agree bit-for-bit on distances routes through it.
-    """
-    diff = coords - x
-    return np.sum(diff * diff, axis=1)
+def _doubled(buf: np.ndarray) -> np.ndarray:
+    """A copy of `buf` in a buffer with twice as many rows."""
+    grown = np.empty((2 * len(buf),) + buf.shape[1:], dtype=buf.dtype)
+    grown[: len(buf)] = buf
+    return grown
 
 
 class PrototypeSet:
     """An insertion-ordered subset of a dataset's points.
 
-    Members are stored as source indices into the parent dataset. The class
-    keeps a growing coordinate matrix so nearest-neighbor scans stay
-    vectorized while condensation algorithms append one point at a time.
+    Members are stored as source indices into the parent dataset, in
+    insertion order, plus a membership mask over the parent. Coordinates and
+    codes are copied into rows preallocated for the whole parent, so
+    nearest-neighbor scans stay vectorized while condensation algorithms
+    append one point at a time.
     """
 
     def __init__(self, parent: Dataset, indices: list[int] | None = None):
         self._parent = parent
-        self._indices: list[int] = []
-        self._index_set: set[int] = set()
-        self._cap = 8
-        self._coords = np.empty((self._cap, parent.dim), dtype=np.float64)
-        self._codes = np.empty(self._cap, dtype=np.int64)
-        self._idx_arr = np.empty(self._cap, dtype=np.int64)
+        n = len(parent)
+        self._size = 0
+        self._member = np.zeros(n, dtype=bool)
+        self._idx_arr = np.empty(n, dtype=np.int64)
+        self._coords = np.empty((n, parent.dim), dtype=np.float64)
+        self._codes = np.empty(n, dtype=np.int64)
         for i in indices or ():
             self.add(i)
 
@@ -55,51 +56,74 @@ class PrototypeSet:
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(self._indices)
+        return tuple(self.index_array.tolist())
 
     @property
     def coords(self) -> np.ndarray:
-        return self._coords[: len(self._indices)]
+        return self._coords[: self._size]
 
     @property
     def codes(self) -> np.ndarray:
-        return self._codes[: len(self._indices)]
+        return self._codes[: self._size]
 
     @property
     def index_array(self) -> np.ndarray:
-        return self._idx_arr[: len(self._indices)]
+        return self._idx_arr[: self._size]
 
     def add(self, source_index: int) -> None:
         if not 0 <= source_index < len(self._parent):
             raise IndexError(f"source index {source_index} out of range")
-        if source_index in self._index_set:
+        if self._member[source_index]:
             raise ValueError(f"source index {source_index} already a member")
-        n = len(self._indices)
-        if n == self._cap:
-            self._cap *= 2
-            for name in ("_coords", "_codes", "_idx_arr"):
-                old = getattr(self, name)
-                new_shape = (self._cap,) + old.shape[1:]
-                grown = np.empty(new_shape, dtype=old.dtype)
-                grown[:n] = old[:n]
-                setattr(self, name, grown)
+        n = self._size
         self._coords[n] = self._parent.coords[source_index]
         self._codes[n] = self._parent.label_codes[source_index]
         self._idx_arr[n] = source_index
-        self._indices.append(source_index)
-        self._index_set.add(source_index)
+        self._member[source_index] = True
+        self._size = n + 1
 
     def members(self) -> list[tuple[int, LabeledPoint]]:
-        return [(i, self._parent[i]) for i in self._indices]
+        return [(i, self._parent[i]) for i in self.indices]
 
     def __contains__(self, source_index: int) -> bool:
-        return source_index in self._index_set
+        return 0 <= source_index < len(self._parent) and bool(
+            self._member[source_index]
+        )
 
     def __len__(self) -> int:
-        return len(self._indices)
+        return self._size
 
     def __repr__(self) -> str:
-        return f"PrototypeSet(indices={self._indices!r})"
+        return f"PrototypeSet(indices={list(self.indices)!r})"
+
+
+@dataclass(frozen=True)
+class UpdateEvent:
+    """One addition to the prototype set.
+
+    `predicted` is the (wrong) label the current set produced, or None when
+    the addition happened because the set was still empty.
+    """
+
+    pass_number: int
+    source_index: int
+    true_class: str
+    predicted: str | None
+
+
+@dataclass
+class UpdateTrace:
+    """Additions in order, plus the final prototype set.
+
+    `n_passes` counts every executed sweep including the final clean one.
+    """
+
+    events: list[UpdateEvent]
+    prototypes: PrototypeSet
+    n_passes: int
+
+    def event_keys(self) -> list[tuple[int, int]]:
+        return [(e.pass_number, e.source_index) for e in self.events]
 
 
 def _nearest_position(d2: np.ndarray, source_indices: np.ndarray) -> int:

@@ -231,6 +231,22 @@ class TestNeighborlyCommand:
         )
         assert result.exit_code == 0
 
+    def test_sampled_needs_a_trial(self, runner, line3_csv):
+        for trials in ("0", "-5"):
+            result = runner.invoke(
+                main,
+                ["neighborly", line3_csv, "--sigma", "15", "--mode", "sampled",
+                 "--trials", trials],
+            )
+            assert result.exit_code == 2
+            assert "PASS" not in result.output
+            assert "at least one trial" in result.stderr
+
+    def test_nonpositive_sigma_is_an_input_error(self, runner, line3_csv):
+        result = runner.invoke(main, ["neighborly", line3_csv, "--sigma", "0"])
+        assert result.exit_code == 2
+        assert "sigma must be positive" in result.stderr
+
 
 class TestOnlineCommand:
     def test_inline_spec(self, runner, tmp_path):

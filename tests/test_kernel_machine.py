@@ -87,6 +87,23 @@ class TestDualWeightVector:
         assert [r.index for r in w.records] == list(range(20))
         assert np.array_equal(w.coords[:, 0], np.arange(20.0))
 
+    def test_records_rebuild_the_appended_values(self):
+        w = pb.DualWeightVector(pb.KernelConfig(1.0), ("A", "B", "C"), 2)
+        w.append(4, (1, 2.5), "C", "A")
+        w.append(None, [np.float64(-0.5), 3.0], "A", None)
+        assert w.records == (
+            pb.UpdateRecord(4, (1.0, 2.5), "C", "A"),
+            pb.UpdateRecord(None, (-0.5, 3.0), "A", None),
+        )
+        assert all(type(v) is float for r in w.records for v in r.x)
+        assert list(w.y_codes) == [0, -1]
+
+    def test_negative_index_refused(self):
+        w = pb.DualWeightVector(pb.KernelConfig(1.0), ("A", "B"), 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            w.append(-1, (0.0,), "A", "B")
+        assert len(w) == 0
+
     def test_json_dict(self):
         w = pb.DualWeightVector(pb.KernelConfig(0.5), ("A", "B"), 1)
         w.append(3, (2.0,), "B", "A")
@@ -109,17 +126,18 @@ def singleton_w(sigma=1.0):
 
 class TestScoring:
     def test_singleton_scores(self):
+        # one record: the shift divides every score by that record's kernel
         w = singleton_w()
         k = pb.kernel_eval(w.kernel, [1.0], [0.0])
-        assert pb.score(w, [1.0], "A") == pytest.approx(k, abs=1e-15)
-        assert pb.score(w, [1.0], "B") == pytest.approx(-k, abs=1e-15)
-        assert pb.score(w, [1.0], "C") == 0.0
-        with pytest.raises(ValueError, match="unknown class"):
-            pb.score(w, [1.0], "Z")
+        want = naive_class_scores(w.classes, [((0.0,), "A", "B")], [1.0], 1.0)
+        shifted = pb.shifted_class_scores(w, [1.0])
+        assert list(shifted) == [1.0, -1.0, 0.0]
+        assert list(shifted * k) == pytest.approx(
+            [want[c] for c in w.classes], abs=1e-15
+        )
 
     def test_empty_vector_scores_zero(self):
         w = pb.DualWeightVector(pb.KernelConfig(1.0), ("A", "B"), 1)
-        assert pb.score(w, [1.0], "A") == 0.0
         assert list(pb.shifted_class_scores(w, [1.0])) == [0.0, 0.0]
         assert pb.argmax_class(w, [1.0]) == ("A", True)
 
@@ -142,8 +160,6 @@ class TestScoring:
                 records.append((x, c, y))
             q = rng.uniform(-5, 5, size=2)
             want = naive_class_scores(classes, records, q, sigma)
-            for cls in classes:
-                assert pb.score(w, q, cls) == pytest.approx(want[cls], abs=1e-12)
             # shifting rescales all classes by one positive factor
             shifted = pb.shifted_class_scores(w, q)
             linear = np.array([want[c] for c in classes])
@@ -157,7 +173,6 @@ class TestScoring:
         scores = pb.shifted_class_scores(w, [1.0])
         assert np.all(np.isfinite(scores))
         assert list(scores) == [1.0, -1.0, 0.0]  # raw kernels all underflow
-        assert pb.score(w, [1.0], "A") == 0.0
         assert pb.argmax_class(w, [1.0]) == ("A", False)
 
     def test_degenerate_tie_resolves_to_first_class(self):

@@ -35,7 +35,7 @@ class TestDifferenceVectorSet:
                         (ci == cj) - (ci == yp) - (y == cj) + (y == yp)
                     )
                     want = sign * pb.kernel_eval(cfg, ds[i].coords, ds[j].coords)
-                    assert dvs.gram(a, b) == pytest.approx(want, abs=1e-14)
+                    assert dvs.matrix[a, b] == pytest.approx(want, abs=1e-14)
 
     def test_diagonal_is_exactly_two(self):
         for seed in range(5):
@@ -57,9 +57,14 @@ class TestDifferenceVectorSet:
 
 class TestRadius:
     def test_sqrt_two_machine_exact(self):
+        assert pb.RADIUS == math.sqrt(2)
         for seed in range(5):
             ds = pb.fuzz_dataset(seed, max_n=10, max_classes=4)
-            assert pb.radius(ds, pb.KernelConfig(0.3)) == math.sqrt(2)
+            cfg = pb.KernelConfig(0.3)
+            # the constant is the largest difference-vector norm
+            diag = np.diag(pb.DifferenceVectorSet(ds, cfg).matrix)
+            assert math.sqrt(diag.max()) == pb.RADIUS
+            assert pb.margin(ds, cfg).radius == math.sqrt(2)
 
 
 class TestMarginSolver:

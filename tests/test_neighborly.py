@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import protobound as pb
+from protobound.nn_rule import _nearest_position
 
 
 def tie_set():
@@ -159,6 +160,14 @@ class TestVerifyNeighborly:
         with pytest.raises(ValueError, match="mode"):
             pb.verify_neighborly(line3, pb.KernelConfig(1.0), mode="all")
 
+    def test_sampled_mode_refuses_no_trials(self, line3):
+        # zero trials would check nothing and report a pass
+        for trials in (0, -5):
+            with pytest.raises(ValueError, match="at least one trial"):
+                pb.verify_neighborly(
+                    line3, pb.KernelConfig(15.0), mode="sampled", trials=trials
+                )
+
 
 def naive_verify(dataset, sigma):
     """Reference enumerator: plain python, raw kernels, same search order."""
@@ -197,6 +206,74 @@ def naive_verify(dataset, sigma):
                         q,
                     )
     return None
+
+
+def loop_verify_exhaustive(dataset, cfg):
+    """The exhaustive enumerator as it was before its scores were batched:
+    per query, subtracted channels are accumulated one member at a time."""
+    n = len(dataset)
+    n_classes = len(dataset.classes)
+    coords = dataset.coords
+    label_codes = dataset.label_codes
+    d2_rows = [pb.sq_dists_to(coords, coords[q]) for q in range(n)]
+    logk_rows = [pb.log_kernel_row(coords, coords[q], cfg.sigma) for q in range(n)]
+    wrong = [
+        [c for c in range(n_classes) if c != int(code)] for code in label_codes
+    ]
+    for mask in range(1, 2**n):
+        members = [i for i in range(n) if mask >> i & 1]
+        choice_lists = [wrong[i] for i in members]
+        if any(not ch for ch in choice_lists):
+            continue
+        assignments = np.array(
+            list(itertools.product(*choice_lists)), dtype=np.int64
+        )
+        members_arr = np.array(members, dtype=np.int64)
+        member_codes = label_codes[members_arr]
+        rows = np.arange(len(assignments))
+        hit = None
+        for q in range(n):
+            logk = logk_rows[q][members_arr]
+            ratios = np.exp(logk - logk.max())
+            pos = np.bincount(member_codes, weights=ratios, minlength=n_classes)
+            neg = np.zeros((len(assignments), n_classes), dtype=np.float64)
+            for j in range(len(members)):
+                neg[rows, assignments[:, j]] += ratios[j]
+            scores = pos[None, :] - neg
+            tops = scores.max(axis=1)
+            degenerate = (scores == tops[:, None]).sum(axis=1) > 1
+            argmaxes = scores.argmax(axis=1)
+            nn_pos = _nearest_position(d2_rows[q][members_arr], members_arr)
+            bad = degenerate | (argmaxes != label_codes[members_arr[nn_pos]])
+            if bad.any():
+                rank = int(np.argmax(bad))
+                if hit is None or (rank, q) < hit:
+                    hit = (rank, q)
+        if hit is not None:
+            rank, q = hit
+            assignment = {
+                m: dataset.classes[int(assignments[rank, j])]
+                for j, m in enumerate(members)
+            }
+            candidate = pb.Violation(tuple(members), assignment, q, "", "", False)
+            label, degen, nn = pb.replay_violation(dataset, cfg, candidate)
+            return pb.Violation(tuple(members), assignment, q, label, nn, degen)
+    return None
+
+
+class TestAgainstLoopEnumerator:
+    def test_first_violation_matches_on_fuzzed_sets(self):
+        outcomes = []
+        for seed in range(12):
+            ds = pb.fuzz_dataset(seed, max_n=7, max_dim=3, max_classes=3)
+            star = pb.sufficient_sigma(ds).sigma_star
+            for sigma in (star / 2.0, 10.0 * star, ds.diameter()):
+                cfg = pb.KernelConfig(sigma)
+                got = pb.verify_neighborly(ds, cfg, mode="exhaustive", cap=7)
+                assert got == loop_verify_exhaustive(ds, cfg), (seed, sigma)
+                outcomes.append(got is None)
+        # the corpus mixes passes and violations
+        assert any(outcomes) and not all(outcomes)
 
 
 class TestAgainstNaiveEnumerator:

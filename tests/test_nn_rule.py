@@ -27,9 +27,15 @@ class TestPrototypeSet:
 
     def test_growth_preserves_order(self):
         ds = pb.random_dataset(0, n_points=40, dim=2, n_classes=2)
-        ps = pb.PrototypeSet(ds, list(range(40)))  # forces several regrowths
+        ps = pb.PrototypeSet(ds, list(range(40)))  # fills every row
         assert ps.indices == tuple(range(40))
         assert np.array_equal(ps.coords, ds.coords)
+        assert np.array_equal(ps.codes, ds.label_codes)
+
+    def test_membership_outside_the_parent(self, line3):
+        ps = pb.PrototypeSet(line3, [2])
+        assert -1 not in ps and 3 not in ps and 2 in ps
+        assert repr(ps) == "PrototypeSet(indices=[2])"
 
     def test_full(self, line3):
         ps = pb.PrototypeSet.full(line3)
@@ -108,3 +114,13 @@ class TestSqDists:
         coords = np.array([[0.0, 0.0], [3.0, 4.0]])
         d2 = pb.sq_dists_to(coords, np.array([0.0, 0.0]))
         assert list(d2) == [0.0, 25.0]
+
+    def test_pairwise_matrix_equals_rows_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 3, 9, 17):
+            coords = rng.normal(scale=rng.uniform(0.1, 100.0), size=(23, d))
+            full = pb.pairwise_sq_dists(coords)
+            assert full.shape == (23, 23)
+            for q in range(23):
+                row = pb.sq_dists_to(coords, coords[q])
+                assert full[q].tobytes() == row.tobytes()
