@@ -206,6 +206,8 @@ def mp_cmd(dataset_path, label_column, sigma, max_passes, out):
         sigma = _default_sigma(dataset)
     try:
         trace, weights = run_mp(dataset, KernelConfig(sigma), max_passes=max_passes)
+    except ValueError as exc:
+        _fail_input(exc)
     except PassBudgetError as exc:
         click.echo(f"FAIL: {exc}", err=True)
         sys.exit(1)
@@ -266,6 +268,10 @@ def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
     started = time.perf_counter()
     if (dataset_path is None) == (fuzz is None):
         _fail_input("pass a dataset file or --fuzz N (exactly one)")
+    if fuzz is not None and fuzz < 1:
+        _fail_input(f"--fuzz needs at least one dataset, got {fuzz}")
+    if fuzz is not None and max_n < 2:
+        _fail_input(f"--max-n must be at least 2, got {max_n}")
     runs = []
     all_ok = True
     if fuzz is None:
@@ -278,10 +284,7 @@ def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
     else:
         for s in range(seed, seed + fuzz):
             dataset = fuzz_dataset(s, max_n=max_n)
-            run_sigma = (
-                sigma if sigma is not None
-                else sufficient_sigma(dataset).sigma_star / 2.0
-            )
+            run_sigma = sigma if sigma is not None else _default_sigma(dataset)
             ok, detail = _equiv_one(dataset, run_sigma)
             runs.append({"seed": s, "verdict": "PASS" if ok else "FAIL", **detail})
             all_ok = all_ok and ok

@@ -252,8 +252,11 @@ def run_mp(
     as the condensation trace.
 
     Termination is not guaranteed for arbitrary bandwidths; `max_passes`
-    bounds the loop and the raised error carries the partial trace.
+    bounds the loop and the raised error carries the partial trace. Fewer
+    than one pass could never finish, so it is refused.
     """
+    if max_passes < 1:
+        raise ValueError(f"max_passes must be at least 1, got {max_passes}")
     w = DualWeightVector(cfg, dataset.classes, dataset.dim)
     prototypes = PrototypeSet(dataset)
     events: list[UpdateEvent] = []

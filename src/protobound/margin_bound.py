@@ -29,6 +29,7 @@ from .dataset import Dataset, pairwise_sq_dists
 from .kernel_machine import KernelConfig
 from .neighborly import (
     DEFAULT_EXHAUSTIVE_CAP,
+    ExhaustiveCapError,
     GammaDegenerateError,
     SigmaCertificate,
     sufficient_sigma,
@@ -361,14 +362,18 @@ def bound_infimum(
         cfg = KernelConfig(sigma)
         if analytic is not None and analytic.covers(sigma):
             cert = analytic
-        elif (
-            len(dataset) <= exhaustive_cap
-            and verify_neighborly(dataset, cfg, "exhaustive", exhaustive_cap) is None
-        ):
-            cert = SigmaCertificate(sigma, 0.0, "empirical-bisection", True)
         else:
-            skipped.append(sigma)
-            continue
+            try:
+                verified = (
+                    verify_neighborly(dataset, cfg, "exhaustive", exhaustive_cap)
+                    is None
+                )
+            except ExhaustiveCapError:
+                verified = False  # too large to enumerate
+            if not verified:
+                skipped.append(sigma)
+                continue
+            cert = SigmaCertificate(sigma, 0.0, "empirical-bisection", True)
         evaluated.append(
             cnn_bound(dataset, cfg, cert, tol=tol, max_iters=max_iters, trace=trace)
         )

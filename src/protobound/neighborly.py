@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, pairwise_sq_dists, sq_dists_to
+from .dataset import Dataset, sq_dists_to
 from .kernel_machine import (
     DualWeightVector,
     KernelConfig,
@@ -48,6 +48,8 @@ from .nn_rule import PrototypeSet, _nearest_position, classify
 
 DEFAULT_EXHAUSTIVE_CAP = 8
 DEFAULT_SAMPLED_TRIALS = 2000
+# Largest number of rows exhaustive mode scores; see verify_neighborly.
+EXHAUSTIVE_ROW_BUDGET = 10**6
 
 
 class GammaDegenerateError(Exception):
@@ -184,69 +186,59 @@ def _wrong_codes(dataset: Dataset) -> list[list[int]]:
     return [[c for c in range(k) if c != own] for own in dataset.label_codes.tolist()]
 
 
-def _verify_exhaustive(
-    dataset: Dataset, cfg: KernelConfig, cap: int
-) -> Violation | None:
-    n = len(dataset)
-    if n > cap:
-        raise ExhaustiveCapError(
-            f"{n} points exceed the exhaustive cap of {cap}; "
-            f"use mode='sampled' or raise the cap"
-        )
-    n_classes = len(dataset.classes)
+def _first_violation(dataset: Dataset, cfg: KernelConfig, cases) -> Violation | None:
+    """First violation over groups of (members, assignment rows, queries):
+    groups in order, then the lowest assignment rank, then the lowest query.
+    Only that triple is replayed through the public API, as a cross-check."""
+    coords = dataset.coords
     label_codes = dataset.label_codes
-    d2_rows = pairwise_sq_dists(dataset.coords)
-    logk_rows = -d2_rows / (2.0 * cfg.sigma * cfg.sigma)
-    wrong = _wrong_codes(dataset)
-
-    # Subsets ascend as bitmasks, assignments ascend lexicographically by
-    # member order, queries ascend by index: the first violation reported is
-    # the first in (P, o, query) order.
-    for mask in range(1, 2**n):
-        members = [i for i in range(n) if mask >> i & 1]
-        choice_lists = [wrong[i] for i in members]
-        if any(not ch for ch in choice_lists):
-            continue  # single-class alphabet: no restricted vector exists
-        assignments = np.array(
-            list(itertools.product(*choice_lists)), dtype=np.int64
-        )
-        members_arr = np.array(members, dtype=np.int64)
-        member_codes = label_codes[members_arr]
-
-        hit: tuple[int, int] | None = None  # (assignment rank, query)
-        for q in range(n):
-            logk = logk_rows[q, members_arr]
+    n_classes = len(dataset.classes)
+    scale = 2.0 * cfg.sigma * cfg.sigma
+    for members, assignments, queries in cases:
+        member_coords = coords[members]
+        member_codes = label_codes[members]
+        hits = []  # (first bad assignment rank, query)
+        for q in queries:
+            d2 = sq_dists_to(member_coords, coords[q])
+            logk = -d2 / scale
             ratios = np.exp(logk - logk.max())
             scores = _scores_from_ratios(ratios, member_codes, assignments, n_classes)
             argmaxes, degenerate = _argmax_codes(scores)
-            nn_pos = _nearest_position(d2_rows[q, members_arr], members_arr)
+            nn_pos = _nearest_position(d2, members)
             bad = degenerate | (argmaxes != member_codes[nn_pos])
             if bad.any():
-                rank = int(np.argmax(bad))
-                if hit is None or (rank, q) < hit:
-                    hit = (rank, q)
-        if hit is not None:
-            rank, q = hit
-            assignment = {
-                m: dataset.classes[int(assignments[rank, j])]
-                for j, m in enumerate(members)
-            }
-            candidate = Violation(tuple(members), assignment, q, "", "", False)
+                hits.append((int(np.argmax(bad)), q))
+        if hits:
+            rank, q = min(hits)
+            subset = tuple(members.tolist())
+            codes = assignments[rank].tolist()
+            assignment = {m: dataset.classes[c] for m, c in zip(subset, codes)}
+            candidate = Violation(subset, assignment, q, "", "", False)
             label, degen, nn = replay_violation(dataset, cfg, candidate)
             if not degen and label == nn:  # pragma: no cover - internal check
                 raise RuntimeError(
-                    "enumerated violation did not replay; scoring paths diverged"
+                    "flagged violation did not replay; scoring paths diverged"
                 )
-            return Violation(candidate.subset, assignment, q, label, nn, degen)
+            return Violation(subset, assignment, q, label, nn, degen)
     return None
 
 
-def _verify_sampled(
-    dataset: Dataset, cfg: KernelConfig, seed: int, trials: int
-) -> Violation | None:
+def _exhaustive_cases(dataset: Dataset):
+    """Subsets ascend as bitmasks and assignments lexicographically by
+    member order, so the first violation is the first in (P, o, query)
+    order."""
     n = len(dataset)
-    if len(dataset.classes) < 2:
-        return None  # no restricted vector exists
+    wrong = _wrong_codes(dataset)
+    for mask in range(1, 2**n):
+        members = [i for i in range(n) if mask >> i & 1]
+        rows = list(itertools.product(*(wrong[i] for i in members)))
+        yield np.array(members), np.array(rows, dtype=np.int64), range(n)
+
+
+def _sampled_cases(dataset: Dataset, seed: int, trials: int):
+    """Per trial: membership by fair coin (redrawn until nonempty), one wrong
+    class per member in index order, then the query."""
+    n = len(dataset)
     rng = np.random.default_rng(seed)
     wrong = _wrong_codes(dataset)
     for _ in range(trials):
@@ -254,17 +246,9 @@ def _verify_sampled(
             take = rng.random(n) < 0.5
             if take.any():
                 break
-        members = [i for i in range(n) if take[i]]
-        assignment = {
-            i: dataset.classes[wrong[i][int(rng.integers(len(wrong[i])))]]
-            for i in members
-        }
-        q = int(rng.integers(n))
-        candidate = Violation(tuple(members), assignment, q, "", "", False)
-        label, degen, nn = replay_violation(dataset, cfg, candidate)
-        if degen or label != nn:
-            return Violation(tuple(members), assignment, q, label, nn, degen)
-    return None
+        members = np.flatnonzero(take)
+        row = [wrong[i][int(rng.integers(len(wrong[i])))] for i in members.tolist()]
+        yield members, np.array([row], dtype=np.int64), (int(rng.integers(n)),)
 
 
 def verify_neighborly(
@@ -278,20 +262,39 @@ def verify_neighborly(
     """Check the neighborly property empirically at one bandwidth.
 
     Exhaustive mode enumerates every nonempty subset, assignment of a wrong
-    class to each member, and training query; it refuses sets larger than
-    `cap`. Sampled mode draws `trials` random triples (membership by fair
-    coin, assignments and query uniform) from `seed` and refuses fewer than
-    one trial, which would pass without checking anything. Returns None on a
-    pass or the first violation found; a degenerate (tied) argmax counts as a
-    violation even when its resolution happens to match the NN label.
+    class to each member, and training query. Before enumerating it refuses
+    more than `cap` points, or more than `EXHAUSTIVE_ROW_BUDGET` scored rows:
+    n * (k^n - 1) for n points in k classes. Sampled mode draws `trials`
+    random triples (membership by fair coin, assignments and query uniform)
+    from `seed` and refuses fewer than one trial, which would pass without
+    checking anything. Returns None on a pass or the first violation found; a
+    degenerate (tied) argmax counts as a violation even when its resolution
+    happens to match the NN label.
     """
+    n, k = len(dataset), len(dataset.classes)
     if mode == "exhaustive":
-        return _verify_exhaustive(dataset, cfg, cap)
-    if mode == "sampled":
+        if n > cap:
+            raise ExhaustiveCapError(
+                f"{n} points exceed the exhaustive cap of {cap}; "
+                f"use mode='sampled' or raise the cap"
+            )
+        rows = n * (k**n - 1)
+        if rows > EXHAUSTIVE_ROW_BUDGET:
+            raise ExhaustiveCapError(
+                f"exhaustive verification would score {n}*({k}^{n} - 1) ~ "
+                f"10^{math.log10(rows):.1f} rows, over the budget of "
+                f"{EXHAUSTIVE_ROW_BUDGET}; use mode='sampled'"
+            )
+        cases = _exhaustive_cases(dataset)
+    elif mode == "sampled":
         if trials < 1:
             raise ValueError(f"sampled mode needs at least one trial, got {trials}")
-        return _verify_sampled(dataset, cfg, seed, trials)
-    raise ValueError(f"unknown mode {mode!r}")
+        cases = _sampled_cases(dataset, seed, trials)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if k < 2:
+        return None  # no restricted vector exists
+    return _first_violation(dataset, cfg, cases)
 
 
 def bisect_sigma(
@@ -308,10 +311,6 @@ def bisect_sigma(
     bisects geometrically toward the largest passing bandwidth found. The
     returned certificate covers exactly its own sigma.
     """
-    if len(dataset) > cap:
-        raise ExhaustiveCapError(
-            f"{len(dataset)} points exceed the exhaustive cap of {cap}"
-        )
     sigma = start_sigma if start_sigma is not None else max(dataset.diameter(), 1.0)
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError(f"invalid starting sigma {sigma!r}")

@@ -46,10 +46,6 @@ class PrototypeSet:
         for i in indices or ():
             self.add(i)
 
-    @classmethod
-    def full(cls, parent: Dataset) -> "PrototypeSet":
-        return cls(parent, list(range(len(parent))))
-
     @property
     def parent(self) -> Dataset:
         return self._parent

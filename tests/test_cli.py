@@ -118,6 +118,12 @@ class TestMpCommand:
         assert result.exit_code == 1
         assert "FAIL" in result.stderr
 
+    def test_no_passes_is_a_usage_error(self, runner, line3_csv):
+        result = runner.invoke(main, ["mp", line3_csv, "--max-passes", "0"])
+        assert result.exit_code == 2
+        assert "FAIL" not in result.stderr
+        assert "max_passes must be at least 1" in result.stderr
+
     def test_tied_data_needs_explicit_sigma(self, runner, tmp_path):
         path = tmp_path / "tie.csv"
         path.write_text(TIE_CSV, encoding="utf-8")
@@ -145,6 +151,20 @@ class TestEquivCommand:
         report = read_report(out)
         assert report["results"]["all_pass"] is True
         assert [r["seed"] for r in report["results"]["runs"]] == [5, 6, 7]
+
+    def test_fuzz_refuses_checking_nothing(self, runner):
+        for fuzz in ("0", "-3"):
+            result = runner.invoke(main, ["equiv", "--fuzz", fuzz])
+            assert result.exit_code == 2
+            assert "PASS" not in result.output
+            assert "--fuzz" in result.stderr
+
+    def test_fuzz_refuses_max_n_below_two(self, runner):
+        result = runner.invoke(main, ["equiv", "--fuzz", "2", "--max-n", "1"])
+        assert result.exit_code == 2
+        assert "--max-n" in result.stderr
+        result = runner.invoke(main, ["equiv", "--fuzz", "2", "--max-n", "2"])
+        assert result.exit_code == 0
 
     def test_requires_exactly_one_input(self, runner, line3_csv):
         assert runner.invoke(main, ["equiv"]).exit_code == 2
@@ -230,6 +250,17 @@ class TestNeighborlyCommand:
              "--trials", "50"],
         )
         assert result.exit_code == 0
+
+    def test_work_budget_exceeded(self, runner, tmp_path):
+        # 2^30 subsets: refused up front instead of running for hours
+        ds = pb.random_dataset(0, n_points=30, dim=1, n_classes=2)
+        path = tmp_path / "d30.csv"
+        pb.write_csv(ds, path)
+        result = runner.invoke(
+            main, ["neighborly", str(path), "--sigma", "0.01", "--cap", "40"]
+        )
+        assert result.exit_code == 2
+        assert "budget" in result.stderr
 
     def test_sampled_needs_a_trial(self, runner, line3_csv):
         for trials in ("0", "-5"):

@@ -228,3 +228,9 @@ class TestRunMp:
             pb.run_mp(line3, pb.KernelConfig(sigma), max_passes=1)
         assert exc.value.trace.event_keys() == [(1, 0), (1, 1)]
         assert len(exc.value.weights) == 2
+
+    def test_no_passes_is_refused(self, line3):
+        # zero passes could never finish; that is a usage error, not a verdict
+        for max_passes in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                pb.run_mp(line3, pb.KernelConfig(1.0), max_passes=max_passes)

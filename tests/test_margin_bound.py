@@ -220,6 +220,17 @@ class TestBoundInfimum:
         assert gs.skipped_sigmas == [15.0]
         assert [r.sigma for r in gs.evaluated] == [star / 2]
 
+    def test_points_too_large_to_verify_are_skipped(self):
+        # past the cap, or past the work budget under a raised cap, a grid
+        # point the analytic certificate misses cannot be verified
+        for n, cap in ((9, 8), (16, 16)):
+            ds = pb.random_dataset(0, n_points=n, dim=2, n_classes=2)
+            star = pb.sufficient_sigma(ds).sigma_star
+            gs = pb.bound_infimum(ds, sigma_grid=[star / 2, 10 * star],
+                                  exhaustive_cap=cap)
+            assert gs.skipped_sigmas == [10 * star]
+            assert [r.sigma for r in gs.evaluated] == [star / 2]
+
     def test_no_certifiable_grid_raises(self, line3):
         with pytest.raises(pb.NoCertifiedSigmaError):
             pb.bound_infimum(line3, sigma_grid=[15.0, 20.0])

@@ -112,6 +112,16 @@ class TestVerifyNeighborly:
             "query=0, argmax='B', nn='A'"
         )
 
+    def test_tied_argmax_counts_even_when_it_names_the_nn_label(self):
+        # query 2 is equidistant from points 0 and 1; with 0->B and 1->A
+        # their records cancel and every class scores 0
+        ds = pb.Dataset([((0.0,), "A"), ((2.0,), "B"), ((1.0,), "C")])
+        v = pb.verify_neighborly(ds, pb.KernelConfig(0.05))
+        assert (v.subset, v.assignment, v.query_index) == (
+            (0, 1), {0: "B", 1: "A"}, 2
+        )
+        assert v.degenerate and v.argmax_label == v.nn_label == "A"
+
     def test_violation_replays_through_public_api(self, line3):
         cfg = pb.KernelConfig(15.0)
         violation = pb.verify_neighborly(line3, cfg)
@@ -155,6 +165,28 @@ class TestVerifyNeighborly:
             )
             is None
         )
+
+    def test_work_budget_refuses_before_enumerating(self):
+        # 30 points in 2 classes would score 30 * (2^30 - 1) rows
+        ds = pb.random_dataset(0, n_points=30, dim=2, n_classes=2)
+        with pytest.raises(pb.ExhaustiveCapError, match=r"30\*\(2\^30 - 1\)"):
+            pb.verify_neighborly(ds, pb.KernelConfig(0.01), cap=40)
+        # 8 points in 8 classes fit the default cap but not the budget
+        ds = pb.random_dataset(0, n_points=8, dim=2, n_classes=8)
+        with pytest.raises(pb.ExhaustiveCapError, match="budget"):
+            pb.verify_neighborly(ds, pb.KernelConfig(0.01))
+        # the first two-class size past the budget: 16 * (2^16 - 1) > 10^6
+        ds = pb.random_dataset(0, n_points=16, dim=2, n_classes=2)
+        assert 15 * (2**15 - 1) <= pb.neighborly.EXHAUSTIVE_ROW_BUDGET
+        with pytest.raises(pb.ExhaustiveCapError, match="sampled"):
+            pb.verify_neighborly(ds, pb.KernelConfig(0.01), cap=16)
+        # the largest sets the tests enumerate stay well inside it
+        assert 8 * (3**8 - 1) <= pb.neighborly.EXHAUSTIVE_ROW_BUDGET
+
+    def test_single_class_skips_the_enumeration(self):
+        # no restricted vector exists, so 2^30 empty subsets are not walked
+        ds = pb.Dataset([((float(i),), "A") for i in range(30)])
+        assert pb.verify_neighborly(ds, pb.KernelConfig(1.0), cap=40) is None
 
     def test_unknown_mode(self, line3):
         with pytest.raises(ValueError, match="mode"):
@@ -261,6 +293,55 @@ def loop_verify_exhaustive(dataset, cfg):
     return None
 
 
+def replay_verify_sampled(dataset, cfg, seed, trials):
+    """Sampled verification as it was before the batched search: every
+    trial is replayed through the public API."""
+    n = len(dataset)
+    if len(dataset.classes) < 2:
+        return None
+    rng = np.random.default_rng(seed)
+    k = len(dataset.classes)
+    wrong = [[c for c in range(k) if c != own] for own in dataset.label_codes]
+    for _ in range(trials):
+        while True:
+            take = rng.random(n) < 0.5
+            if take.any():
+                break
+        members = [i for i in range(n) if take[i]]
+        assignment = {
+            i: dataset.classes[wrong[i][int(rng.integers(len(wrong[i])))]]
+            for i in members
+        }
+        q = int(rng.integers(n))
+        candidate = pb.Violation(tuple(members), assignment, q, "", "", False)
+        label, degen, nn = pb.replay_violation(dataset, cfg, candidate)
+        if degen or label != nn:
+            return pb.Violation(tuple(members), assignment, q, label, nn, degen)
+    return None
+
+
+class TestAgainstReplayOracle:
+    def test_sampled_matches_on_fuzzed_sets(self):
+        outcomes = []
+        for seed in range(10):
+            ds = pb.fuzz_dataset(seed, max_n=40, max_dim=3, max_classes=3)
+            star = pb.sufficient_sigma(ds).sigma_star
+            for sigma in (star / 2.0, 10.0 * star, ds.diameter()):
+                cfg = pb.KernelConfig(sigma)
+                got = pb.verify_neighborly(
+                    ds, cfg, mode="sampled", seed=seed, trials=200
+                )
+                assert got == replay_verify_sampled(ds, cfg, seed, 200), (
+                    seed, sigma
+                )
+                assert got is None or all(
+                    type(i) is int for i in (*got.subset, got.query_index)
+                )
+                outcomes.append(got is None)
+        # the corpus mixes passes and violations
+        assert any(outcomes) and not all(outcomes)
+
+
 class TestAgainstLoopEnumerator:
     def test_first_violation_matches_on_fuzzed_sets(self):
         outcomes = []
@@ -322,6 +403,10 @@ class TestBisectSigma:
         ds = pb.random_dataset(1, n_points=9, dim=2, n_classes=2)
         with pytest.raises(pb.ExhaustiveCapError):
             pb.bisect_sigma(ds, cap=8)
+        # a raised cap still meets the work budget
+        ds = pb.random_dataset(1, n_points=16, dim=2, n_classes=2)
+        with pytest.raises(pb.ExhaustiveCapError, match="budget"):
+            pb.bisect_sigma(ds, cap=16)
 
     def test_gives_up_when_nothing_verifies(self):
         # cross-class exact tie: queries between the two classes can never

@@ -37,10 +37,6 @@ class TestPrototypeSet:
         assert -1 not in ps and 3 not in ps and 2 in ps
         assert repr(ps) == "PrototypeSet(indices=[2])"
 
-    def test_full(self, line3):
-        ps = pb.PrototypeSet.full(line3)
-        assert ps.indices == (0, 1, 2)
-
 
 class TestNearest:
     def test_two_point_split(self, line3):
@@ -51,7 +47,7 @@ class TestNearest:
         assert (point.label, idx) == ("B", 1)
 
     def test_own_point_has_distance_zero(self, line3):
-        ps = pb.PrototypeSet.full(line3)
+        ps = pb.PrototypeSet(line3, [0, 1, 2])
         for i in range(3):
             _, idx = pb.nearest(ps, line3.coords[i])
             assert idx == i
@@ -72,7 +68,7 @@ class TestNearest:
             pb.is_consistent(ps, line3)
 
     def test_query_shape_checked(self, line3):
-        ps = pb.PrototypeSet.full(line3)
+        ps = pb.PrototypeSet(line3, [0, 1, 2])
         with pytest.raises(ValueError, match="shape"):
             pb.nearest(ps, [0.0, 1.0])
 
@@ -96,7 +92,7 @@ class TestConsistency:
     def test_full_set_is_always_consistent(self):
         for seed in range(10):
             ds = pb.fuzz_dataset(seed)
-            assert pb.is_consistent(pb.PrototypeSet.full(ds), ds)
+            assert pb.is_consistent(pb.PrototypeSet(ds, list(range(len(ds)))), ds)
 
     def test_detects_inconsistency(self, line3):
         assert not pb.is_consistent(pb.PrototypeSet(line3, [0]), line3)
