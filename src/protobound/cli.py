@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -35,11 +36,11 @@ from .margin_bound import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     NoCertifiedSigmaError,
+    NotSeparableError,
     UncertifiedSigmaError,
     bound_infimum,
 )
 from .neighborly import (
-    DEFAULT_EXHAUSTIVE_CAP,
     DEFAULT_SAMPLED_TRIALS,
     ExhaustiveCapError,
     GammaDegenerateError,
@@ -149,7 +150,7 @@ def main() -> None:
 @main.command("cnn")
 @click.argument("dataset_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--label-column", default=DEFAULT_LABEL_COLUMN, show_default=True)
-@click.option("--shuffle-seed", type=int, default=None,
+@click.option("--shuffle-seed", type=click.IntRange(min=0), default=None,
               help="Scan a seeded random permutation instead of file order.")
 @click.option("--out", type=click.Path(), default=None, help="JSON report path.")
 @click.option("--out-csv", type=click.Path(), default=None,
@@ -258,7 +259,7 @@ def _equiv_one(dataset: Dataset, sigma: float) -> tuple[bool, dict]:
               help="Kernel bandwidth; defaults to half the certified threshold.")
 @click.option("--fuzz", type=int, default=None, metavar="N",
               help="Check N seeded random datasets instead of a file.")
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="First seed for --fuzz.")
 @click.option("--max-n", type=int, default=30, show_default=True,
               help="Largest fuzz dataset size.")
@@ -272,6 +273,11 @@ def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
         _fail_input(f"--fuzz needs at least one dataset, got {fuzz}")
     if fuzz is not None and max_n < 2:
         _fail_input(f"--max-n must be at least 2, got {max_n}")
+    if sigma is not None:
+        try:
+            KernelConfig(sigma)
+        except ValueError as exc:
+            _fail_input(exc)
     runs = []
     all_ok = True
     if fuzz is None:
@@ -313,11 +319,14 @@ def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
               help="Comma-separated bandwidths; defaults to a geometric grid "
                    "under the certified threshold.")
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
-@click.option("--max-iters", type=int, default=DEFAULT_MAX_ITERS, show_default=True)
+@click.option("--max-iters", type=click.IntRange(min=1), default=DEFAULT_MAX_ITERS,
+              show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="JSON report path.")
 def bound_cmd(dataset_path, label_column, sigma_grid, tol, max_iters, out):
     """Best certified size bound for the condensed set over a bandwidth grid."""
     started = time.perf_counter()
+    if not (tol >= 0 and math.isfinite(tol)):
+        _fail_input(f"--tol must be nonnegative and finite, got {tol}")
     dataset = _load(dataset_path, label_column)
     grid = None
     if sigma_grid is not None:
@@ -325,12 +334,15 @@ def bound_cmd(dataset_path, label_column, sigma_grid, tol, max_iters, out):
             grid = [float(v) for v in sigma_grid.split(",") if v.strip()]
         except ValueError:
             _fail_input(f"cannot parse --sigma-grid {sigma_grid!r}")
-        if not grid or any(v <= 0 for v in grid):
-            _fail_input("--sigma-grid needs positive bandwidths")
+        if not grid or not all(v > 0 and math.isfinite(v) for v in grid):
+            _fail_input("--sigma-grid needs positive, finite bandwidths")
     try:
         report = bound_infimum(dataset, grid, tol=tol, max_iters=max_iters)
     except NoCertifiedSigmaError as exc:
         _fail_input(exc)
+    except NotSeparableError as exc:
+        click.echo(f"FAIL: {exc} within --max-iters {max_iters}", err=True)
+        sys.exit(1)
     best = report.best
     _emit_report(
         out,
@@ -362,18 +374,16 @@ def bound_cmd(dataset_path, label_column, sigma_grid, tol, max_iters, out):
               help="Verify this bandwidth; omit to print the certificate.")
 @click.option("--mode", type=click.Choice(["exhaustive", "sampled"]),
               default="exhaustive", show_default=True)
-@click.option("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP, show_default=True,
-              help="Largest set size for exhaustive mode.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--trials", type=int, default=DEFAULT_SAMPLED_TRIALS,
               show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="JSON report path.")
-def neighborly_cmd(dataset_path, label_column, sigma, mode, cap, seed, trials, out):
+def neighborly_cmd(dataset_path, label_column, sigma, mode, seed, trials, out):
     """Certify or verify that kernel scoring reproduces the 1-NN rule."""
     started = time.perf_counter()
     dataset = _load(dataset_path, label_column)
     params = {"label_column": label_column, "sigma": sigma, "mode": mode,
-              "cap": cap, "seed": seed, "trials": trials}
+              "seed": seed, "trials": trials}
     if sigma is None:
         try:
             cert = sufficient_sigma(dataset)
@@ -388,7 +398,7 @@ def neighborly_cmd(dataset_path, label_column, sigma, mode, cap, seed, trials, o
         return
     try:
         violation = verify_neighborly(
-            dataset, KernelConfig(sigma), mode, cap=cap, seed=seed, trials=trials
+            dataset, KernelConfig(sigma), mode, seed=seed, trials=trials
         )
     except (ExhaustiveCapError, ValueError) as exc:
         _fail_input(exc)
@@ -418,9 +428,10 @@ def neighborly_cmd(dataset_path, label_column, sigma, mode, cap, seed, trials, o
 @click.option("--spec", required=True,
               help="Generator spec: inline JSON or a path to a JSON file.")
 @click.option("--items", type=int, required=True, help="Stream length to consume.")
-@click.option("--checkpoints", type=int, default=10, show_default=True,
+@click.option("--checkpoints", type=click.IntRange(min=0), default=10,
+              show_default=True,
               help="Number of evenly spaced growth samples.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out-csv", type=click.Path(), default=None,
               help="Write the growth curve as CSV.")
 @click.option("--out", type=click.Path(), default=None, help="JSON report path.")
@@ -467,7 +478,7 @@ def online_cmd(spec, items, checkpoints, seed, out_csv, out):
 @click.option("--spec", required=True,
               help="Generator spec: inline JSON or a path to a JSON file.")
 @click.option("--n-per-class", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), required=True,
               help="CSV destination.")
 def gen_cmd(spec, n_per_class, seed, out_path):

@@ -21,13 +21,14 @@ DEFAULT_LABEL_COLUMN = "label"
 
 
 def sq_dists_to(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance from each row of `coords` to `x`.
+    """Squared Euclidean distance from each row of `coords` to `x`; for `x`
+    of shape (q, d), one such row per query, shape (q, len(coords)).
 
     This is the single distance kernel for the whole package; everything that
     must agree bit-for-bit on distances routes through it.
     """
-    diff = coords - x
-    return np.sum(diff * diff, axis=1)
+    diff = coords - np.asarray(x)[..., None, :]
+    return np.sum(diff * diff, axis=-1)
 
 
 def pairwise_sq_dists(coords: np.ndarray) -> np.ndarray:

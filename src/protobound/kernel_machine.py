@@ -177,21 +177,26 @@ def _scores_from_ratios(
     y_rows: np.ndarray,
     n_classes: int,
 ) -> np.ndarray:
-    """Per-class signed sums of shifted kernel ratios, one row of scores per
-    row of subtracted-channel codes (-1 for no subtraction).
+    """Per-class signed sums of shifted kernel ratios, shape (q, A, k): one
+    row of ratios (q, P) per query, one row of subtracted-channel codes
+    (A, P) per assignment (-1 for no subtraction).
 
-    Record j adds ratios[j] to class c_codes[j] and subtracts it from class
-    y_rows[r, j] in row r. All rows go through one flat bincount, which sums
-    each bin in record order; each row's column 0 collects its -1 codes and
-    is dropped.
+    Record j adds ratios[i, j] to class c_codes[j] and subtracts it from
+    class y_rows[r, j] in row r. The added channels ride along as row 0, and
+    all rows of all queries go through one flat bincount, which sums each
+    bin in record order; each row's column 0 collects its -1 codes and is
+    dropped.
     """
-    n_rows = len(y_rows)
+    rows = np.concatenate((c_codes[None], y_rows))
+    n_queries, n_rows = len(ratios), len(rows)
     width = n_classes + 1
-    pos = np.bincount(c_codes, weights=ratios, minlength=n_classes)
-    bins = y_rows + np.arange(1, n_rows * width, width)[:, None]
-    weights = ratios[None].repeat(n_rows, axis=0)
-    neg = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=n_rows * width)
-    return pos - neg.reshape(n_rows, width)[:, 1:]
+    offsets = np.arange(1, n_queries * n_rows * width, width)
+    bins = rows + offsets.reshape(n_queries, n_rows, 1)
+    weights = ratios[:, None, :].repeat(n_rows, axis=1)
+    sums = np.bincount(
+        bins.ravel(), weights=weights.ravel(), minlength=len(offsets) * width
+    ).reshape(n_queries, n_rows, width)[..., 1:]
+    return sums[:, :1] - sums[:, 1:]
 
 
 def _argmax_codes(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,10 +212,10 @@ def shifted_class_scores(w: DualWeightVector, x) -> np.ndarray:
     if len(w) == 0:
         return np.zeros(len(w.classes), dtype=np.float64)
     q = np.asarray(x, dtype=np.float64)
-    logk = log_kernel_row(w.coords, q, w.kernel.sigma)
+    logk = log_kernel_row(w.coords, q[None], w.kernel.sigma)
     ratios = np.exp(logk - logk.max())
     scores = _scores_from_ratios(ratios, w.c_codes, w.y_codes[None], len(w.classes))
-    return scores[0]
+    return scores[0, 0]
 
 
 def argmax_class(w: DualWeightVector, x) -> tuple[str, bool]:

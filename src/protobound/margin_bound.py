@@ -28,7 +28,6 @@ from .cnn import run_cnn
 from .dataset import Dataset, pairwise_sq_dists
 from .kernel_machine import KernelConfig
 from .neighborly import (
-    DEFAULT_EXHAUSTIVE_CAP,
     ExhaustiveCapError,
     GammaDegenerateError,
     SigmaCertificate,
@@ -330,13 +329,12 @@ def bound_infimum(
     sigma_grid: list[float] | None = None,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> GridSearchReport:
     """Smallest certified bound over a bandwidth grid.
 
     Grid points strictly below the analytic threshold are certified by it;
-    other points are kept only if the set is small enough to verify
-    exhaustively and the verification passes. The true optimum is an infimum
+    other points are kept only if exhaustive verification fits its row
+    budget and passes. The true optimum is an infimum
     over all neighborly bandwidths; a finite grid can only approach it, which
     is the scope of this search.
     """
@@ -364,10 +362,7 @@ def bound_infimum(
             cert = analytic
         else:
             try:
-                verified = (
-                    verify_neighborly(dataset, cfg, "exhaustive", exhaustive_cap)
-                    is None
-                )
+                verified = verify_neighborly(dataset, cfg) is None
             except ExhaustiveCapError:
                 verified = False  # too large to enumerate
             if not verified:

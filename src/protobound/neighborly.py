@@ -44,12 +44,13 @@ from .kernel_machine import (
     _scores_from_ratios,
     argmax_class,
 )
-from .nn_rule import PrototypeSet, _nearest_position, classify
+from .nn_rule import PrototypeSet, classify
 
-DEFAULT_EXHAUSTIVE_CAP = 8
 DEFAULT_SAMPLED_TRIALS = 2000
 # Largest number of rows exhaustive mode scores; see verify_neighborly.
 EXHAUSTIVE_ROW_BUDGET = 10**6
+BISECT_MAX_HALVINGS = 60
+BISECT_REFINE_ROUNDS = 12
 
 
 class GammaDegenerateError(Exception):
@@ -189,30 +190,31 @@ def _wrong_codes(dataset: Dataset) -> list[list[int]]:
 def _first_violation(dataset: Dataset, cfg: KernelConfig, cases) -> Violation | None:
     """First violation over groups of (members, assignment rows, queries):
     groups in order, then the lowest assignment rank, then the lowest query.
-    Only that triple is replayed through the public API, as a cross-check."""
+
+    Every query of a group is scored in one batch. Members and queries must
+    ascend by source index: the first minimal distance is then the nearest
+    member with the smallest source index, and the first hit in (rank,
+    query) order is the lowest query. Only the flagged triple is replayed
+    through the public API, as a cross-check."""
     coords = dataset.coords
     label_codes = dataset.label_codes
     n_classes = len(dataset.classes)
     scale = 2.0 * cfg.sigma * cfg.sigma
     for members, assignments, queries in cases:
-        member_coords = coords[members]
         member_codes = label_codes[members]
-        hits = []  # (first bad assignment rank, query)
-        for q in queries:
-            d2 = sq_dists_to(member_coords, coords[q])
-            logk = -d2 / scale
-            ratios = np.exp(logk - logk.max())
-            scores = _scores_from_ratios(ratios, member_codes, assignments, n_classes)
-            argmaxes, degenerate = _argmax_codes(scores)
-            nn_pos = _nearest_position(d2, members)
-            bad = degenerate | (argmaxes != member_codes[nn_pos])
-            if bad.any():
-                hits.append((int(np.argmax(bad)), q))
-        if hits:
-            rank, q = min(hits)
+        d2 = sq_dists_to(coords[members], coords[queries])
+        logk = -d2 / scale
+        ratios = np.exp(logk - logk.max(axis=1, keepdims=True))
+        scores = _scores_from_ratios(ratios, member_codes, assignments, n_classes)
+        argmaxes, degenerate = _argmax_codes(scores)
+        nn_codes = member_codes[d2.argmin(axis=1)]
+        bad = degenerate | (argmaxes != nn_codes[:, None])
+        if bad.any():
+            rank, pos = np.argwhere(bad.T)[0].tolist()
             subset = tuple(members.tolist())
             codes = assignments[rank].tolist()
             assignment = {m: dataset.classes[c] for m, c in zip(subset, codes)}
+            q = int(queries[pos])
             candidate = Violation(subset, assignment, q, "", "", False)
             label, degen, nn = replay_violation(dataset, cfg, candidate)
             if not degen and label == nn:  # pragma: no cover - internal check
@@ -248,14 +250,13 @@ def _sampled_cases(dataset: Dataset, seed: int, trials: int):
                 break
         members = np.flatnonzero(take)
         row = [wrong[i][int(rng.integers(len(wrong[i])))] for i in members.tolist()]
-        yield members, np.array([row], dtype=np.int64), (int(rng.integers(n)),)
+        yield members, np.array([row], dtype=np.int64), [int(rng.integers(n))]
 
 
 def verify_neighborly(
     dataset: Dataset,
     cfg: KernelConfig,
     mode: str = "exhaustive",
-    cap: int = DEFAULT_EXHAUSTIVE_CAP,
     seed: int = 0,
     trials: int = DEFAULT_SAMPLED_TRIALS,
 ) -> Violation | None:
@@ -263,21 +264,15 @@ def verify_neighborly(
 
     Exhaustive mode enumerates every nonempty subset, assignment of a wrong
     class to each member, and training query. Before enumerating it refuses
-    more than `cap` points, or more than `EXHAUSTIVE_ROW_BUDGET` scored rows:
-    n * (k^n - 1) for n points in k classes. Sampled mode draws `trials`
-    random triples (membership by fair coin, assignments and query uniform)
-    from `seed` and refuses fewer than one trial, which would pass without
-    checking anything. Returns None on a pass or the first violation found; a
-    degenerate (tied) argmax counts as a violation even when its resolution
-    happens to match the NN label.
+    more than `EXHAUSTIVE_ROW_BUDGET` scored rows: n * (k^n - 1) for n points
+    in k classes. Sampled mode draws `trials` random triples (membership by
+    fair coin, assignments and query uniform) from `seed` and refuses fewer
+    than one trial, which would pass without checking anything. Returns None
+    on a pass or the first violation found; a degenerate (tied) argmax counts
+    as a violation even when its resolution happens to match the NN label.
     """
     n, k = len(dataset), len(dataset.classes)
     if mode == "exhaustive":
-        if n > cap:
-            raise ExhaustiveCapError(
-                f"{n} points exceed the exhaustive cap of {cap}; "
-                f"use mode='sampled' or raise the cap"
-            )
         rows = n * (k**n - 1)
         if rows > EXHAUSTIVE_ROW_BUDGET:
             raise ExhaustiveCapError(
@@ -297,40 +292,32 @@ def verify_neighborly(
     return _first_violation(dataset, cfg, cases)
 
 
-def bisect_sigma(
-    dataset: Dataset,
-    cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    start_sigma: float | None = None,
-    max_halvings: int = 60,
-    refine_rounds: int = 12,
-) -> SigmaCertificate:
+def bisect_sigma(dataset: Dataset) -> SigmaCertificate:
     """Search for an exhaustively verified bandwidth when no analytic
     certificate exists (gamma = 0 on ties).
 
-    Halves sigma from the data diameter until verification passes, then
+    Halves sigma from max(diameter, 1) until verification passes, then
     bisects geometrically toward the largest passing bandwidth found. The
-    returned certificate covers exactly its own sigma.
+    returned certificate covers exactly its own sigma. Each step is one
+    exhaustive verification, so any set within `EXHAUSTIVE_ROW_BUDGET` is
+    searched; near the budget that is slow (15 points in 2 classes: 18-19
+    verifications, about 15 s on a 2-vCPU VM).
     """
-    sigma = start_sigma if start_sigma is not None else max(dataset.diameter(), 1.0)
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError(f"invalid starting sigma {sigma!r}")
-    lo = None
-    for _ in range(max_halvings):
-        if verify_neighborly(dataset, KernelConfig(sigma), "exhaustive", cap) is None:
-            lo = sigma
+    sigma = max(dataset.diameter(), 1.0)
+    for halvings in range(BISECT_MAX_HALVINGS):
+        if verify_neighborly(dataset, KernelConfig(sigma)) is None:
             break
         sigma /= 2.0
-    if lo is None:
+    else:
         raise ValueError(
             f"no neighborly bandwidth found down to {sigma}; "
             f"the set may admit none (cross-class distance ties)"
         )
-    hi = lo * 2.0
-    if start_sigma is None and lo == max(dataset.diameter(), 1.0):
-        hi = lo  # passed at the start; nothing to refine against
-    for _ in range(refine_rounds if hi > lo else 0):
+    # a pass at the start leaves nothing to refine against
+    lo, hi = sigma, 2.0 * sigma
+    for _ in range(BISECT_REFINE_ROUNDS if halvings else 0):
         mid = math.sqrt(lo * hi)
-        if verify_neighborly(dataset, KernelConfig(mid), "exhaustive", cap) is None:
+        if verify_neighborly(dataset, KernelConfig(mid)) is None:
             lo = mid
         else:
             hi = mid

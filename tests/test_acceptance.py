@@ -56,7 +56,7 @@ def test_3_certified_bandwidths_verify_exhaustively():
         star = pb.sufficient_sigma(ds).sigma_star
         for sigma in (star / 2.0, 0.99 * star):
             violation = pb.verify_neighborly(
-                ds, pb.KernelConfig(sigma), mode="exhaustive", cap=8
+                ds, pb.KernelConfig(sigma), mode="exhaustive"
             )
             if violation is not None:
                 failures.append((seed, sigma, violation.describe()))

@@ -29,6 +29,50 @@ def read_report(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+@pytest.fixture
+def d20_csv(tmp_path):
+    path = tmp_path / "d20.csv"
+    pb.write_csv(pb.random_dataset(0, n_points=20, dim=2, n_classes=2), path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["equiv", "{data}", "--sigma", "-1"],
+        ["equiv", "{data}", "--sigma", "0"],
+        ["equiv", "--fuzz", "1", "--sigma", "0"],
+        ["cnn", "{data}", "--shuffle-seed", "-1"],
+        ["equiv", "--fuzz", "1", "--seed", "-1"],
+        ["online", "--spec", SPEC, "--items", "5", "--seed", "-1"],
+        ["gen", "--spec", SPEC, "--n-per-class", "3", "--seed", "-1",
+         "--out", "{tmp}/gen.csv"],
+        ["neighborly", "{data}", "--sigma", "0.1", "--mode", "sampled",
+         "--seed", "-1"],
+        ["bound", "{data}", "--sigma-grid", "nan"],
+        ["bound", "{data}", "--sigma-grid", "0.1,inf"],
+        ["online", "--spec", SPEC, "--items", "5", "--checkpoints", "-2"],
+        ["bound", "{data}", "--max-iters", "0"],
+        ["bound", "{data}", "--tol", "-1"],
+        ["bound", "{data}", "--tol", "nan"],
+        ["neighborly", "{data}", "--sigma", "0.1", "--cap", "40"],
+    ],
+    ids=[
+        "equiv-negative-sigma", "equiv-zero-sigma", "fuzz-zero-sigma",
+        "cnn-negative-seed", "fuzz-negative-seed", "online-negative-seed",
+        "gen-negative-seed", "neighborly-negative-seed", "bound-nan-grid",
+        "bound-inf-grid", "online-negative-checkpoints", "bound-zero-iters",
+        "bound-negative-tol", "bound-nan-tol", "neighborly-no-cap-option",
+    ],
+)
+def test_input_errors_exit_2(runner, d20_csv, tmp_path, args):
+    argv = [a.replace("{data}", d20_csv).replace("{tmp}", str(tmp_path))
+            for a in args]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 class TestEnvelope:
     def test_version(self, runner):
         result = runner.invoke(main, ["--version"])
@@ -204,6 +248,12 @@ class TestBoundCommand:
             == 2
         )
 
+    def test_solver_budget_too_small_is_a_failing_verdict(self, runner, d20_csv):
+        result = runner.invoke(main, ["bound", d20_csv, "--max-iters", "10"])
+        assert result.exit_code == 1
+        assert "FAIL: no positive margin certified at sigma=" in result.stderr
+        assert "--max-iters 10" in result.stderr
+
 
 class TestNeighborlyCommand:
     def test_certificate_print(self, runner, line3_csv, tmp_path):
@@ -238,15 +288,25 @@ class TestNeighborlyCommand:
         assert result.exit_code == 2
         assert "equidistant" in result.stderr
 
-    def test_cap_exceeded(self, runner, tmp_path):
-        ds = pb.random_dataset(0, n_points=9, dim=1, n_classes=2)
-        path = tmp_path / "big.csv"
-        pb.write_csv(ds, path)
-        result = runner.invoke(main, ["neighborly", str(path), "--sigma", "0.1"])
+    def test_budget_decides_exhaustive_mode(self, runner, tmp_path):
+        # 9 points fit the row budget and are enumerated; 16 do not
+        small = tmp_path / "d9.csv"
+        pb.write_csv(pb.random_dataset(0, n_points=9, dim=1, n_classes=2), small)
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            main, ["neighborly", str(small), "--sigma", "0.001", "--out", str(out)]
+        )
+        assert result.exit_code == 0
+        assert "PASS" in result.output
+        assert "cap" not in read_report(out)["parameters"]
+        big = tmp_path / "d16.csv"
+        pb.write_csv(pb.random_dataset(0, n_points=16, dim=1, n_classes=2), big)
+        result = runner.invoke(main, ["neighborly", str(big), "--sigma", "0.001"])
         assert result.exit_code == 2
+        assert "mode='sampled'" in result.stderr
         result = runner.invoke(
             main,
-            ["neighborly", str(path), "--sigma", "0.001", "--mode", "sampled",
+            ["neighborly", str(big), "--sigma", "0.001", "--mode", "sampled",
              "--trials", "50"],
         )
         assert result.exit_code == 0
@@ -256,9 +316,7 @@ class TestNeighborlyCommand:
         ds = pb.random_dataset(0, n_points=30, dim=1, n_classes=2)
         path = tmp_path / "d30.csv"
         pb.write_csv(ds, path)
-        result = runner.invoke(
-            main, ["neighborly", str(path), "--sigma", "0.01", "--cap", "40"]
-        )
+        result = runner.invoke(main, ["neighborly", str(path), "--sigma", "0.01"])
         assert result.exit_code == 2
         assert "budget" in result.stderr
 

@@ -221,15 +221,20 @@ class TestBoundInfimum:
         assert [r.sigma for r in gs.evaluated] == [star / 2]
 
     def test_points_too_large_to_verify_are_skipped(self):
-        # past the cap, or past the work budget under a raised cap, a grid
-        # point the analytic certificate misses cannot be verified
-        for n, cap in ((9, 8), (16, 16)):
-            ds = pb.random_dataset(0, n_points=n, dim=2, n_classes=2)
-            star = pb.sufficient_sigma(ds).sigma_star
-            gs = pb.bound_infimum(ds, sigma_grid=[star / 2, 10 * star],
-                                  exhaustive_cap=cap)
-            assert gs.skipped_sigmas == [10 * star]
-            assert [r.sigma for r in gs.evaluated] == [star / 2]
+        # past the work budget, a grid point the analytic certificate misses
+        # cannot be verified
+        ds = pb.random_dataset(0, n_points=16, dim=2, n_classes=2)
+        star = pb.sufficient_sigma(ds).sigma_star
+        gs = pb.bound_infimum(ds, sigma_grid=[star / 2, 10 * star])
+        assert gs.skipped_sigmas == [10 * star]
+        assert [r.sigma for r in gs.evaluated] == [star / 2]
+        # within it, that point is kept exactly when exhaustive mode passes
+        ds = pb.random_dataset(0, n_points=9, dim=2, n_classes=2)
+        star = pb.sufficient_sigma(ds).sigma_star
+        gs = pb.bound_infimum(ds, sigma_grid=[star / 2, 10 * star])
+        passes = pb.verify_neighborly(ds, pb.KernelConfig(10 * star)) is None
+        assert gs.skipped_sigmas == ([] if passes else [10 * star])
+        assert len(gs.evaluated) == (2 if passes else 1)
 
     def test_no_certifiable_grid_raises(self, line3):
         with pytest.raises(pb.NoCertifiedSigmaError):

@@ -155,23 +155,22 @@ class TestVerifyNeighborly:
             is None
         )
 
-    def test_cap_refuses_large_sets(self):
+    def test_sets_within_the_budget_are_enumerated(self):
+        # the budget is the only limit: 9 points in 2 classes are enumerated
         ds = pb.random_dataset(0, n_points=9, dim=2, n_classes=2)
-        with pytest.raises(pb.ExhaustiveCapError, match="sampled"):
-            pb.verify_neighborly(ds, pb.KernelConfig(1.0), cap=8)
-        assert (
-            pb.verify_neighborly(
-                ds, pb.KernelConfig(0.01), mode="sampled", trials=50
-            )
-            is None
-        )
+        for sigma in (0.01, 1.0):
+            cfg = pb.KernelConfig(sigma)
+            got = pb.verify_neighborly(ds, cfg)
+            assert got == loop_verify_exhaustive(ds, cfg)
+            sampled = pb.verify_neighborly(ds, cfg, mode="sampled", trials=50)
+            assert sampled is None or got is not None
 
     def test_work_budget_refuses_before_enumerating(self):
         # 30 points in 2 classes would score 30 * (2^30 - 1) rows
         ds = pb.random_dataset(0, n_points=30, dim=2, n_classes=2)
         with pytest.raises(pb.ExhaustiveCapError, match=r"30\*\(2\^30 - 1\)"):
-            pb.verify_neighborly(ds, pb.KernelConfig(0.01), cap=40)
-        # 8 points in 8 classes fit the default cap but not the budget
+            pb.verify_neighborly(ds, pb.KernelConfig(0.01))
+        # 8 points in 8 classes: few points, but too many assignments
         ds = pb.random_dataset(0, n_points=8, dim=2, n_classes=8)
         with pytest.raises(pb.ExhaustiveCapError, match="budget"):
             pb.verify_neighborly(ds, pb.KernelConfig(0.01))
@@ -179,14 +178,14 @@ class TestVerifyNeighborly:
         ds = pb.random_dataset(0, n_points=16, dim=2, n_classes=2)
         assert 15 * (2**15 - 1) <= pb.neighborly.EXHAUSTIVE_ROW_BUDGET
         with pytest.raises(pb.ExhaustiveCapError, match="sampled"):
-            pb.verify_neighborly(ds, pb.KernelConfig(0.01), cap=16)
+            pb.verify_neighborly(ds, pb.KernelConfig(0.01))
         # the largest sets the tests enumerate stay well inside it
-        assert 8 * (3**8 - 1) <= pb.neighborly.EXHAUSTIVE_ROW_BUDGET
+        assert 10 * (3**10 - 1) <= pb.neighborly.EXHAUSTIVE_ROW_BUDGET
 
     def test_single_class_skips_the_enumeration(self):
         # no restricted vector exists, so 2^30 empty subsets are not walked
         ds = pb.Dataset([((float(i),), "A") for i in range(30)])
-        assert pb.verify_neighborly(ds, pb.KernelConfig(1.0), cap=40) is None
+        assert pb.verify_neighborly(ds, pb.KernelConfig(1.0)) is None
 
     def test_unknown_mode(self, line3):
         with pytest.raises(ValueError, match="mode"):
@@ -344,14 +343,26 @@ class TestAgainstReplayOracle:
 
 class TestAgainstLoopEnumerator:
     def test_first_violation_matches_on_fuzzed_sets(self):
+        corpus = [
+            pb.fuzz_dataset(seed, max_n=7, max_dim=3, max_classes=4)
+            for seed in range(12)
+        ]
+        # sets past the old default cap of 8 points, now within the budget
+        corpus += [
+            pb.random_dataset(seed, n_points=n, dim=2, n_classes=k)
+            for seed, (n, k) in enumerate(((9, 2), (10, 2), (9, 3), (10, 3)))
+        ]
+        assert max(len(ds.classes) for ds in corpus) == 4
         outcomes = []
-        for seed in range(12):
-            ds = pb.fuzz_dataset(seed, max_n=7, max_dim=3, max_classes=3)
+        for ds in corpus:
             star = pb.sufficient_sigma(ds).sigma_star
             for sigma in (star / 2.0, 10.0 * star, ds.diameter()):
                 cfg = pb.KernelConfig(sigma)
-                got = pb.verify_neighborly(ds, cfg, mode="exhaustive", cap=7)
-                assert got == loop_verify_exhaustive(ds, cfg), (seed, sigma)
+                got = pb.verify_neighborly(ds, cfg, mode="exhaustive")
+                assert got == loop_verify_exhaustive(ds, cfg), (len(ds), sigma)
+                assert got is None or all(
+                    type(i) is int for i in (*got.subset, got.query_index)
+                )
                 outcomes.append(got is None)
         # the corpus mixes passes and violations
         assert any(outcomes) and not all(outcomes)
@@ -399,18 +410,19 @@ class TestBisectSigma:
         assert not cert.covers(cert.sigma_star * 0.9)
         assert not cert.covers(cert.sigma_star * 1.1)
 
-    def test_respects_cap(self):
+    def test_respects_budget(self):
+        # 9 points fit the budget and are bisected; 16 points do not
         ds = pb.random_dataset(1, n_points=9, dim=2, n_classes=2)
-        with pytest.raises(pb.ExhaustiveCapError):
-            pb.bisect_sigma(ds, cap=8)
-        # a raised cap still meets the work budget
+        cert = pb.bisect_sigma(ds)
+        assert cert.verified
+        assert pb.verify_neighborly(ds, pb.KernelConfig(cert.sigma_star)) is None
         ds = pb.random_dataset(1, n_points=16, dim=2, n_classes=2)
         with pytest.raises(pb.ExhaustiveCapError, match="budget"):
-            pb.bisect_sigma(ds, cap=16)
+            pb.bisect_sigma(ds)
 
     def test_gives_up_when_nothing_verifies(self):
         # cross-class exact tie: queries between the two classes can never
         # be resolved consistently, so no bandwidth passes
         ds = pb.Dataset([((0.0,), "A"), ((2.0,), "B"), ((1.0,), "C")])
         with pytest.raises(ValueError, match="no neighborly bandwidth"):
-            pb.bisect_sigma(ds, max_halvings=8)
+            pb.bisect_sigma(ds)

@@ -116,7 +116,11 @@ class TestSqDists:
         for d in (1, 2, 3, 9, 17):
             coords = rng.normal(scale=rng.uniform(0.1, 100.0), size=(23, d))
             full = pb.pairwise_sq_dists(coords)
+            batched = pb.sq_dists_to(coords[::2], coords)
             assert full.shape == (23, 23)
+            assert batched.shape == (23, 12)
             for q in range(23):
                 row = pb.sq_dists_to(coords, coords[q])
                 assert full[q].tobytes() == row.tobytes()
+                row = pb.sq_dists_to(coords[::2], coords[q])
+                assert batched[q].tobytes() == row.tobytes()
