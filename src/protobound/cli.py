@@ -16,6 +16,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 import click
 
@@ -31,7 +32,12 @@ from .dataset import (
     load_csv,
     write_csv,
 )
-from .kernel_machine import KernelConfig, PassBudgetError, run_mp
+from .kernel_machine import (
+    DEFAULT_MAX_PASSES,
+    KernelConfig,
+    PassBudgetError,
+    run_mp,
+)
 from .margin_bound import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
@@ -53,6 +59,20 @@ from .nn_rule import UpdateTrace, is_consistent
 def _fail_input(message) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
+
+
+def _write_output(path: str, write: Callable[[Path], None]) -> None:
+    """Run `write(Path(path))`; an unwritable path is an input error."""
+    try:
+        write(Path(path))
+    except OSError as exc:
+        _fail_input(f"cannot write output: {exc}")
+
+
+def _write_text(path: str, text: str) -> None:
+    _write_output(
+        path, lambda p: p.write_text(text, encoding="utf-8", newline="")
+    )
 
 
 def _load(path: str, label_column: str) -> Dataset:
@@ -88,7 +108,7 @@ def _emit_report(
         "wall_clock_s": round(time.perf_counter() - started, 6),
     }
     if out:
-        Path(out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        _write_text(out, json.dumps(report, indent=2) + "\n")
     return report
 
 
@@ -162,13 +182,10 @@ def cnn_cmd(dataset_path, label_column, shuffle_seed, out, out_csv):
     trace = run_cnn(dataset, shuffle_seed=shuffle_seed)
     consistent = is_consistent(trace.prototypes, dataset)
     if out_csv:
-        with Path(out_csv).open("w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(
-                ["source_index", *dataset.feature_names, dataset.label_name]
-            ) + "\n")
-            for i, p in trace.prototypes.members():
-                fh.write(",".join([str(i), *(repr(v) for v in p.coords), p.label]))
-                fh.write("\n")
+        rows = [["source_index", *dataset.feature_names, dataset.label_name]]
+        rows += [[str(i), *(repr(v) for v in p.coords), p.label]
+                 for i, p in trace.prototypes.members()]
+        _write_text(out_csv, "".join(",".join(r) + "\n" for r in rows))
     _emit_report(
         out,
         "cnn",
@@ -197,7 +214,8 @@ def cnn_cmd(dataset_path, label_column, shuffle_seed, out, out_csv):
 @click.option("--label-column", default=DEFAULT_LABEL_COLUMN, show_default=True)
 @click.option("--sigma", type=float, default=None,
               help="Kernel bandwidth; defaults to half the certified threshold.")
-@click.option("--max-passes", type=int, default=1000, show_default=True)
+@click.option("--max-passes", type=int, default=DEFAULT_MAX_PASSES,
+              show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="JSON report path.")
 def mp_cmd(dataset_path, label_column, sigma, max_passes, out):
     """Train the kernel multiclass perceptron and dump its trace and weights."""
@@ -449,10 +467,9 @@ def online_cmd(spec, items, checkpoints, seed, out_csv, out):
     except DatasetError as exc:
         _fail_input(exc)
     if out_csv:
-        with Path(out_csv).open("w", encoding="utf-8", newline="") as fh:
-            fh.write("items_seen,prototypes\n")
-            for seen, size in result.curve:
-                fh.write(f"{seen},{size}\n")
+        _write_text(out_csv, "items_seen,prototypes\n" + "".join(
+            f"{seen},{size}\n" for seen, size in result.curve
+        ))
     _emit_report(
         out,
         "online",
@@ -488,7 +505,7 @@ def gen_cmd(spec, n_per_class, seed, out_path):
         dataset = generate_blobs(seed, n_per_class, centers, spread)
     except DatasetError as exc:
         _fail_input(exc)
-    write_csv(dataset, out_path)
+    _write_output(out_path, lambda p: write_csv(dataset, p))
     click.echo(
         f"wrote {len(dataset)} points, classes={list(dataset.classes)} "
         f"to {out_path}"

@@ -6,7 +6,7 @@ that scores every training point's true class highest must separate the
 origin from the convex hull of these difference vectors, so the hull's
 distance to the origin is the best attainable margin delta. All geometry here
 lives in gram space: inner products between difference vectors reduce to
-indicator algebra times Gaussian kernel values, every difference vector has
+channel algebra times Gaussian kernel values, every difference vector has
 squared norm exactly 2, and the update count of the perceptron (equivalently,
 the size of the condensed prototype set at a certified bandwidth) is at most
 R^2 / delta^2 with R = sqrt(2).
@@ -65,8 +65,10 @@ class DifferenceVectorSet:
     Pair (i, y) stands for the feature of point i on its true channel minus
     the same feature on channel y. Inner products never touch feature space:
 
-        <(i, y), (j, y')> = [1{c_i = c_j} - 1{c_i = y'} - 1{y = c_j}
-                             + 1{y = y'}] * k(x_i, x_j)
+        <(i, y), (j, y')> = (e_{c_i} - e_y) . (e_{c_j} - e_{y'}) * k(x_i, x_j)
+
+    so with E's rows the channel vectors e_{c_i} - e_y, the gram is E E^T
+    times the kernel elementwise. E E^T holds small integers and is exact.
     """
 
     def __init__(self, dataset: Dataset, cfg: KernelConfig):
@@ -74,8 +76,6 @@ class DifferenceVectorSet:
             raise VacuousBoundError(
                 "a single-class alphabet admits no difference vectors"
             )
-        self.dataset = dataset
-        self.cfg = cfg
         self.pairs: list[tuple[int, str]] = [
             (i, y)
             for i in range(len(dataset))
@@ -84,16 +84,12 @@ class DifferenceVectorSet:
         ]
         pt = np.array([i for i, _ in self.pairs], dtype=np.int64)
         wc = np.array([dataset.class_code(y) for _, y in self.pairs], dtype=np.int64)
-        lc = dataset.label_codes[pt]
+        eye = np.eye(len(dataset.classes))
+        E = eye[dataset.label_codes[pt]] - eye[wc]
         d2 = pairwise_sq_dists(dataset.coords)
         kernel = np.exp(-d2 / (2.0 * cfg.sigma * cfg.sigma))
-        signs = (
-            (lc[:, None] == lc[None, :]).astype(np.float64)
-            - (lc[:, None] == wc[None, :])
-            - (wc[:, None] == lc[None, :])
-            + (wc[:, None] == wc[None, :])
-        )
-        self.matrix = signs * kernel[np.ix_(pt, pt)]
+        self.matrix = kernel[np.ix_(pt, pt)]
+        self.matrix *= E @ E.T
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -199,7 +195,8 @@ def margin(
             alpha[away] = 0.0
         else:
             alpha[away] -= lam
-        g = g + lam * (G[:, fw] - G[:, away])
+        # G is exactly symmetric, so its contiguous rows equal its columns
+        g = g + lam * (G[fw] - G[away])
         if iterations % 256 == 0:
             g = G @ alpha  # refresh accumulated drift
 

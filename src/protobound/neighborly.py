@@ -113,11 +113,11 @@ def min_squared_gap(dataset: Dataset) -> float:
     coords = dataset.coords
     for q in range(n):
         d2 = sq_dists_to(coords, coords[q])
-        order = np.argsort(d2, kind="stable")
-        diffs = np.diff(d2[order])
-        tied = np.nonzero(diffs == 0.0)[0]
-        if tied.size:
-            t = int(tied[0])
+        diffs = np.diff(np.sort(d2))
+        if not diffs.all():
+            # only a tie needs the permutation, to name the tied points
+            order = np.argsort(d2, kind="stable")
+            t = int(np.nonzero(diffs == 0.0)[0][0])
             raise GammaDegenerateError(
                 f"query {q} is equidistant from points {int(order[t])} "
                 f"and {int(order[t + 1])}",

@@ -73,6 +73,27 @@ def test_input_errors_exit_2(runner, d20_csv, tmp_path, args):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cnn", "{data}", "--out", "{missing}/report.json"],
+        ["cnn", "{data}", "--out-csv", "{missing}/prototypes.csv"],
+        ["online", "--spec", SPEC, "--items", "5", "--out-csv",
+         "{missing}/growth.csv"],
+        ["gen", "--spec", SPEC, "--n-per-class", "3", "--out",
+         "{missing}/data.csv"],
+    ],
+    ids=["cnn-out", "cnn-out-csv", "online-out-csv", "gen-out"],
+)
+def test_unwritable_output_exits_2(runner, line3_csv, tmp_path, args):
+    argv = [a.replace("{data}", line3_csv)
+            .replace("{missing}", str(tmp_path / "missing")) for a in args]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "cannot write output" in result.output
+
+
 class TestEnvelope:
     def test_version(self, runner):
         result = runner.invoke(main, ["--version"])

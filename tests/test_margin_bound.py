@@ -17,6 +17,37 @@ def sigma_for_kernel(k, d=2.0):
     return d / math.sqrt(2.0 * math.log(1.0 / k))
 
 
+def four_mask_gram(dataset, cfg):
+    """The gram as four m x m indicator masks times the kernel: the
+    construction the channel identity replaced, kept as its oracle."""
+    pairs = pb.DifferenceVectorSet(dataset, cfg).pairs
+    pt = np.array([i for i, _ in pairs], dtype=np.int64)
+    wc = np.array([dataset.class_code(y) for _, y in pairs], dtype=np.int64)
+    lc = dataset.label_codes[pt]
+    d2 = pb.pairwise_sq_dists(dataset.coords)
+    kernel = np.exp(-d2 / (2.0 * cfg.sigma * cfg.sigma))
+    signs = (
+        (lc[:, None] == lc[None, :]).astype(np.float64)
+        - (lc[:, None] == wc[None, :])
+        - (wc[:, None] == lc[None, :])
+        + (wc[:, None] == wc[None, :])
+    )
+    return signs * kernel[np.ix_(pt, pt)]
+
+
+def gram_cases():
+    """Fuzzed sets in d in {1, 2, 3, 9, 17} with 2-5 classes, each at a
+    sparse, a mixed and a dense bandwidth."""
+    for dim in (1, 2, 3, 9, 17):
+        for seed in range(4):
+            ds = pb.random_dataset(
+                100 * dim + seed, 5 + 3 * seed, dim, 2 + (seed + dim) % 4
+            )
+            diam = ds.diameter()
+            for sigma in (diam / 20, diam / 3, 2 * diam):
+                yield ds, pb.KernelConfig(sigma)
+
+
 class TestDifferenceVectorSet:
     def test_pairs_enumerate_point_wrong_class(self, line3):
         dvs = pb.DifferenceVectorSet(line3, pb.KernelConfig(1.0))
@@ -36,6 +67,20 @@ class TestDifferenceVectorSet:
                     )
                     want = sign * pb.kernel_eval(cfg, ds[i].coords, ds[j].coords)
                     assert dvs.matrix[a, b] == pytest.approx(want, abs=1e-14)
+
+    def test_gram_equals_four_mask_oracle_bit_for_bit(self):
+        classes = set()
+        for ds, cfg in gram_cases():
+            G = pb.DifferenceVectorSet(ds, cfg).matrix
+            assert G.tobytes() == four_mask_gram(ds, cfg).tobytes()
+            classes.add(len(ds.classes))
+        assert classes == {2, 3, 4, 5}
+
+    def test_gram_is_exactly_symmetric(self):
+        # the solver reads rows where the update needs columns
+        for ds, cfg in gram_cases():
+            G = pb.DifferenceVectorSet(ds, cfg).matrix
+            assert np.array_equal(G, G.T)
 
     def test_diagonal_is_exactly_two(self):
         for seed in range(5):

@@ -16,7 +16,55 @@ def tie_set():
     return pb.Dataset([((-1.0,), "A"), ((0.0,), "B"), ((1.0,), "A")])
 
 
+def argsort_min_squared_gap(dataset):
+    """`min_squared_gap` with a stable argsort of every row: the oracle for
+    gamma and for the points a tie names."""
+    coords = dataset.coords
+    gamma = math.inf
+    for q in range(len(dataset)):
+        d2 = pb.sq_dists_to(coords, coords[q])
+        order = np.argsort(d2, kind="stable")
+        diffs = np.diff(d2[order])
+        tied = np.nonzero(diffs == 0.0)[0]
+        if tied.size:
+            t = int(tied[0])
+            return q, int(order[t]), int(order[t + 1])
+        gamma = min(gamma, float(diffs.min()))
+    return gamma
+
+
+def lattice_dataset(seed, n, dim, side):
+    """Distinct integer points in a small box, so exact distance ties are
+    common; a few sets come out tie-free."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(side**dim, size=n, replace=False)
+    coords = np.stack(np.unravel_index(cells, (side,) * dim), axis=1)
+    labels = rng.choice(["A", "B", "C"], size=n)
+    return pb.Dataset(
+        [(tuple(float(v) for v in c), str(y)) for c, y in zip(coords, labels)]
+    )
+
+
+def gap_or_tie(dataset):
+    try:
+        return pb.min_squared_gap(dataset)
+    except pb.GammaDegenerateError as exc:
+        return exc.query_index, exc.first, exc.second
+
+
 class TestMinSquaredGap:
+    def test_equals_argsort_oracle(self):
+        sets = [pb.fuzz_dataset(s, max_n=60, max_dim=9) for s in range(30)]
+        sets += [
+            lattice_dataset(s, 3 + s % 9, 1 + s % 3, 12) for s in range(40)
+        ]
+        ties = 0
+        for ds in sets:
+            want = argsort_min_squared_gap(ds)
+            assert gap_or_tie(ds) == want
+            ties += isinstance(want, tuple)
+        assert 10 <= ties < 40  # ties and tie-free lattices both occur
+
     def test_line_oracle(self, line3):
         # query 10 sees squared distances {0, 1, 100}: the smallest gap is 1
         assert pb.min_squared_gap(line3) == 1.0
