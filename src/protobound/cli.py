@@ -41,6 +41,7 @@ from .kernel_machine import (
 from .margin_bound import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
+    GramBudgetError,
     NoCertifiedSigmaError,
     NotSeparableError,
     UncertifiedSigmaError,
@@ -356,7 +357,7 @@ def bound_cmd(dataset_path, label_column, sigma_grid, tol, max_iters, out):
             _fail_input("--sigma-grid needs positive, finite bandwidths")
     try:
         report = bound_infimum(dataset, grid, tol=tol, max_iters=max_iters)
-    except NoCertifiedSigmaError as exc:
+    except (NoCertifiedSigmaError, GramBudgetError) as exc:
         _fail_input(exc)
     except NotSeparableError as exc:
         click.echo(f"FAIL: {exc} within --max-iters {max_iters}", err=True)

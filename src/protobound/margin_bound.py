@@ -20,12 +20,13 @@ quantifies the remaining slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .cnn import run_cnn
-from .dataset import Dataset, pairwise_sq_dists
+from .dataset import Dataset, pairwise_sq_dists, sq_dists_to
 from .kernel_machine import KernelConfig
 from .neighborly import (
     ExhaustiveCapError,
@@ -41,6 +42,10 @@ DEFAULT_MAX_ITERS = 100_000
 # Every difference vector has squared norm exactly 2 (the gram diagonal), so
 # the radius is this constant rather than anything computed from the data.
 RADIUS = math.sqrt(2.0)
+# Largest gram, in bytes, that `margin` allocates for one kernel component.
+# Building and solving it holds up to three more arrays of at most its size.
+GRAM_BYTE_BUDGET = 2**30
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class VacuousBoundError(Exception):
@@ -59,6 +64,51 @@ class NotSeparableError(Exception):
     """The solver could not certify a positive margin."""
 
 
+class GramBudgetError(Exception):
+    """The largest kernel component's gram would exceed GRAM_BYTE_BUDGET."""
+
+
+def _pair_codes(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Point index and wrong-class code of every pair (i, y), in the order
+    point by point, then the wrong classes in alphabet order. Point i owns
+    the pairs i*q .. i*q + q - 1, where q = |C| - 1."""
+    if len(dataset.classes) < 2:
+        raise VacuousBoundError(
+            "a single-class alphabet admits no difference vectors"
+        )
+    q = len(dataset.classes) - 1
+    codes = dataset.label_codes
+    others = np.arange(q)
+    # the j-th wrong class skips the point's own class
+    wrong = others[None, :] + (others[None, :] >= codes[:, None])
+    return np.repeat(np.arange(len(dataset)), q), wrong.ravel()
+
+
+def _pair_list(
+    dataset: Dataset, point: np.ndarray, wrong: np.ndarray
+) -> list[tuple[int, str]]:
+    classes = dataset.classes
+    return [(int(i), classes[w]) for i, w in zip(point, wrong)]
+
+
+def _pair_rows(points: np.ndarray, q: int) -> np.ndarray:
+    """Global pair indices of the given points, in pair order."""
+    return (points[:, None] * q + np.arange(q)).ravel()
+
+
+def _pair_gram(
+    kernel: np.ndarray, point: np.ndarray, true: np.ndarray, wrong: np.ndarray,
+    n_classes: int,
+) -> np.ndarray:
+    """kernel[point, point] times E E^T, elementwise, where row a of E is
+    e_{true[a]} - e_{wrong[a]}."""
+    eye = np.eye(n_classes)
+    E = eye[true] - eye[wrong]
+    gram = kernel[np.ix_(point, point)]
+    gram *= E @ E.T
+    return gram
+
+
 class DifferenceVectorSet:
     """The n * (|C| - 1) difference vectors of a dataset, as a gram oracle.
 
@@ -72,27 +122,60 @@ class DifferenceVectorSet:
     """
 
     def __init__(self, dataset: Dataset, cfg: KernelConfig):
-        if len(dataset.classes) < 2:
-            raise VacuousBoundError(
-                "a single-class alphabet admits no difference vectors"
-            )
-        self.pairs: list[tuple[int, str]] = [
-            (i, y)
-            for i in range(len(dataset))
-            for y in dataset.classes
-            if y != dataset[i].label
-        ]
-        pt = np.array([i for i, _ in self.pairs], dtype=np.int64)
-        wc = np.array([dataset.class_code(y) for _, y in self.pairs], dtype=np.int64)
-        eye = np.eye(len(dataset.classes))
-        E = eye[dataset.label_codes[pt]] - eye[wc]
+        point, wrong = _pair_codes(dataset)
+        self.pairs: list[tuple[int, str]] = _pair_list(dataset, point, wrong)
         d2 = pairwise_sq_dists(dataset.coords)
         kernel = np.exp(-d2 / (2.0 * cfg.sigma * cfg.sigma))
-        self.matrix = kernel[np.ix_(pt, pt)]
-        self.matrix *= E @ E.T
+        self.matrix = _pair_gram(
+            kernel, point, dataset.label_codes[point], wrong, len(dataset.classes)
+        )
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+
+def _nearest_sq_dists(coords: np.ndarray) -> np.ndarray:
+    """Each point's squared distance to its nearest other point (inf for a
+    single point), one row of `pairwise_sq_dists` at a time, so no n x n
+    array is held."""
+    nearest = np.empty(len(coords))
+    for q, x in enumerate(coords):
+        row = sq_dists_to(coords, x)
+        row[q] = np.inf
+        nearest[q] = row.min()
+    return nearest
+
+
+def _kernel_components(
+    coords: np.ndarray, nearest: np.ndarray, sigma: float
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Split the points by the graph that links i and j when
+    `np.exp(-d2[i, j] / (2 sigma^2)) > 0.0`, the kernel entry the gram holds.
+
+    Returns the isolated points, then the other components as sorted index
+    arrays of at least two points each, ordered by their first point. exp is
+    monotone, so a point is isolated exactly when the kernel of its nearest
+    other point is 0.0; only the remaining points are searched, breadth
+    first, with one row of squared distances per frontier point. Those rows
+    are `pairwise_sq_dists`' own entries, which are exactly symmetric, so
+    the links are too.
+    """
+    scale = 2.0 * sigma * sigma
+    isolated = np.exp(-nearest / scale) == 0.0
+    unseen = np.flatnonzero(~isolated)
+    components = []
+    while len(unseen):
+        frontier, unseen = unseen[:1], unseen[1:]
+        members = [frontier]
+        while len(frontier) and len(unseen):
+            rest = coords[unseen]
+            linked = np.zeros(len(unseen), dtype=bool)
+            for i in frontier:
+                linked |= np.exp(-sq_dists_to(rest, coords[i]) / scale) > 0.0
+            frontier, unseen = unseen[linked], unseen[~linked]
+            members.append(frontier)
+        components.append(np.sort(np.concatenate(members)))
+    return np.flatnonzero(isolated), components
 
 
 @dataclass
@@ -101,7 +184,10 @@ class MarginCertificate:
 
     `coefficients` are convex weights over `pairs` describing the hull point
     p. `delta_hat` is the feasible margin min_v (p . v) / ||p||; `bound` is
-    radius^2 / delta_hat^2. `duality_gap` is ||p|| - delta_hat.
+    radius^2 / delta_hat^2. `duality_gap` is ||p|| - delta_hat. `iterations`
+    sums the solver steps over the kernel components; `components` counts
+    them, isolated points included, and `largest_component` is the point
+    count of the largest.
     """
 
     sigma: float
@@ -113,7 +199,8 @@ class MarginCertificate:
     pairs: list[tuple[int, str]]
     converged: bool
     iterations: int
-    history: list[float] = field(default_factory=list)
+    components: int
+    largest_component: int
 
     @property
     def separable(self) -> bool:
@@ -128,6 +215,8 @@ class MarginCertificate:
             "duality_gap": self.duality_gap,
             "converged": self.converged,
             "iterations": self.iterations,
+            "components": self.components,
+            "largest_component": self.largest_component,
             "support": [
                 {"index": i, "wrong_class": y, "coefficient": float(a)}
                 for (i, y), a in zip(self.pairs, self.coefficients)
@@ -136,46 +225,32 @@ class MarginCertificate:
         }
 
 
-def _finalize(alpha: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Renormalize, then recompute the hull point's norm and worst score."""
-    alpha = alpha / alpha.sum()
-    g = G @ alpha
-    norm2 = float(alpha @ g)
-    return alpha, norm2, float(g.min())
+class _Block(NamedTuple):
+    """The hull point of one orthogonal block of pairs, before weighting."""
+
+    rows: np.ndarray  # global pair indices
+    alpha: np.ndarray  # convex weights over `rows`
+    scores: np.ndarray  # the block's gram times alpha
+    norm2: float
+    iterations: int
+    converged: bool
 
 
-def margin(
-    dataset: Dataset,
-    cfg: KernelConfig,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    keep_history: bool = False,
-) -> MarginCertificate:
-    """Distance from the origin to the difference-vector hull, certified from
-    below.
-
-    Iterates on the convex coefficients only, driven by gram evaluations:
-    starting from the first difference vector (all have norm RADIUS), each
-    step moves weight from the currently worst-scoring active vertex toward
-    the vertex minimizing p . v, with an exact line search. Stops when the
-    duality gap ||p|| - min_v (p . v) / ||p|| falls to `tol` or the
-    iteration budget runs out; either way the reported delta_hat is feasible.
-    """
-    dvs = DifferenceVectorSet(dataset, cfg)
-    G = dvs.matrix
-    m = len(dvs)
-    alpha = np.zeros(m, dtype=np.float64)
+def _hull_descent(
+    G: np.ndarray, tol: float, max_iters: int
+) -> tuple[np.ndarray, int, bool]:
+    """Away-step descent on the convex weights over the gram G, from its
+    first vertex; returns the weights, the step count and whether the gap
+    closed to `tol`."""
+    alpha = np.zeros(len(G), dtype=np.float64)
     alpha[0] = 1.0
     g = G @ alpha
-    history: list[float] = []
     iterations = 0
     converged = False
 
     while iterations < max_iters:
         iterations += 1
         norm2 = float(alpha @ g)
-        if keep_history:
-            history.append(math.sqrt(max(norm2, 0.0)))
         if norm2 <= 0.0:
             break  # the origin itself; nothing further to certify
         fw = int(np.argmin(g))
@@ -199,16 +274,159 @@ def margin(
         g = g + lam * (G[fw] - G[away])
         if iterations % 256 == 0:
             g = G @ alpha  # refresh accumulated drift
+    return alpha, iterations, converged
 
-    alpha, norm2, worst = _finalize(alpha, G)
+
+def _component_block(
+    dataset: Dataset,
+    points: np.ndarray,
+    wrong: np.ndarray,
+    sigma: float,
+    tol: float,
+    max_iters: int,
+) -> _Block:
+    """Solve one kernel component of two or more points on its own gram."""
+    q = len(dataset.classes) - 1
+    rows = _pair_rows(points, q)
+    d2 = pairwise_sq_dists(dataset.coords[points])
+    kernel = np.exp(-d2 / (2.0 * sigma * sigma))
+    local = np.repeat(np.arange(len(points)), q)
+    G = _pair_gram(
+        kernel, local, dataset.label_codes[points][local], wrong[rows],
+        len(dataset.classes),
+    )
+    alpha, iterations, converged = _hull_descent(G, tol, max_iters)
+    alpha = alpha / alpha.sum()  # renormalize, then rescore from scratch
+    g = G @ alpha
+    return _Block(rows, alpha, g, float(alpha @ g), iterations, converged)
+
+
+def _isolated_block(points: np.ndarray, q: int) -> _Block:
+    """Every isolated point at once, in closed form. Each point's gram block
+    is I + J of size q; uniform weights score all its vertices alike, so
+    they give its hull point nearest the origin, and the points are
+    mutually orthogonal with equal norms, so they share the weight evenly."""
+    rows = _pair_rows(points, q)
+    alpha = np.full(len(rows), 1.0 / len(rows))
+    per_point = alpha.reshape(-1, q)
+    scores = (per_point + per_point.sum(axis=1, keepdims=True)).ravel()
+    return _Block(rows, alpha, scores, float(alpha @ scores), 0, True)
+
+
+def margin(
+    dataset: Dataset,
+    cfg: KernelConfig,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
+) -> MarginCertificate:
+    """Distance from the origin to the difference-vector hull, certified from
+    below, one kernel component at a time.
+
+    Two points whose Gaussian kernel entry is exactly 0.0 have exactly
+    orthogonal difference vectors, so the pairs split into mutually
+    orthogonal blocks along the components of the graph of nonzero kernel
+    entries. Let p_k be the point of block k's hull H_k nearest the origin.
+    A point of the whole hull is p = sum_k t_k x_k with x_k in H_k and t a
+    distribution, and ||p||^2 = sum_k t_k^2 ||x_k||^2 by orthogonality. It is
+    smallest at x_k = p_k and t_k proportional to 1 / ||p_k||^2, so
+
+        1 / ||p||^2 = sum_k 1 / ||p_k||^2  and  bound = sum_k bound_k.
+
+    An isolated point's q = |C| - 1 pairs have the gram I + J, whose nearest
+    hull point has uniform weights and squared norm 1 + 1/q, so its bound is
+    2q / (q + 1) = 2(|C| - 1) / |C| with no iterations; all isolated points
+    form one closed-form block. Every other component runs the iterative
+    solver on its own gram: starting from its first difference vector (all
+    have norm RADIUS), each step moves weight from the currently
+    worst-scoring active vertex toward the vertex minimizing p . v, with an
+    exact line search, until the component's duality gap falls to `tol` or
+    `max_iters` steps run out. A set that is one component thus builds the
+    dense gram and takes the same steps as a single solve.
+
+    The certificate weights the blocks' hull points by t_k as above and
+    scatters them into the global pair order. That p is a hull point however
+    far each solve got, and it scores a vertex v of block k as
+    t_k (p_k . v), so delta_hat = min_k t_k min_{v in k} (p_k . v) / ||p|| is
+    feasible. With delta_k the block's own feasible margin and
+    t_k = ||p||^2 / ||p_k||^2, the gap is
+
+        ||p|| - delta_hat = max_k (||p|| / ||p_k||) (||p_k|| - delta_k),
+
+    at most the largest block gap since ||p|| <= ||p_k||: every component
+    converging to `tol` makes the whole certificate converge.
+
+    A set that is one component keeps its solve's own certificate, bit for
+    bit. Any other certificate comes from the closed form and the assembly,
+    which can reach the exact optimum (two classes of isolated points have
+    the exact bound n), so their rounding alone would decide on which side
+    of it the float lands. A separable certificate scores every pair
+    positively, so that arithmetic, whose longest sum is the m = n(|C| - 1)
+    positive terms of alpha . g, moves delta_hat relatively by less than
+    (3m/2 + 5) eps / 2. Lowering delta_hat by (m + 4) eps therefore keeps it
+    below the exact margin of the assembled hull point, and the bound above
+    that point's exact bound. A component's scores count as its solve
+    computed them, as they do for a single solve.
+
+    Raises GramBudgetError, before allocating any gram, when the largest
+    component's gram of 8 m^2 bytes (m of its pairs) exceeds
+    GRAM_BYTE_BUDGET.
+    """
+    return _margin(
+        dataset, cfg, _nearest_sq_dists(dataset.coords), tol, max_iters
+    )
+
+
+def _margin(
+    dataset: Dataset,
+    cfg: KernelConfig,
+    nearest: np.ndarray,
+    tol: float,
+    max_iters: int,
+) -> MarginCertificate:
+    point, wrong = _pair_codes(dataset)
+    q = len(dataset.classes) - 1
+    isolated, components = _kernel_components(
+        dataset.coords, nearest, cfg.sigma
+    )
+    largest = max((len(c) for c in components), default=1)
+    gram_bytes = 8 * (largest * q) ** 2
+    if components and gram_bytes > GRAM_BYTE_BUDGET:
+        raise GramBudgetError(
+            f"at sigma={cfg.sigma} the largest kernel component has {largest} "
+            f"points; its gram needs an estimated {gram_bytes:,} bytes, past "
+            f"the budget of {GRAM_BYTE_BUDGET:,} bytes"
+        )
+    blocks = [
+        _component_block(dataset, c, wrong, cfg.sigma, tol, max_iters)
+        for c in components
+    ]
+    if len(isolated):
+        blocks.append(_isolated_block(isolated, q))
+
+    norms = [b.norm2 for b in blocks]
+    if min(norms) > 0.0:
+        inverse = [1.0 / n2 for n2 in norms]
+        total = sum(inverse)
+        weights = [v / total for v in inverse]
+    else:  # the origin lies in one block's hull, hence in the whole hull
+        origin = next(k for k, n2 in enumerate(norms) if n2 <= 0.0)
+        weights = [float(k == origin) for k in range(len(blocks))]
+    alpha = np.zeros(len(point), dtype=np.float64)
+    g = np.zeros(len(point), dtype=np.float64)
+    for block, t in zip(blocks, weights):
+        alpha[block.rows] = t * block.alpha
+        g[block.rows] = t * block.scores
+    norm2 = float(alpha @ g)
     pnorm = math.sqrt(max(norm2, 0.0))
     if pnorm > 0.0:
-        delta_hat = worst / pnorm
+        delta_hat = float(g.min()) / pnorm
+        if len(isolated) or len(components) > 1:
+            delta_hat *= 1.0 - (len(point) + 4) * _EPS  # see the docstring
         gap = pnorm - delta_hat
     else:
         delta_hat = 0.0
         gap = 0.0
-    converged = converged and gap <= tol
+    converged = all(b.converged for b in blocks) and gap <= tol
     bound = RADIUS * RADIUS / (delta_hat * delta_hat) if delta_hat > 0.0 else math.inf
     return MarginCertificate(
         cfg.sigma,
@@ -217,16 +435,21 @@ def margin(
         bound,
         gap,
         alpha,
-        dvs.pairs,
+        _pair_list(dataset, point, wrong),
         converged,
-        iterations,
-        history,
+        sum(b.iterations for b in blocks),
+        len(components) + len(isolated),
+        largest,
     )
 
 
 @dataclass
 class BoundReport:
-    """A certified (or vacuous) size bound for the condensed prototype set."""
+    """A certified (or vacuous) size bound for the condensed prototype set.
+
+    `trivial` says whether the bound is no better than |P| <= n; it and
+    `bound_over_n` are None for a vacuous report, as are the solver fields.
+    """
 
     sigma: float
     sigma_certified: bool
@@ -236,7 +459,20 @@ class BoundReport:
     bound: float | None
     prototype_count: int
     satisfied: bool
+    n_points: int
     vacuous: bool = False
+    iterations: int | None = None
+    converged: bool | None = None
+    components: int | None = None
+    largest_component: int | None = None
+
+    @property
+    def bound_over_n(self) -> float | None:
+        return None if self.bound is None else self.bound / self.n_points
+
+    @property
+    def trivial(self) -> bool | None:
+        return None if self.bound is None else self.bound >= self.n_points
 
     def to_json_dict(self) -> dict:
         return {
@@ -249,6 +485,12 @@ class BoundReport:
             "prototype_count": self.prototype_count,
             "satisfied": self.satisfied,
             "vacuous": self.vacuous,
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "components": self.components,
+            "largest_component": self.largest_component,
+            "bound_over_n": self.bound_over_n,
+            "trivial": self.trivial,
         }
 
 
@@ -274,7 +516,8 @@ def cnn_bound(
     count = len(trace.prototypes)
     if len(dataset.classes) < 2:
         return BoundReport(
-            cfg.sigma, False, None, None, None, None, count, True, vacuous=True
+            cfg.sigma, False, None, None, None, None, count, True, len(dataset),
+            vacuous=True,
         )
     certified = certificate is not None and certificate.covers(cfg.sigma)
     if not certified and not override:
@@ -282,7 +525,22 @@ def cnn_bound(
             f"sigma={cfg.sigma} carries no neighborliness certificate; "
             f"pass override=True to compute an uncertified bound"
         )
-    cert = margin(dataset, cfg, tol=tol, max_iters=max_iters)
+    return _bound_report(
+        dataset, cfg, _nearest_sq_dists(dataset.coords), certified, count,
+        tol, max_iters,
+    )
+
+
+def _bound_report(
+    dataset: Dataset,
+    cfg: KernelConfig,
+    nearest: np.ndarray,
+    certified: bool,
+    count: int,
+    tol: float,
+    max_iters: int,
+) -> BoundReport:
+    cert = _margin(dataset, cfg, nearest, tol, max_iters)
     if not cert.separable:
         raise NotSeparableError(
             f"no positive margin certified at sigma={cfg.sigma}"
@@ -296,6 +554,11 @@ def cnn_bound(
         cert.bound,
         count,
         count <= cert.bound,
+        len(dataset),
+        iterations=cert.iterations,
+        converged=cert.converged,
+        components=cert.components,
+        largest_component=cert.largest_component,
     )
 
 
@@ -333,7 +596,8 @@ def bound_infimum(
     other points are kept only if exhaustive verification fits its row
     budget and passes. The true optimum is an infimum
     over all neighborly bandwidths; a finite grid can only approach it, which
-    is the scope of this search.
+    is the scope of this search. Each point's nearest squared distance is
+    found once and shared by every grid point's margin.
     """
     if len(dataset.classes) < 2:
         report = cnn_bound(dataset, KernelConfig(1.0))
@@ -350,14 +614,13 @@ def bound_infimum(
                 "supply an explicit sigma grid"
             )
         sigma_grid = default_sigma_grid(analytic.sigma_star)
-    trace = run_cnn(dataset)
+    count = len(run_cnn(dataset).prototypes)
+    nearest = _nearest_sq_dists(dataset.coords)
     evaluated: list[BoundReport] = []
     skipped: list[float] = []
     for sigma in sigma_grid:
         cfg = KernelConfig(sigma)
-        if analytic is not None and analytic.covers(sigma):
-            cert = analytic
-        else:
+        if analytic is None or not analytic.covers(sigma):
             try:
                 verified = verify_neighborly(dataset, cfg) is None
             except ExhaustiveCapError:
@@ -365,9 +628,8 @@ def bound_infimum(
             if not verified:
                 skipped.append(sigma)
                 continue
-            cert = SigmaCertificate(sigma, 0.0, "empirical-bisection", True)
         evaluated.append(
-            cnn_bound(dataset, cfg, cert, tol=tol, max_iters=max_iters, trace=trace)
+            _bound_report(dataset, cfg, nearest, True, count, tol, max_iters)
         )
     if not evaluated:
         raise NoCertifiedSigmaError(

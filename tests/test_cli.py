@@ -36,6 +36,20 @@ def d20_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def chain12_csv(tmp_path):
+    """Twelve points on a line, labels alternating, gaps growing by 0.1:
+    the upper default-grid bandwidths link them into kernel components
+    that need tens of solver steps."""
+    x, points = 0.0, []
+    for i in range(12):
+        points.append(((round(x, 10),), "AB"[i % 2]))
+        x += 1.0 + 0.1 * i
+    path = tmp_path / "chain12.csv"
+    pb.write_csv(pb.Dataset(points), path)
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -269,11 +283,26 @@ class TestBoundCommand:
             == 2
         )
 
-    def test_solver_budget_too_small_is_a_failing_verdict(self, runner, d20_csv):
-        result = runner.invoke(main, ["bound", d20_csv, "--max-iters", "10"])
+    def test_solver_budget_too_small_is_a_failing_verdict(
+        self, runner, chain12_csv, tmp_path
+    ):
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["bound", chain12_csv, "--out", str(out)])
+        assert result.exit_code == 0
+        evaluated = read_report(out)["results"]["evaluated"]
+        assert max(r["iterations"] for r in evaluated) > 10
+        result = runner.invoke(main, ["bound", chain12_csv, "--max-iters", "10"])
         assert result.exit_code == 1
         assert "FAIL: no positive margin certified at sigma=" in result.stderr
         assert "--max-iters 10" in result.stderr
+
+    def test_gram_past_budget_exits_2(self, runner, chain12_csv, monkeypatch):
+        monkeypatch.setattr(pb.margin_bound, "GRAM_BYTE_BUDGET", 1000)
+        result = runner.invoke(main, ["bound", chain12_csv])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "largest kernel component" in result.stderr
+        assert "past the budget of 1,000 bytes" in result.stderr
 
 
 class TestNeighborlyCommand:

@@ -1,11 +1,14 @@
 """Gram-space margin geometry, the hull-distance solver, and size bounds."""
 
 import math
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import protobound as pb
+from protobound import margin_bound
 
 
 def two_point(d=2.0):
@@ -33,6 +36,98 @@ def four_mask_gram(dataset, cfg):
         + (wc[:, None] == wc[None, :])
     )
     return signs * kernel[np.ix_(pt, pt)]
+
+
+class DenseMargin(NamedTuple):
+    delta_hat: float
+    bound: float
+    duality_gap: float
+    coefficients: np.ndarray
+    converged: bool
+    iterations: int
+
+
+def dense_margin(dataset, cfg, tol=pb.DEFAULT_TOL, max_iters=pb.DEFAULT_MAX_ITERS):
+    """One solve over the whole m x m gram: the solver that per-component
+    solving replaced, kept as its oracle."""
+    G = pb.DifferenceVectorSet(dataset, cfg).matrix
+    alpha = np.zeros(len(G), dtype=np.float64)
+    alpha[0] = 1.0
+    g = G @ alpha
+    iterations = 0
+    converged = False
+    while iterations < max_iters:
+        iterations += 1
+        norm2 = float(alpha @ g)
+        if norm2 <= 0.0:
+            break
+        fw = int(np.argmin(g))
+        pnorm = math.sqrt(norm2)
+        if pnorm - float(g[fw]) / pnorm <= tol:
+            converged = True
+            break
+        away = int(np.argmax(np.where(alpha > 0.0, g, -np.inf)))
+        num = float(g[away] - g[fw])
+        denom = float(G[fw, fw] + G[away, away] - 2.0 * G[fw, away])
+        if num <= 0.0 or denom <= 0.0:
+            converged = True
+            break
+        lam = min(num / denom, float(alpha[away]))
+        alpha[fw] += lam
+        if lam == float(alpha[away]):
+            alpha[away] = 0.0
+        else:
+            alpha[away] -= lam
+        g = g + lam * (G[fw] - G[away])
+        if iterations % 256 == 0:
+            g = G @ alpha
+    alpha = alpha / alpha.sum()
+    g = G @ alpha
+    pnorm = math.sqrt(max(float(alpha @ g), 0.0))
+    delta_hat = float(g.min()) / pnorm if pnorm > 0.0 else 0.0
+    gap = pnorm - delta_hat if pnorm > 0.0 else 0.0
+    bound = math.inf
+    if delta_hat > 0.0:
+        bound = pb.RADIUS * pb.RADIUS / (delta_hat * delta_hat)
+    return DenseMargin(
+        delta_hat, bound, gap, alpha, converged and gap <= tol, iterations
+    )
+
+
+def union_find_components(dataset, sigma):
+    """The kernel components by union-find over every off-diagonal pair."""
+    d2 = pb.pairwise_sq_dists(dataset.coords)
+    linked = np.exp(-d2 / (2.0 * sigma * sigma)) > 0.0
+    n = len(dataset)
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if linked[i, j]:
+                parent[root(j)] = root(i)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(root(i), set()).add(i)
+    return {frozenset(g) for g in groups.values()}
+
+
+def component_cases():
+    """Fuzzed and blob sets from diameter/200 up to the diameter, where the
+    kernel ranges from all-isolated through mixed to one component."""
+    blobs = [((0.0, 0.0), "A"), ((2.0, 0.0), "B"), ((1.0, 1.5), "C")]
+    sets = [pb.fuzz_dataset(seed, max_n=16, max_classes=4) for seed in range(24)]
+    sets += [pb.generate_blobs(seed, 4, blobs, 0.8) for seed in range(8)]
+    for ds in sets:
+        if len(ds.classes) < 2:
+            continue
+        diam = ds.diameter()
+        for frac in (1 / 200, 1 / 50, 1 / 10, 1 / 3, 1.0):
+            yield ds, pb.KernelConfig(frac * diam)
 
 
 def gram_cases():
@@ -132,7 +227,7 @@ class TestMarginSolver:
         cert = pb.margin(ds, pb.KernelConfig(1.0))
         assert cert.delta_hat == pytest.approx(math.sqrt(2), abs=1e-14)
         assert cert.bound == pytest.approx(1.0, rel=1e-12)
-        assert cert.iterations == 1
+        assert cert.iterations == 0  # an isolated point needs no solve
 
     def test_tiny_sigma_limit_is_pair_count(self, line3):
         # kernels vanish, the vectors go orthogonal, and the min-norm point
@@ -150,11 +245,14 @@ class TestMarginSolver:
         assert len(support) == int(np.count_nonzero(alpha))
         assert sum(s["coefficient"] for s in support) == pytest.approx(1.0)
 
-    def test_history_is_monotone(self, line3):
-        cert = pb.margin(line3, pb.KernelConfig(0.3), keep_history=True)
-        h = cert.history
-        assert h[0] == math.sqrt(2)  # starts at a vertex of squared norm 2
-        assert all(h[i + 1] <= h[i] + 1e-9 for i in range(len(h) - 1))
+    def test_norm_never_increases_with_budget(self, line3):
+        # ||p|| = delta_hat + duality_gap, for every budget up to convergence
+        cfg = pb.KernelConfig(0.3)
+        certs = [pb.margin(line3, cfg, max_iters=k) for k in range(1, 31)]
+        assert certs[-1].converged and not certs[0].converged
+        norms = [c.delta_hat + c.duality_gap for c in certs]
+        assert norms[0] <= math.sqrt(2)  # below the starting vertex's norm
+        assert all(b <= a + 1e-9 for a, b in zip(norms, norms[1:]))
 
     def test_budget_exhaustion_still_feasible(self, line3):
         cert = pb.margin(line3, pb.KernelConfig(0.3), max_iters=1)
@@ -172,6 +270,12 @@ class TestMarginSolver:
         cert = pb.margin(ds, pb.KernelConfig(50.0))
         assert not cert.separable
         assert cert.bound == math.inf
+        # an isolated point beside the overlap leaves the whole hull unseparable
+        far = pb.Dataset(list(ds) + [pb.LabeledPoint((1e6,), "A")])
+        cert = pb.margin(far, pb.KernelConfig(50.0), max_iters=1_000)
+        assert (cert.components, cert.largest_component) == (2, 4)
+        assert not cert.separable
+        assert cert.bound == math.inf
 
     def test_delta_hat_recomputable_from_reported_state(self):
         for seed in range(10):
@@ -182,6 +286,111 @@ class TestMarginSolver:
             g = G @ cert.coefficients
             pnorm = math.sqrt(cert.coefficients @ g)
             assert g.min() / pnorm == pytest.approx(cert.delta_hat, abs=1e-12)
+
+
+class TestKernelComponents:
+    def test_partition_equals_union_find(self):
+        for ds, cfg in component_cases():
+            nearest = margin_bound._nearest_sq_dists(ds.coords)
+            isolated, components = margin_bound._kernel_components(
+                ds.coords, nearest, cfg.sigma
+            )
+            got = {frozenset([int(i)]) for i in isolated}
+            got |= {frozenset(c.tolist()) for c in components}
+            assert got == union_find_components(ds, cfg.sigma)
+            assert all(len(c) >= 2 for c in components)
+
+    def test_certificates_against_dense_oracle(self):
+        # a budget of 2,000 steps leaves about a fifth of the one-component
+        # solves unconverged, which the feasibility checks then cover
+        tol = pb.DEFAULT_TOL
+        kinds = set()
+        for ds, cfg in component_cases():
+            cert = pb.margin(ds, cfg, tol=tol, max_iters=2_000)
+            dense = dense_margin(ds, cfg, tol=tol, max_iters=2_000)
+            partition = union_find_components(ds, cfg.sigma)
+            assert cert.components == len(partition)
+            assert cert.largest_component == max(len(c) for c in partition)
+            if cert.components == 1:
+                kinds.add("one")
+                assert cert.coefficients.tobytes() == dense.coefficients.tobytes()
+                assert (cert.delta_hat, cert.bound, cert.duality_gap) == (
+                    dense.delta_hat, dense.bound, dense.duality_gap
+                )
+                assert (cert.iterations, cert.converged) == (
+                    dense.iterations, dense.converged
+                )
+            else:
+                kinds.add("isolated" if cert.largest_component == 1 else "mixed")
+            # feasible: the reported margin recomputes from the four-mask gram
+            g = four_mask_gram(ds, cfg) @ cert.coefficients
+            recomputed = float(g.min()) / math.sqrt(float(cert.coefficients @ g))
+            assert abs(recomputed - cert.delta_hat) <= 1e-9
+            # never optimistic: below the norm of the oracle's hull point
+            assert cert.delta_hat <= dense.delta_hat + dense.duality_gap + 1e-12
+            # on these sets each component converges within the budget
+            # wherever the dense solve does, and so does their union
+            assert cert.converged or not dense.converged
+            if cert.converged and dense.converged:
+                assert abs(cert.delta_hat - dense.delta_hat) <= tol
+        assert kinds == {"one", "isolated", "mixed"}
+
+    def test_all_isolated_closed_form(self):
+        for seed in range(24):
+            ds = pb.fuzz_dataset(seed, max_n=16, max_classes=4)
+            if len(ds.classes) < 2 or len(ds) < 2:
+                continue
+            d2 = pb.pairwise_sq_dists(ds.coords)
+            nearest = d2[~np.eye(len(ds), dtype=bool)].min()
+            cfg = pb.KernelConfig(math.sqrt(nearest / 2000.0))  # exp(-1000)
+            cert = pb.margin(ds, cfg)
+            q = len(ds.classes) - 1
+            assert (cert.components, cert.largest_component) == (len(ds), 1)
+            assert cert.iterations == 0 and cert.converged
+            want = 2 * len(ds) * q / (q + 1)
+            assert cert.bound == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert cert.coefficients.min() == cert.coefficients.max()
+
+    def test_nearest_sq_dists_are_row_minima(self):
+        for ds, _ in gram_cases():
+            d2 = pb.pairwise_sq_dists(ds.coords)
+            np.fill_diagonal(d2, np.inf)
+            got = margin_bound._nearest_sq_dists(ds.coords)
+            assert got.tobytes() == d2.min(axis=1).tobytes()
+        single = np.array([[1.0, 2.0]])
+        assert margin_bound._nearest_sq_dists(single).tolist() == [math.inf]
+
+    def test_exact_bounds_never_round_below(self):
+        # isolated points reach the exact optimum, delta^2 = (q+1) / (n q)
+        # and bound 2nq / (q+1); the certificate must land on the safe side
+        # of both. Two classes make the bound exactly n, and condensing an
+        # alternating chain keeps every point, so the verdict rides on it.
+        cfg = pb.KernelConfig(0.02)  # gaps of at least 1: exp(-1250) == 0.0
+        for labels in ("AB", "ABC", "ABCD"):
+            q = len(labels) - 1
+            for n in range(1, 161):
+                ds = pb.Dataset(
+                    [((i + 0.01 * i * i,), labels[i % len(labels)])
+                     for i in range(n)],
+                    extra_classes=list(labels),
+                )
+                report = pb.cnn_bound(ds, cfg, override=True)
+                assert report.largest_component == 1
+                assert Fraction(report.delta_hat) ** 2 <= Fraction(q + 1, n * q)
+                exact = Fraction(2 * n * q, q + 1)
+                assert exact <= Fraction(report.bound) <= exact * (1 + 1e-12)
+                if q == 1:
+                    assert report.prototype_count == n
+                    assert report.satisfied and report.bound >= n
+
+    def test_gram_budget_refuses_before_allocating(self, monkeypatch, line3):
+        cfg = pb.KernelConfig(3.0)  # one component of three points
+        assert pb.margin(line3, cfg).largest_component == 3
+        monkeypatch.setattr(margin_bound, "GRAM_BYTE_BUDGET", 8 * 3 * 3 - 1)
+        with pytest.raises(pb.GramBudgetError, match="estimated 72 bytes"):
+            pb.margin(line3, cfg)
+        # isolated points build no gram, so the budget does not apply
+        assert pb.margin(line3, pb.KernelConfig(1e-3)).bound == pytest.approx(3.0)
 
 
 class TestCnnBound:
@@ -199,7 +408,11 @@ class TestCnnBound:
         assert set(d) == {
             "sigma", "sigma_certified", "R", "delta_hat", "duality_gap",
             "bound", "prototype_count", "satisfied", "vacuous",
+            "iterations", "converged", "components", "largest_component",
+            "bound_over_n", "trivial",
         }
+        assert d["bound_over_n"] == report.bound / 3
+        assert d["trivial"] == (report.bound >= 3)
 
     def test_refuses_uncertified_sigma(self, line3):
         analytic = pb.sufficient_sigma(line3)
