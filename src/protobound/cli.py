@@ -133,6 +133,9 @@ def _default_sigma(dataset: Dataset) -> float:
             f"{exc}; no analytic bandwidth threshold exists. "
             f"Perturb the data or pass --sigma explicitly."
         )
+    except ValueError as exc:  # a single point has no distance gaps
+        _fail_input(f"{exc}; no analytic bandwidth threshold exists. "
+                    f"Pass --sigma explicitly.")
 
 
 def _parse_generator_spec(text: str) -> tuple[list[tuple[list[float], str]], float]:
@@ -411,6 +414,9 @@ def neighborly_cmd(dataset_path, label_column, sigma, mode, seed, trials, out):
                 f"{exc}; no analytic certificate exists. Perturb the data or "
                 f"verify an explicit --sigma."
             )
+        except ValueError as exc:  # a single point has no distance gaps
+            _fail_input(f"{exc}; no analytic certificate exists. "
+                        f"Verify an explicit --sigma.")
         _emit_report(out, "neighborly", params,
                      {"certificate": cert.to_json_dict()}, dataset_path, started)
         click.echo(json.dumps(cert.to_json_dict(), indent=2))

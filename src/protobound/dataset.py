@@ -139,6 +139,12 @@ class Dataset:
         codes = np.array([self._class_code[p.label] for p in pts], dtype=np.int64)
         codes.flags.writeable = False
         self._label_codes = codes
+        others = np.arange(len(classes) - 1)
+        # the j-th wrong class skips the point's own class
+        wrong = others + (others >= codes[:, None])
+        wrong.flags.writeable = False
+        self._wrong_codes = wrong
+        self._nearest_sq_dists: np.ndarray | None = None
 
     @property
     def points(self) -> tuple[LabeledPoint, ...]:
@@ -161,6 +167,29 @@ class Dataset:
     def label_codes(self) -> np.ndarray:
         """Read-only (n,) array of class-alphabet positions, in point order."""
         return self._label_codes
+
+    @property
+    def wrong_codes(self) -> np.ndarray:
+        """Read-only (n, |C| - 1) int64 array: row i holds the alphabet
+        positions of every class but point i's own, ascending. These are the
+        channels an update on point i may subtract."""
+        return self._wrong_codes
+
+    @property
+    def nearest_sq_dists(self) -> np.ndarray:
+        """Read-only (n,) squared distance from each point to its nearest
+        other point (inf for a one-point set). Found on the first read, one
+        row of `pairwise_sq_dists` at a time so no n x n array is held, and
+        kept: the dataset is immutable."""
+        if self._nearest_sq_dists is None:
+            nearest = np.empty(len(self._coords))
+            for q, x in enumerate(self._coords):
+                row = sq_dists_to(self._coords, x)
+                row[q] = np.inf
+                nearest[q] = row.min()
+            nearest.flags.writeable = False
+            self._nearest_sq_dists = nearest
+        return self._nearest_sq_dists
 
     @property
     def feature_names(self) -> tuple[str, ...]:

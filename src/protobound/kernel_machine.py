@@ -58,11 +58,6 @@ def kernel_log_eval(cfg: KernelConfig, x, y) -> float:
     return float(log_kernel_row(a, np.asarray(y, dtype=np.float64), cfg.sigma)[0])
 
 
-def kernel_eval(cfg: KernelConfig, x, y) -> float:
-    """Gaussian kernel value in (0, 1]; may underflow to 0.0 in float64."""
-    return math.exp(kernel_log_eval(cfg, x, y))
-
-
 @dataclass(frozen=True)
 class UpdateRecord:
     """One perceptron update: +1 on channel `c`, -1 on channel `y` at `x`.
@@ -232,13 +227,6 @@ def argmax_class(w: DualWeightVector, x) -> tuple[str, bool]:
     return w.classes[int(code)], bool(degenerate)
 
 
-def _first_other_class(classes: Sequence[str], c: str) -> str | None:
-    for candidate in classes:
-        if candidate != c:
-            return candidate
-    return None
-
-
 DEFAULT_MAX_PASSES = 1000
 
 
@@ -263,6 +251,7 @@ def run_mp(
     if max_passes < 1:
         raise ValueError(f"max_passes must be at least 1, got {max_passes}")
     w = DualWeightVector(cfg, dataset.classes, dataset.dim)
+    wrong = dataset.wrong_codes
     prototypes = PrototypeSet(dataset)
     events: list[UpdateEvent] = []
     pass_no = 0
@@ -280,11 +269,10 @@ def run_mp(
             predicted, degenerate = argmax_class(w, dataset.coords[i])
             if predicted == point.label and not degenerate:
                 continue
-            subtracted = (
-                predicted
-                if predicted != point.label
-                else _first_other_class(w.classes, point.label)
-            )
+            if predicted != point.label:
+                subtracted = predicted
+            else:  # the first wrong class; a single class has none
+                subtracted = w.classes[wrong[i, 0]] if wrong.size else None
             w.append(i, point.coords, point.label, subtracted)
             if i not in prototypes:  # set union: repeat updates cannot re-add
                 prototypes.add(i)

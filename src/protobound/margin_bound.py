@@ -76,12 +76,8 @@ def _pair_codes(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
         raise VacuousBoundError(
             "a single-class alphabet admits no difference vectors"
         )
-    q = len(dataset.classes) - 1
-    codes = dataset.label_codes
-    others = np.arange(q)
-    # the j-th wrong class skips the point's own class
-    wrong = others[None, :] + (others[None, :] >= codes[:, None])
-    return np.repeat(np.arange(len(dataset)), q), wrong.ravel()
+    wrong = dataset.wrong_codes
+    return np.repeat(np.arange(len(dataset)), wrong.shape[1]), wrong.ravel()
 
 
 def _pair_list(
@@ -134,20 +130,8 @@ class DifferenceVectorSet:
         return len(self.pairs)
 
 
-def _nearest_sq_dists(coords: np.ndarray) -> np.ndarray:
-    """Each point's squared distance to its nearest other point (inf for a
-    single point), one row of `pairwise_sq_dists` at a time, so no n x n
-    array is held."""
-    nearest = np.empty(len(coords))
-    for q, x in enumerate(coords):
-        row = sq_dists_to(coords, x)
-        row[q] = np.inf
-        nearest[q] = row.min()
-    return nearest
-
-
 def _kernel_components(
-    coords: np.ndarray, nearest: np.ndarray, sigma: float
+    dataset: Dataset, sigma: float
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Split the points by the graph that links i and j when
     `np.exp(-d2[i, j] / (2 sigma^2)) > 0.0`, the kernel entry the gram holds.
@@ -160,8 +144,9 @@ def _kernel_components(
     are `pairwise_sq_dists`' own entries, which are exactly symmetric, so
     the links are too.
     """
+    coords = dataset.coords
     scale = 2.0 * sigma * sigma
-    isolated = np.exp(-nearest / scale) == 0.0
+    isolated = np.exp(-dataset.nearest_sq_dists / scale) == 0.0
     unseen = np.flatnonzero(~isolated)
     components = []
     while len(unseen):
@@ -280,7 +265,6 @@ def _hull_descent(
 def _component_block(
     dataset: Dataset,
     points: np.ndarray,
-    wrong: np.ndarray,
     sigma: float,
     tol: float,
     max_iters: int,
@@ -292,7 +276,8 @@ def _component_block(
     kernel = np.exp(-d2 / (2.0 * sigma * sigma))
     local = np.repeat(np.arange(len(points)), q)
     G = _pair_gram(
-        kernel, local, dataset.label_codes[points][local], wrong[rows],
+        kernel, local, dataset.label_codes[points][local],
+        dataset.wrong_codes[points].ravel(),
         len(dataset.classes),
     )
     alpha, iterations, converged = _hull_descent(G, tol, max_iters)
@@ -371,23 +356,9 @@ def margin(
     component's gram of 8 m^2 bytes (m of its pairs) exceeds
     GRAM_BYTE_BUDGET.
     """
-    return _margin(
-        dataset, cfg, _nearest_sq_dists(dataset.coords), tol, max_iters
-    )
-
-
-def _margin(
-    dataset: Dataset,
-    cfg: KernelConfig,
-    nearest: np.ndarray,
-    tol: float,
-    max_iters: int,
-) -> MarginCertificate:
     point, wrong = _pair_codes(dataset)
     q = len(dataset.classes) - 1
-    isolated, components = _kernel_components(
-        dataset.coords, nearest, cfg.sigma
-    )
+    isolated, components = _kernel_components(dataset, cfg.sigma)
     largest = max((len(c) for c in components), default=1)
     gram_bytes = 8 * (largest * q) ** 2
     if components and gram_bytes > GRAM_BYTE_BUDGET:
@@ -397,7 +368,7 @@ def _margin(
             f"the budget of {GRAM_BYTE_BUDGET:,} bytes"
         )
     blocks = [
-        _component_block(dataset, c, wrong, cfg.sigma, tol, max_iters)
+        _component_block(dataset, c, cfg.sigma, tol, max_iters)
         for c in components
     ]
     if len(isolated):
@@ -525,22 +496,18 @@ def cnn_bound(
             f"sigma={cfg.sigma} carries no neighborliness certificate; "
             f"pass override=True to compute an uncertified bound"
         )
-    return _bound_report(
-        dataset, cfg, _nearest_sq_dists(dataset.coords), certified, count,
-        tol, max_iters,
-    )
+    return _bound_report(dataset, cfg, certified, count, tol, max_iters)
 
 
 def _bound_report(
     dataset: Dataset,
     cfg: KernelConfig,
-    nearest: np.ndarray,
     certified: bool,
     count: int,
     tol: float,
     max_iters: int,
 ) -> BoundReport:
-    cert = _margin(dataset, cfg, nearest, tol, max_iters)
+    cert = margin(dataset, cfg, tol, max_iters)
     if not cert.separable:
         raise NotSeparableError(
             f"no positive margin certified at sigma={cfg.sigma}"
@@ -597,7 +564,8 @@ def bound_infimum(
     budget and passes. The true optimum is an infimum
     over all neighborly bandwidths; a finite grid can only approach it, which
     is the scope of this search. Each point's nearest squared distance is
-    found once and shared by every grid point's margin.
+    found once per dataset (`Dataset.nearest_sq_dists`) and shared by every
+    grid point's margin.
     """
     if len(dataset.classes) < 2:
         report = cnn_bound(dataset, KernelConfig(1.0))
@@ -615,7 +583,6 @@ def bound_infimum(
             )
         sigma_grid = default_sigma_grid(analytic.sigma_star)
     count = len(run_cnn(dataset).prototypes)
-    nearest = _nearest_sq_dists(dataset.coords)
     evaluated: list[BoundReport] = []
     skipped: list[float] = []
     for sigma in sigma_grid:
@@ -629,7 +596,7 @@ def bound_infimum(
                 skipped.append(sigma)
                 continue
         evaluated.append(
-            _bound_report(dataset, cfg, nearest, True, count, tol, max_iters)
+            _bound_report(dataset, cfg, True, count, tol, max_iters)
         )
     if not evaluated:
         raise NoCertifiedSigmaError(

@@ -181,12 +181,6 @@ def replay_violation(
     return label, degenerate, nn_label
 
 
-def _wrong_codes(dataset: Dataset) -> list[list[int]]:
-    """Per point, the alphabet positions of every class but its own."""
-    k = len(dataset.classes)
-    return [[c for c in range(k) if c != own] for own in dataset.label_codes.tolist()]
-
-
 def _first_violation(dataset: Dataset, cfg: KernelConfig, cases) -> Violation | None:
     """First violation over groups of (members, assignment rows, queries):
     groups in order, then the lowest assignment rank, then the lowest query.
@@ -230,7 +224,7 @@ def _exhaustive_cases(dataset: Dataset):
     member order, so the first violation is the first in (P, o, query)
     order."""
     n = len(dataset)
-    wrong = _wrong_codes(dataset)
+    wrong = dataset.wrong_codes.tolist()
     for mask in range(1, 2**n):
         members = [i for i in range(n) if mask >> i & 1]
         rows = list(itertools.product(*(wrong[i] for i in members)))
@@ -242,7 +236,7 @@ def _sampled_cases(dataset: Dataset, seed: int, trials: int):
     class per member in index order, then the query."""
     n = len(dataset)
     rng = np.random.default_rng(seed)
-    wrong = _wrong_codes(dataset)
+    wrong = dataset.wrong_codes.tolist()
     for _ in range(trials):
         while True:
             take = rng.random(n) < 0.5

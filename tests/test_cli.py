@@ -10,6 +10,7 @@ from protobound.cli import main
 
 LINE3_CSV = "x0,label\n0.0,A\n10.0,B\n11.0,B\n"
 TIE_CSV = "x0,label\n-1.0,A\n0.0,B\n1.0,A\n"
+ONE_CSV = "x0,label\n0.0,A\n"
 SPEC = '{"centers": [{"coords": [0.0], "label": "A"}, {"coords": [9.0], "label": "B"}], "spread": 0.5}'
 
 
@@ -33,6 +34,14 @@ def read_report(path):
 def d20_csv(tmp_path):
     path = tmp_path / "d20.csv"
     pb.write_csv(pb.random_dataset(0, n_points=20, dim=2, n_classes=2), path)
+    return str(path)
+
+
+@pytest.fixture
+def one_csv(tmp_path):
+    """A single row: no distance gaps, so no analytic bandwidth."""
+    path = tmp_path / "one.csv"
+    path.write_text(ONE_CSV, encoding="utf-8")
     return str(path)
 
 
@@ -70,6 +79,9 @@ def chain12_csv(tmp_path):
         ["bound", "{data}", "--tol", "-1"],
         ["bound", "{data}", "--tol", "nan"],
         ["neighborly", "{data}", "--sigma", "0.1", "--cap", "40"],
+        ["mp", "{one}"],
+        ["equiv", "{one}"],
+        ["neighborly", "{one}"],
     ],
     ids=[
         "equiv-negative-sigma", "equiv-zero-sigma", "fuzz-zero-sigma",
@@ -77,11 +89,12 @@ def chain12_csv(tmp_path):
         "gen-negative-seed", "neighborly-negative-seed", "bound-nan-grid",
         "bound-inf-grid", "online-negative-checkpoints", "bound-zero-iters",
         "bound-negative-tol", "bound-nan-tol", "neighborly-no-cap-option",
+        "mp-one-point", "equiv-one-point", "neighborly-one-point",
     ],
 )
-def test_input_errors_exit_2(runner, d20_csv, tmp_path, args):
-    argv = [a.replace("{data}", d20_csv).replace("{tmp}", str(tmp_path))
-            for a in args]
+def test_input_errors_exit_2(runner, d20_csv, one_csv, tmp_path, args):
+    argv = [a.replace("{data}", d20_csv).replace("{one}", one_csv)
+            .replace("{tmp}", str(tmp_path)) for a in args]
     result = runner.invoke(main, argv)
     assert result.exit_code == 2, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -211,6 +224,13 @@ class TestMpCommand:
         assert "--sigma" in result.stderr
         result = runner.invoke(main, ["mp", str(path), "--sigma", "0.05"])
         assert result.exit_code == 0
+
+    def test_one_point_needs_explicit_sigma(self, runner, one_csv):
+        result = runner.invoke(main, ["mp", one_csv])
+        assert result.exit_code == 2
+        assert "--sigma" in result.stderr
+        result = runner.invoke(main, ["mp", one_csv, "--sigma", "0.5"])
+        assert result.exit_code == 0, result.output
 
 
 class TestEquivCommand:

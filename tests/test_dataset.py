@@ -70,6 +70,39 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.label_codes[0] = 1
 
+    def test_wrong_codes_skip_the_own_class(self):
+        ds = pb.Dataset([((0.0,), "B"), ((1.0,), "A"), ((2.0,), "C")])
+        assert ds.wrong_codes.dtype == np.int64
+        assert ds.wrong_codes.tolist() == [[1, 2], [0, 2], [0, 1]]
+        for own, row in zip(ds.label_codes, ds.wrong_codes):
+            assert own not in row and list(row) == sorted(row)
+        with pytest.raises(ValueError):
+            ds.wrong_codes[0, 0] = 0
+
+    def test_wrong_codes_single_class_and_extra_classes(self):
+        single = pb.Dataset([((0.0,), "A"), ((1.0,), "A")])
+        assert single.wrong_codes.shape == (2, 0)
+        extra = pb.Dataset([((0.0,), "B"), ((1.0,), "A")], extra_classes=["C"])
+        assert extra.wrong_codes.tolist() == [[1, 2], [0, 2]]
+
+    def test_wrong_codes_equal_the_rules_they_replace(self):
+        for seed in range(40):
+            ds = pb.fuzz_dataset(seed, max_n=20, max_classes=5)
+            k = len(ds.classes)
+            codes = ds.label_codes
+            # the enumerators' list comprehension
+            assert ds.wrong_codes.tolist() == [
+                [c for c in range(k) if c != own] for own in codes.tolist()
+            ]
+            # the perceptron's first other class
+            for p, row in zip(ds, ds.wrong_codes):
+                first = next(c for c in ds.classes if c != p.label)
+                assert ds.classes[row[0]] == first
+            # the margin's skip arithmetic
+            others = np.arange(k - 1)
+            skip = others[None, :] + (others[None, :] >= codes[:, None])
+            assert ds.wrong_codes.tobytes() == skip.tobytes()
+
     def test_diameter(self):
         ds = pb.Dataset([((0.0, 0.0), "A"), ((3.0, 4.0), "B"), ((1.0, 1.0), "A")])
         assert ds.diameter() == pytest.approx(5.0, abs=1e-12)

@@ -160,7 +160,8 @@ class TestDifferenceVectorSet:
                     sign = (
                         (ci == cj) - (ci == yp) - (y == cj) + (y == yp)
                     )
-                    want = sign * pb.kernel_eval(cfg, ds[i].coords, ds[j].coords)
+                    k = math.exp(pb.kernel_log_eval(cfg, ds[i].coords, ds[j].coords))
+                    want = sign * k
                     assert dvs.matrix[a, b] == pytest.approx(want, abs=1e-14)
 
     def test_gram_equals_four_mask_oracle_bit_for_bit(self):
@@ -291,10 +292,7 @@ class TestMarginSolver:
 class TestKernelComponents:
     def test_partition_equals_union_find(self):
         for ds, cfg in component_cases():
-            nearest = margin_bound._nearest_sq_dists(ds.coords)
-            isolated, components = margin_bound._kernel_components(
-                ds.coords, nearest, cfg.sigma
-            )
+            isolated, components = margin_bound._kernel_components(ds, cfg.sigma)
             got = {frozenset([int(i)]) for i in isolated}
             got |= {frozenset(c.tolist()) for c in components}
             assert got == union_find_components(ds, cfg.sigma)
@@ -355,10 +353,12 @@ class TestKernelComponents:
         for ds, _ in gram_cases():
             d2 = pb.pairwise_sq_dists(ds.coords)
             np.fill_diagonal(d2, np.inf)
-            got = margin_bound._nearest_sq_dists(ds.coords)
+            got = ds.nearest_sq_dists
             assert got.tobytes() == d2.min(axis=1).tobytes()
-        single = np.array([[1.0, 2.0]])
-        assert margin_bound._nearest_sq_dists(single).tolist() == [math.inf]
+            assert not got.flags.writeable
+            assert ds.nearest_sq_dists is got  # found once, then kept
+        single = pb.Dataset([((1.0, 2.0), "A")])
+        assert single.nearest_sq_dists.tolist() == [math.inf]
 
     def test_exact_bounds_never_round_below(self):
         # isolated points reach the exact optimum, delta^2 = (q+1) / (n q)
