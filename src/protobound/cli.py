@@ -356,8 +356,13 @@ def bound_cmd(dataset_path, label_column, sigma_grid, tol, max_iters, out):
             grid = [float(v) for v in sigma_grid.split(",") if v.strip()]
         except ValueError:
             _fail_input(f"cannot parse --sigma-grid {sigma_grid!r}")
-        if not grid or not all(v > 0 and math.isfinite(v) for v in grid):
-            _fail_input("--sigma-grid needs positive, finite bandwidths")
+        if not grid:
+            _fail_input("--sigma-grid needs at least one bandwidth")
+        for v in grid:
+            try:
+                KernelConfig(v)
+            except ValueError as exc:
+                _fail_input(f"--sigma-grid: {exc}")
     try:
         report = bound_infimum(dataset, grid, tol=tol, max_iters=max_iters)
     except (NoCertifiedSigmaError, GramBudgetError) as exc:

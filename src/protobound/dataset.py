@@ -388,15 +388,12 @@ def blob_stream(
 
 
 _CLASS_NAMES = ("A", "B", "C", "D", "E", "F", "G", "H")
+# Random coordinates and fuzzed blob centers are uniform in this interval.
+_BOX = (-10.0, 10.0)
+_FUZZ_MIN_POINTS = 2
 
 
-def random_dataset(
-    seed: int,
-    n_points: int,
-    dim: int,
-    n_classes: int,
-    box: tuple[float, float] = (-10.0, 10.0),
-) -> Dataset:
+def random_dataset(seed: int, n_points: int, dim: int, n_classes: int) -> Dataset:
     """Uniform random points with random labels; every class appears.
 
     Intended for fuzzing. Coordinates are continuous uniforms, so duplicate
@@ -411,7 +408,7 @@ def random_dataset(
     # Guarantee every class shows up at least once.
     slots = rng.choice(n_points, size=n_classes, replace=False)
     codes[slots] = rng.permutation(n_classes)
-    coords = rng.uniform(box[0], box[1], size=(n_points, dim))
+    coords = rng.uniform(*_BOX, size=(n_points, dim))
     points = [
         LabeledPoint(tuple(float(v) for v in coords[i]), _CLASS_NAMES[codes[i]])
         for i in range(n_points)
@@ -424,22 +421,20 @@ def fuzz_dataset(
     max_n: int = 30,
     max_dim: int = 3,
     max_classes: int = 3,
-    min_n: int = 2,
 ) -> Dataset:
-    """Random dataset with seed-derived size, dimension, and shape.
+    """Random dataset with seed-derived size (from _FUZZ_MIN_POINTS up to
+    `max_n`), dimension, and shape.
 
     Mixes uniformly scattered labels with blob-structured data so fuzz runs
     cover both noisy and separable regimes.
     """
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(min_n, max_n + 1))
+    n = int(rng.integers(_FUZZ_MIN_POINTS, max_n + 1))
     d = int(rng.integers(1, max_dim + 1))
     k = min(int(rng.integers(2, max_classes + 1)), n)
     child = int(rng.integers(2**63))
     if rng.random() < 0.5:
         return random_dataset(child, n, d, k)
-    centers = [
-        (rng.uniform(-10.0, 10.0, size=d), _CLASS_NAMES[i]) for i in range(k)
-    ]
+    centers = [(rng.uniform(*_BOX, size=d), _CLASS_NAMES[i]) for i in range(k)]
     spread = float(rng.uniform(0.2, 2.0))
     return generate_blobs(child, max(1, n // k), centers, spread)

@@ -9,10 +9,13 @@ Gaussian kernel values per class.
 
 Numerics policy: raw kernel values exp(-||x - x'||^2 / (2 sigma^2)) underflow
 to zero for small sigma, which would erase the very comparisons that matter.
-Ranking is computed in an exponent-shifted form instead: the largest
-log-kernel value over the records is factored out, so the surviving ratios
-are exact in [0, 1] with at least one equal to 1. Shifting rescales every
-class score by the same positive factor and leaves the argmax unchanged.
+Ranking is computed in an exponent-shifted form instead: the smallest
+squared distance over the records is subtracted before scaling, so the
+surviving ratios lie in [0, 1] with the nearest record's exactly 1. Shifting
+rescales every class score by the same positive factor and leaves the argmax
+unchanged. This holds for every sigma whose 2 sigma^2 is a positive float;
+`KernelConfig` refuses the smaller ones (below about 1.5e-162), where the
+scale itself underflows to 0.0.
 """
 
 from __future__ import annotations
@@ -45,15 +48,35 @@ class KernelConfig:
     def __post_init__(self) -> None:
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        if 2.0 * self.sigma * self.sigma == 0.0:
+            raise ValueError(
+                f"sigma={self.sigma!r} is too small: the kernel scale "
+                f"2 sigma^2 underflows to 0.0"
+            )
 
 
 def log_kernel_row(coords: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:
-    """Log kernel value from each row of `coords` to `x`. Always finite."""
+    """Log kernel value from each row of `coords` to `x`. Finite unless
+    d2 / (2 sigma^2) overflows, as it can at sigma near 1e-155; ranking
+    never reads it, and shifts the distances instead (`_shifted_kernel`)."""
     return -sq_dists_to(coords, x) / (2.0 * sigma * sigma)
 
 
+def _shifted_kernel(d2: np.ndarray, sigma: float) -> np.ndarray:
+    """Kernel values over squared distances `d2`, each divided by the largest
+    in its row (last axis): exp(-(d2 - min d2) / (2 sigma^2)).
+
+    The shift is taken on the distances, so the nearest record's ratio is
+    exactly 1 even where every log-kernel -d2 / (2 sigma^2) overflows to
+    -inf; the other ratios then underflow to 0.0."""
+    shift = d2 - d2.min(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        return np.exp(-shift / (2.0 * sigma * sigma))
+
+
 def kernel_log_eval(cfg: KernelConfig, x, y) -> float:
-    """log k(x, y); finite even where k itself underflows."""
+    """log k(x, y); finite even where k itself underflows, within the limit
+    `log_kernel_row` states."""
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
     return float(log_kernel_row(a, np.asarray(y, dtype=np.float64), cfg.sigma)[0])
 
@@ -203,12 +226,12 @@ def _argmax_codes(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def shifted_class_scores(w: DualWeightVector, x) -> np.ndarray:
     """Exponent-shifted class scores: every true score divided by the largest
-    kernel value over the records. Safe down to arbitrarily small sigma."""
+    kernel value over the records. Safe for every sigma `KernelConfig`
+    accepts, that is down to where 2 sigma^2 would underflow to 0.0."""
     if len(w) == 0:
         return np.zeros(len(w.classes), dtype=np.float64)
     q = np.asarray(x, dtype=np.float64)
-    logk = log_kernel_row(w.coords, q[None], w.kernel.sigma)
-    ratios = np.exp(logk - logk.max())
+    ratios = _shifted_kernel(sq_dists_to(w.coords, q[None]), w.kernel.sigma)
     scores = _scores_from_ratios(ratios, w.c_codes, w.y_codes[None], len(w.classes))
     return scores[0, 0]
 

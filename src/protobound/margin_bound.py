@@ -45,6 +45,7 @@ RADIUS = math.sqrt(2.0)
 # Largest gram, in bytes, that `margin` allocates for one kernel component.
 # Building and solving it holds up to three more arrays of at most its size.
 GRAM_BYTE_BUDGET = 2**30
+SIGMA_GRID_SIZE = 16
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -68,45 +69,13 @@ class GramBudgetError(Exception):
     """The largest kernel component's gram would exceed GRAM_BYTE_BUDGET."""
 
 
-def _pair_codes(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Point index and wrong-class code of every pair (i, y), in the order
-    point by point, then the wrong classes in alphabet order. Point i owns
-    the pairs i*q .. i*q + q - 1, where q = |C| - 1."""
-    if len(dataset.classes) < 2:
-        raise VacuousBoundError(
-            "a single-class alphabet admits no difference vectors"
-        )
-    wrong = dataset.wrong_codes
-    return np.repeat(np.arange(len(dataset)), wrong.shape[1]), wrong.ravel()
-
-
-def _pair_list(
-    dataset: Dataset, point: np.ndarray, wrong: np.ndarray
-) -> list[tuple[int, str]]:
-    classes = dataset.classes
-    return [(int(i), classes[w]) for i, w in zip(point, wrong)]
-
-
 def _pair_rows(points: np.ndarray, q: int) -> np.ndarray:
     """Global pair indices of the given points, in pair order."""
     return (points[:, None] * q + np.arange(q)).ravel()
 
 
-def _pair_gram(
-    kernel: np.ndarray, point: np.ndarray, true: np.ndarray, wrong: np.ndarray,
-    n_classes: int,
-) -> np.ndarray:
-    """kernel[point, point] times E E^T, elementwise, where row a of E is
-    e_{true[a]} - e_{wrong[a]}."""
-    eye = np.eye(n_classes)
-    E = eye[true] - eye[wrong]
-    gram = kernel[np.ix_(point, point)]
-    gram *= E @ E.T
-    return gram
-
-
-class DifferenceVectorSet:
-    """The n * (|C| - 1) difference vectors of a dataset, as a gram oracle.
+def _pair_gram(dataset: Dataset, points: np.ndarray, sigma: float) -> np.ndarray:
+    """Gram of the difference vectors of the given points, in pair order.
 
     Pair (i, y) stands for the feature of point i on its true channel minus
     the same feature on channel y. Inner products never touch feature space:
@@ -116,18 +85,16 @@ class DifferenceVectorSet:
     so with E's rows the channel vectors e_{c_i} - e_y, the gram is E E^T
     times the kernel elementwise. E E^T holds small integers and is exact.
     """
-
-    def __init__(self, dataset: Dataset, cfg: KernelConfig):
-        point, wrong = _pair_codes(dataset)
-        self.pairs: list[tuple[int, str]] = _pair_list(dataset, point, wrong)
-        d2 = pairwise_sq_dists(dataset.coords)
-        kernel = np.exp(-d2 / (2.0 * cfg.sigma * cfg.sigma))
-        self.matrix = _pair_gram(
-            kernel, point, dataset.label_codes[point], wrong, len(dataset.classes)
-        )
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+    q = len(dataset.classes) - 1
+    d2 = pairwise_sq_dists(dataset.coords[points])
+    kernel = np.exp(-d2 / (2.0 * sigma * sigma))
+    local = np.repeat(np.arange(len(points)), q)
+    eye = np.eye(len(dataset.classes))
+    true = dataset.label_codes[points][local]
+    E = eye[true] - eye[dataset.wrong_codes[points].ravel()]
+    gram = kernel[np.ix_(local, local)]
+    gram *= E @ E.T
+    return gram
 
 
 def _kernel_components(
@@ -142,24 +109,26 @@ def _kernel_components(
     other point is 0.0; only the remaining points are searched, breadth
     first, with one row of squared distances per frontier point. Those rows
     are `pairwise_sq_dists`' own entries, which are exactly symmetric, so
-    the links are too.
+    the links are too. At a small sigma, d2 / (2 sigma^2) may overflow to
+    inf; its kernel entry is then 0.0, as the gram's own would be.
     """
     coords = dataset.coords
     scale = 2.0 * sigma * sigma
-    isolated = np.exp(-dataset.nearest_sq_dists / scale) == 0.0
-    unseen = np.flatnonzero(~isolated)
-    components = []
-    while len(unseen):
-        frontier, unseen = unseen[:1], unseen[1:]
-        members = [frontier]
-        while len(frontier) and len(unseen):
-            rest = coords[unseen]
-            linked = np.zeros(len(unseen), dtype=bool)
-            for i in frontier:
-                linked |= np.exp(-sq_dists_to(rest, coords[i]) / scale) > 0.0
-            frontier, unseen = unseen[linked], unseen[~linked]
-            members.append(frontier)
-        components.append(np.sort(np.concatenate(members)))
+    with np.errstate(over="ignore"):
+        isolated = np.exp(-dataset.nearest_sq_dists / scale) == 0.0
+        unseen = np.flatnonzero(~isolated)
+        components = []
+        while len(unseen):
+            frontier, unseen = unseen[:1], unseen[1:]
+            members = [frontier]
+            while len(frontier) and len(unseen):
+                rest = coords[unseen]
+                linked = np.zeros(len(unseen), dtype=bool)
+                for i in frontier:
+                    linked |= np.exp(-sq_dists_to(rest, coords[i]) / scale) > 0.0
+                frontier, unseen = unseen[linked], unseen[~linked]
+                members.append(frontier)
+            components.append(np.sort(np.concatenate(members)))
     return np.flatnonzero(isolated), components
 
 
@@ -270,19 +239,11 @@ def _component_block(
     max_iters: int,
 ) -> _Block:
     """Solve one kernel component of two or more points on its own gram."""
-    q = len(dataset.classes) - 1
-    rows = _pair_rows(points, q)
-    d2 = pairwise_sq_dists(dataset.coords[points])
-    kernel = np.exp(-d2 / (2.0 * sigma * sigma))
-    local = np.repeat(np.arange(len(points)), q)
-    G = _pair_gram(
-        kernel, local, dataset.label_codes[points][local],
-        dataset.wrong_codes[points].ravel(),
-        len(dataset.classes),
-    )
+    G = _pair_gram(dataset, points, sigma)
     alpha, iterations, converged = _hull_descent(G, tol, max_iters)
     alpha = alpha / alpha.sum()  # renormalize, then rescore from scratch
     g = G @ alpha
+    rows = _pair_rows(points, len(dataset.classes) - 1)
     return _Block(rows, alpha, g, float(alpha @ g), iterations, converged)
 
 
@@ -340,24 +301,27 @@ def margin(
     at most the largest block gap since ||p|| <= ||p_k||: every component
     converging to `tol` makes the whole certificate converge.
 
-    A set that is one component keeps its solve's own certificate, bit for
-    bit. Any other certificate comes from the closed form and the assembly,
-    which can reach the exact optimum (two classes of isolated points have
-    the exact bound n), so their rounding alone would decide on which side
-    of it the float lands. A separable certificate scores every pair
-    positively, so that arithmetic, whose longest sum is the m = n(|C| - 1)
-    positive terms of alpha . g, moves delta_hat relatively by less than
-    (3m/2 + 5) eps / 2. Lowering delta_hat by (m + 4) eps therefore keeps it
-    below the exact margin of the assembled hull point, and the bound above
-    that point's exact bound. A component's scores count as its solve
-    computed them, as they do for a single solve.
+    Both the closed form and the solver can reach the exact optimum (two
+    classes of isolated points have the exact bound n; two points of
+    different classes converge to their exact midpoint), so rounding alone
+    would decide on which side of it the float lands. A separable
+    certificate scores every pair positively, so the assembly, whose longest
+    sum is the m = n(|C| - 1) positive terms of alpha . g, moves delta_hat
+    relatively by less than (3m/2 + 5) eps / 2. Lowering delta_hat by
+    (m + 4) eps therefore keeps it below the exact margin of the hull point,
+    and the bound above that point's exact bound. A component's scores count
+    as its solve computed them.
 
     Raises GramBudgetError, before allocating any gram, when the largest
     component's gram of 8 m^2 bytes (m of its pairs) exceeds
     GRAM_BYTE_BUDGET.
     """
-    point, wrong = _pair_codes(dataset)
-    q = len(dataset.classes) - 1
+    if len(dataset.classes) < 2:
+        raise VacuousBoundError(
+            "a single-class alphabet admits no difference vectors"
+        )
+    wrong = dataset.wrong_codes
+    m, q = wrong.size, wrong.shape[1]
     isolated, components = _kernel_components(dataset, cfg.sigma)
     largest = max((len(c) for c in components), default=1)
     gram_bytes = 8 * (largest * q) ** 2
@@ -382,17 +346,15 @@ def margin(
     else:  # the origin lies in one block's hull, hence in the whole hull
         origin = next(k for k, n2 in enumerate(norms) if n2 <= 0.0)
         weights = [float(k == origin) for k in range(len(blocks))]
-    alpha = np.zeros(len(point), dtype=np.float64)
-    g = np.zeros(len(point), dtype=np.float64)
+    alpha = np.zeros(m, dtype=np.float64)
+    g = np.zeros(m, dtype=np.float64)
     for block, t in zip(blocks, weights):
         alpha[block.rows] = t * block.alpha
         g[block.rows] = t * block.scores
     norm2 = float(alpha @ g)
     pnorm = math.sqrt(max(norm2, 0.0))
     if pnorm > 0.0:
-        delta_hat = float(g.min()) / pnorm
-        if len(isolated) or len(components) > 1:
-            delta_hat *= 1.0 - (len(point) + 4) * _EPS  # see the docstring
+        delta_hat = float(g.min()) / pnorm * (1.0 - (m + 4) * _EPS)
         gap = pnorm - delta_hat
     else:
         delta_hat = 0.0
@@ -406,7 +368,8 @@ def margin(
         bound,
         gap,
         alpha,
-        _pair_list(dataset, point, wrong),
+        [(i, dataset.classes[y])
+         for i, row in enumerate(wrong.tolist()) for y in row],
         converged,
         sum(b.iterations for b in blocks),
         len(components) + len(isolated),
@@ -529,10 +492,12 @@ def _bound_report(
     )
 
 
-def default_sigma_grid(sigma_star: float, size: int = 16) -> list[float]:
-    """Geometric grid from sigma*/100 up to sigma* itself."""
+def default_sigma_grid(sigma_star: float) -> list[float]:
+    """Geometric grid of SIGMA_GRID_SIZE points from sigma*/100 up to sigma*
+    itself."""
     lo, hi = sigma_star / 100.0, sigma_star
-    return [lo * (hi / lo) ** (i / (size - 1)) for i in range(size)]
+    last = SIGMA_GRID_SIZE - 1
+    return [lo * (hi / lo) ** (i / last) for i in range(SIGMA_GRID_SIZE)]
 
 
 @dataclass

@@ -42,6 +42,7 @@ from .kernel_machine import (
     KernelConfig,
     _argmax_codes,
     _scores_from_ratios,
+    _shifted_kernel,
     argmax_class,
 )
 from .nn_rule import PrototypeSet, classify
@@ -193,12 +194,10 @@ def _first_violation(dataset: Dataset, cfg: KernelConfig, cases) -> Violation | 
     coords = dataset.coords
     label_codes = dataset.label_codes
     n_classes = len(dataset.classes)
-    scale = 2.0 * cfg.sigma * cfg.sigma
     for members, assignments, queries in cases:
         member_codes = label_codes[members]
         d2 = sq_dists_to(coords[members], coords[queries])
-        logk = -d2 / scale
-        ratios = np.exp(logk - logk.max(axis=1, keepdims=True))
+        ratios = _shifted_kernel(d2, cfg.sigma)
         scores = _scores_from_ratios(ratios, member_codes, assignments, n_classes)
         argmaxes, degenerate = _argmax_codes(scores)
         nn_codes = member_codes[d2.argmin(axis=1)]

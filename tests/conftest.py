@@ -66,6 +66,20 @@ def mirror_weights(dataset, prototypes, cfg, wrong_of=None):
     return w
 
 
+# Every squared-distance gap of `gap3` is at least 1, so sigma* is about 0.60
+# and certifies every smaller bandwidth `KernelConfig` accepts, including
+# those (sigma <= 1e-155) where every off-diagonal d2 / (2 sigma^2) overflows.
+GAP3_POINTS = [((0.0,), "A"), ((1.0,), "B"), ((2.5,), "A")]
+TINY_SIGMAS = (1e-155, 1e-160)
+# 2 sigma^2 underflows to 0.0 here, so no kernel exists
+UNDERFLOWING_SIGMA = 1e-170
+
+
+@pytest.fixture
+def gap3():
+    return pb.Dataset(GAP3_POINTS)
+
+
 @pytest.fixture
 def line3():
     """Three collinear points; the smallest set whose condensation is a

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import protobound as pb
+from conftest import GAP3_POINTS, TINY_SIGMAS, UNDERFLOWING_SIGMA
 from protobound.cli import main
 
 LINE3_CSV = "x0,label\n0.0,A\n10.0,B\n11.0,B\n"
@@ -34,6 +35,13 @@ def read_report(path):
 def d20_csv(tmp_path):
     path = tmp_path / "d20.csv"
     pb.write_csv(pb.random_dataset(0, n_points=20, dim=2, n_classes=2), path)
+    return str(path)
+
+
+@pytest.fixture
+def gap3_csv(tmp_path):
+    path = tmp_path / "gap3.csv"
+    pb.write_csv(pb.Dataset(GAP3_POINTS), path)
     return str(path)
 
 
@@ -119,6 +127,30 @@ def test_unwritable_output_exits_2(runner, line3_csv, tmp_path, args):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "cannot write output" in result.output
+
+
+@pytest.mark.parametrize("sigma", TINY_SIGMAS)
+@pytest.mark.parametrize("command", ["neighborly", "equiv"])
+def test_certified_tiny_sigma_passes(runner, gap3_csv, command, sigma):
+    # every off-diagonal d2 / (2 sigma^2) overflows, yet sigma is certified
+    result = runner.invoke(main, [command, gap3_csv, "--sigma", repr(sigma)])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("PASS")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["mp", "--sigma"], ["equiv", "--sigma"], ["neighborly", "--sigma"],
+     ["bound", "--sigma-grid"]],
+    ids=["mp", "equiv", "neighborly", "bound"],
+)
+def test_underflowing_sigma_exits_2(runner, gap3_csv, args):
+    command, option = args
+    result = runner.invoke(
+        main, [command, gap3_csv, option, repr(UNDERFLOWING_SIGMA)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "2 sigma^2 underflows to 0.0" in result.stderr
 
 
 class TestEnvelope:

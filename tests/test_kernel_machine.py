@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import protobound as pb
-from conftest import naive_class_scores
+from conftest import TINY_SIGMAS, UNDERFLOWING_SIGMA, naive_class_scores
 
 finite_coords = st.lists(
     st.floats(min_value=-50, max_value=50), min_size=1, max_size=3
@@ -28,6 +28,12 @@ class TestKernel:
             pb.KernelConfig(-1.0)
         with pytest.raises(ValueError):
             pb.KernelConfig(float("inf"))
+
+    def test_config_refuses_an_underflowing_scale(self):
+        with pytest.raises(ValueError, match="underflows to 0.0"):
+            pb.KernelConfig(UNDERFLOWING_SIGMA)
+        for sigma in TINY_SIGMAS:
+            assert pb.KernelConfig(sigma).sigma == sigma
 
     def test_known_values(self):
         cfg = pb.KernelConfig(1.0)
@@ -180,6 +186,16 @@ class TestScoring:
         assert list(scores) == [1.0, -1.0, 0.0]  # raw kernels all underflow
         assert pb.argmax_class(w, [1.0]) == ("A", False)
 
+    def test_scores_where_every_log_kernel_overflows(self, gap3):
+        # d2 / (2 sigma^2) is inf for both records, so shifting the
+        # log-kernels would give -inf - (-inf); the nearest record still wins
+        for sigma in TINY_SIGMAS:
+            w = pb.DualWeightVector(pb.KernelConfig(sigma), gap3.classes, 1)
+            w.append(1, (1.0,), "B", "A")
+            w.append(2, (2.5,), "A", "B")
+            assert list(pb.shifted_class_scores(w, [0.0])) == [-1.0, 1.0]
+            assert pb.argmax_class(w, [0.0]) == ("B", False)
+
     def test_degenerate_tie_resolves_to_first_class(self):
         w = pb.DualWeightVector(pb.KernelConfig(1.0), ("B", "A"), 1)
         w.append(0, (0.0,), "B", "A")
@@ -210,6 +226,13 @@ class TestRunMp:
         assert mp_trace.events == cnn_trace.events
         assert mp_trace.prototypes.indices == cnn_trace.prototypes.indices
         assert mp_trace.n_passes == cnn_trace.n_passes
+
+    def test_matches_cnn_at_tiny_sigma(self, gap3):
+        cnn_trace = pb.run_cnn(gap3)
+        for sigma in TINY_SIGMAS:
+            mp_trace, _ = pb.run_mp(gap3, pb.KernelConfig(sigma))
+            assert mp_trace.events == cnn_trace.events
+            assert mp_trace.prototypes.indices == cnn_trace.prototypes.indices
 
     def test_final_vector_classifies_training_set(self):
         for seed in range(8):

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import protobound as pb
+from conftest import TINY_SIGMAS
 from protobound import margin_bound
+
+EPS = float(np.finfo(np.float64).eps)
 
 
 def two_point(d=2.0):
@@ -20,12 +23,18 @@ def sigma_for_kernel(k, d=2.0):
     return d / math.sqrt(2.0 * math.log(1.0 / k))
 
 
+def full_gram(dataset, cfg):
+    """`_pair_gram` over every point: the whole set's pairs in pair order."""
+    return margin_bound._pair_gram(dataset, np.arange(len(dataset)), cfg.sigma)
+
+
 def four_mask_gram(dataset, cfg):
     """The gram as four m x m indicator masks times the kernel: the
-    construction the channel identity replaced, kept as its oracle."""
-    pairs = pb.DifferenceVectorSet(dataset, cfg).pairs
-    pt = np.array([i for i, _ in pairs], dtype=np.int64)
-    wc = np.array([dataset.class_code(y) for _, y in pairs], dtype=np.int64)
+    construction the channel identity replaced, kept as its oracle. Pairs run
+    point by point, then over each point's wrong classes in alphabet order."""
+    wrong = dataset.wrong_codes
+    pt = np.repeat(np.arange(len(dataset)), wrong.shape[1])
+    wc = wrong.ravel()
     lc = dataset.label_codes[pt]
     d2 = pb.pairwise_sq_dists(dataset.coords)
     kernel = np.exp(-d2 / (2.0 * cfg.sigma * cfg.sigma))
@@ -45,12 +54,14 @@ class DenseMargin(NamedTuple):
     coefficients: np.ndarray
     converged: bool
     iterations: int
+    norm: float  # ||p||, the hull point's norm
 
 
 def dense_margin(dataset, cfg, tol=pb.DEFAULT_TOL, max_iters=pb.DEFAULT_MAX_ITERS):
     """One solve over the whole m x m gram: the solver that per-component
-    solving replaced, kept as its oracle."""
-    G = pb.DifferenceVectorSet(dataset, cfg).matrix
+    solving replaced, kept as its oracle. It reports the solve's own rounding,
+    without the allowance `margin` takes off delta_hat."""
+    G = four_mask_gram(dataset, cfg)
     alpha = np.zeros(len(G), dtype=np.float64)
     alpha[0] = 1.0
     g = G @ alpha
@@ -90,7 +101,7 @@ def dense_margin(dataset, cfg, tol=pb.DEFAULT_TOL, max_iters=pb.DEFAULT_MAX_ITER
     if delta_hat > 0.0:
         bound = pb.RADIUS * pb.RADIUS / (delta_hat * delta_hat)
     return DenseMargin(
-        delta_hat, bound, gap, alpha, converged and gap <= tol, iterations
+        delta_hat, bound, gap, alpha, converged and gap <= tol, iterations, pnorm
     )
 
 
@@ -144,30 +155,34 @@ def gram_cases():
 
 
 class TestDifferenceVectorSet:
+    """The difference vectors' gram, as `_pair_gram` builds it over every
+    point, against the pair order `margin` reports."""
+
     def test_pairs_enumerate_point_wrong_class(self, line3):
-        dvs = pb.DifferenceVectorSet(line3, pb.KernelConfig(1.0))
-        assert dvs.pairs == [(0, "B"), (1, "A"), (2, "A")]
-        assert len(dvs) == 3
+        cert = pb.margin(line3, pb.KernelConfig(1.0))
+        assert cert.pairs == [(0, "B"), (1, "A"), (2, "A")]
+        assert len(full_gram(line3, pb.KernelConfig(1.0))) == 3
 
     def test_gram_matches_indicator_formula(self):
         cfg = pb.KernelConfig(1.3)
         for seed in range(5):
             ds = pb.fuzz_dataset(seed, max_n=8, max_dim=2, max_classes=3)
-            dvs = pb.DifferenceVectorSet(ds, cfg)
-            for a, (i, y) in enumerate(dvs.pairs):
-                for b, (j, yp) in enumerate(dvs.pairs):
+            G = full_gram(ds, cfg)
+            pairs = pb.margin(ds, cfg).pairs
+            for a, (i, y) in enumerate(pairs):
+                for b, (j, yp) in enumerate(pairs):
                     ci, cj = ds[i].label, ds[j].label
                     sign = (
                         (ci == cj) - (ci == yp) - (y == cj) + (y == yp)
                     )
                     k = math.exp(pb.kernel_log_eval(cfg, ds[i].coords, ds[j].coords))
                     want = sign * k
-                    assert dvs.matrix[a, b] == pytest.approx(want, abs=1e-14)
+                    assert G[a, b] == pytest.approx(want, abs=1e-14)
 
     def test_gram_equals_four_mask_oracle_bit_for_bit(self):
         classes = set()
         for ds, cfg in gram_cases():
-            G = pb.DifferenceVectorSet(ds, cfg).matrix
+            G = full_gram(ds, cfg)
             assert G.tobytes() == four_mask_gram(ds, cfg).tobytes()
             classes.add(len(ds.classes))
         assert classes == {2, 3, 4, 5}
@@ -175,25 +190,25 @@ class TestDifferenceVectorSet:
     def test_gram_is_exactly_symmetric(self):
         # the solver reads rows where the update needs columns
         for ds, cfg in gram_cases():
-            G = pb.DifferenceVectorSet(ds, cfg).matrix
+            G = full_gram(ds, cfg)
             assert np.array_equal(G, G.T)
 
     def test_diagonal_is_exactly_two(self):
         for seed in range(5):
             ds = pb.fuzz_dataset(seed, max_n=10, max_classes=3)
-            dvs = pb.DifferenceVectorSet(ds, pb.KernelConfig(0.7))
-            assert list(np.diag(dvs.matrix)) == [2.0] * len(dvs)
+            G = full_gram(ds, pb.KernelConfig(0.7))
+            assert list(np.diag(G)) == [2.0] * len(G)
 
     def test_gram_is_positive_semidefinite(self):
         for seed in range(5):
             ds = pb.fuzz_dataset(seed, max_n=8, max_classes=3)
-            dvs = pb.DifferenceVectorSet(ds, pb.KernelConfig(1.0))
-            assert np.linalg.eigvalsh(dvs.matrix).min() >= -1e-10
+            G = full_gram(ds, pb.KernelConfig(1.0))
+            assert np.linalg.eigvalsh(G).min() >= -1e-10
 
     def test_single_class_is_vacuous(self):
         ds = pb.Dataset([((0.0,), "A"), ((1.0,), "A")])
         with pytest.raises(pb.VacuousBoundError):
-            pb.DifferenceVectorSet(ds, pb.KernelConfig(1.0))
+            pb.margin(ds, pb.KernelConfig(1.0))
 
 
 class TestRadius:
@@ -203,7 +218,7 @@ class TestRadius:
             ds = pb.fuzz_dataset(seed, max_n=10, max_classes=4)
             cfg = pb.KernelConfig(0.3)
             # the constant is the largest difference-vector norm
-            diag = np.diag(pb.DifferenceVectorSet(ds, cfg).matrix)
+            diag = np.diag(full_gram(ds, cfg))
             assert math.sqrt(diag.max()) == pb.RADIUS
             assert pb.margin(ds, cfg).radius == math.sqrt(2)
 
@@ -221,6 +236,24 @@ class TestMarginSolver:
             assert cert.iterations == 2
             assert cert.duality_gap <= pb.DEFAULT_TOL
             assert cert.radius == math.sqrt(2)
+
+    def test_two_point_certificates_never_optimistic(self):
+        # the solver reaches the exact midpoint, whose margin is sqrt(1 - k)
+        # for the gram's own kernel value k; the allowance must keep the
+        # reported margin at or below it
+        cfg = pb.KernelConfig(1.0)
+        for d in np.linspace(0.5, 3.0, 400):
+            ds = two_point(float(d))
+            k = -full_gram(ds, cfg)[0, 1] / 2.0  # the entry is -2k exactly
+            cert = pb.margin(ds, cfg)
+            assert cert.components == 1 and cert.converged
+            assert Fraction(cert.delta_hat) ** 2 <= 1 - Fraction(k)
+
+    def test_isolated_where_every_log_kernel_overflows(self, gap3):
+        for sigma in TINY_SIGMAS:
+            cert = pb.margin(gap3, pb.KernelConfig(sigma))
+            assert (cert.components, cert.largest_component) == (3, 1)
+            assert 3.0 <= cert.bound <= 3.0 * (1 + 1e-12)
 
     def test_single_point_two_classes(self):
         # one difference vector: the hull is a point at distance sqrt(2)
@@ -283,8 +316,7 @@ class TestMarginSolver:
             ds = pb.fuzz_dataset(seed, max_n=10, max_classes=3)
             cfg = pb.KernelConfig(0.8)
             cert = pb.margin(ds, cfg)
-            G = pb.DifferenceVectorSet(ds, cfg).matrix
-            g = G @ cert.coefficients
+            g = full_gram(ds, cfg) @ cert.coefficients
             pnorm = math.sqrt(cert.coefficients @ g)
             assert g.min() / pnorm == pytest.approx(cert.delta_hat, abs=1e-12)
 
@@ -312,8 +344,13 @@ class TestKernelComponents:
             if cert.components == 1:
                 kinds.add("one")
                 assert cert.coefficients.tobytes() == dense.coefficients.tobytes()
+                # the same solve, less the rounding allowance on delta_hat
+                delta = dense.delta_hat * (1 - (len(cert.pairs) + 4) * EPS)
+                bound = math.inf
+                if delta > 0.0:
+                    bound = pb.RADIUS * pb.RADIUS / (delta * delta)
                 assert (cert.delta_hat, cert.bound, cert.duality_gap) == (
-                    dense.delta_hat, dense.bound, dense.duality_gap
+                    delta, bound, dense.norm - delta
                 )
                 assert (cert.iterations, cert.converged) == (
                     dense.iterations, dense.converged
@@ -466,8 +503,8 @@ class TestBoundInfimum:
         assert gs.best.bound == min(r.bound for r in gs.evaluated)
 
     def test_grid_endpoints(self):
-        grid = pb.default_sigma_grid(1.0, size=16)
-        assert len(grid) == 16
+        grid = pb.default_sigma_grid(1.0)
+        assert len(grid) == margin_bound.SIGMA_GRID_SIZE == 16
         assert grid[0] == pytest.approx(0.01)
         assert grid[-1] == pytest.approx(1.0)
         assert all(a < b for a, b in zip(grid, grid[1:]))

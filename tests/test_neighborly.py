@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import protobound as pb
+from conftest import TINY_SIGMAS
 from protobound.nn_rule import _nearest_position
 
 
@@ -194,6 +195,16 @@ class TestVerifyNeighborly:
             )
             is None
         )
+
+    def test_passes_where_every_log_kernel_overflows(self, gap3):
+        cert = pb.sufficient_sigma(gap3)
+        for sigma in TINY_SIGMAS:
+            assert cert.covers(sigma)
+            assert pb.verify_neighborly(gap3, pb.KernelConfig(sigma)) is None
+            sampled = pb.verify_neighborly(
+                gap3, pb.KernelConfig(sigma), mode="sampled", trials=200
+            )
+            assert sampled is None
 
     def test_single_class_has_no_restricted_vectors(self):
         ds = pb.Dataset([((0.0,), "A"), ((5.0,), "A")])
