@@ -32,10 +32,7 @@ from .kernel_machine import (
     DualWeightVector,
     KernelConfig,
     PassBudgetError,
-    UpdateRecord,
     argmax_class,
-    kernel_log_eval,
-    log_kernel_row,
     run_mp,
     shifted_class_scores,
 )
@@ -106,7 +103,6 @@ __all__ = [
     "SigmaCertificate",
     "UncertifiedSigmaError",
     "UpdateEvent",
-    "UpdateRecord",
     "UpdateTrace",
     "VacuousBoundError",
     "Violation",
@@ -121,9 +117,7 @@ __all__ = [
     "fuzz_dataset",
     "generate_blobs",
     "is_consistent",
-    "kernel_log_eval",
     "load_csv",
-    "log_kernel_row",
     "margin",
     "min_squared_gap",
     "nearest",

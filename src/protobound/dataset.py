@@ -5,6 +5,8 @@ alphabet is derived from the data: labels in order of first appearance.
 Entries with identical coordinates but different labels are rejected at
 construction time because every consumer downstream assumes the nearest
 neighbor of a training point with distance zero has that point's own label.
+Coordinates whose squared distances could leave float64 are rejected too, so
+every two distinct points have a squared distance d2 with 0 < d2 < inf.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 DEFAULT_LABEL_COLUMN = "label"
+# Two distinct coordinates of at least this magnitude (or zero) differ by at
+# least 2^-534, whose square 2^-1068 is still a positive float; below it,
+# distinct coordinates can have a squared difference of 0.0.
+MIN_COORD_MAGNITUDE = 2.0**-482
 
 
 def sq_dists_to(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -70,18 +76,41 @@ class LabeledPoint:
         object.__setattr__(self, "label", str(self.label))
 
 
-class Dataset:
-    """Immutable training set with a deterministic class alphabet.
+def _check_range(coords: np.ndarray) -> None:
+    """Refuse coordinates whose squared distances could leave float64.
 
-    The alphabet orders labels by first appearance in the point list;
-    `extra_classes` appends classes that carry no points yet (useful when a
-    classifier must consider a label the data does not exhibit).
+    Every pair of points differs by at most the bounding box's span in each
+    coordinate, and rounding is monotone, so no squared distance exceeds the
+    one `sq_dists_to` computes between the box's corners; if that is finite,
+    all are. A nonzero coordinate below MIN_COORD_MAGNITUDE is refused, so
+    distinct points never have a squared distance of 0.0. O(n d).
     """
+    # per-coordinate min and max: numpy reduces contiguous rows far faster
+    columns = np.ascontiguousarray(coords.T)
+    with np.errstate(over="ignore"):
+        corners = sq_dists_to(columns.min(axis=1)[None], columns.max(axis=1))
+    if not np.isfinite(corners[0]):
+        raise DatasetError(
+            "coordinates span too wide a range: the squared diameter of "
+            "their bounding box overflows float64"
+        )
+    magnitudes = np.abs(coords)
+    tiny = (magnitudes > 0.0) & (magnitudes < MIN_COORD_MAGNITUDE)
+    if tiny.any():
+        raise DatasetError(
+            f"coordinate {float(coords[tiny][0])!r} is nonzero but below "
+            f"2^-482 (about {MIN_COORD_MAGNITUDE:.1e}) in magnitude: squared "
+            f"distances between such points can underflow to 0.0"
+        )
+
+
+class Dataset:
+    """Immutable training set with a deterministic class alphabet: labels in
+    order of first appearance in the point list."""
 
     def __init__(
         self,
         points: Iterable[LabeledPoint | tuple],
-        extra_classes: Sequence[str] | None = None,
         feature_names: Sequence[str] | None = None,
         label_name: str = DEFAULT_LABEL_COLUMN,
     ):
@@ -113,10 +142,6 @@ class Dataset:
         for p in pts:
             if p.label not in classes:
                 classes.append(p.label)
-        for c in extra_classes or ():
-            c = str(c)
-            if c not in classes:
-                classes.append(c)
 
         if feature_names is not None:
             feature_names = tuple(str(f) for f in feature_names)
@@ -134,6 +159,7 @@ class Dataset:
         self._feature_names = feature_names
         self._label_name = str(label_name)
         coords = np.array([p.coords for p in pts], dtype=np.float64)
+        _check_range(coords)
         coords.flags.writeable = False
         self._coords = coords
         codes = np.array([self._class_code[p.label] for p in pts], dtype=np.int64)
@@ -220,10 +246,10 @@ class Dataset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self._points == other._points and self._classes == other._classes
+        return self._points == other._points
 
     def __hash__(self) -> int:
-        return hash((self._points, self._classes))
+        return hash(self._points)
 
     def __repr__(self) -> str:
         return (
@@ -299,6 +325,8 @@ def load_csv(path: str | Path, label_column: str = DEFAULT_LABEL_COLUMN) -> Data
             exc.first + 1,
             exc.second + 1,
         ) from None
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:

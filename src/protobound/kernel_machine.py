@@ -7,15 +7,17 @@ each update adds the feature of a point on its true-class channel and
 subtracts it on one other channel. Scores are therefore signed sums of
 Gaussian kernel values per class.
 
-Numerics policy: raw kernel values exp(-||x - x'||^2 / (2 sigma^2)) underflow
-to zero for small sigma, which would erase the very comparisons that matter.
-Ranking is computed in an exponent-shifted form instead: the smallest
-squared distance over the records is subtracted before scaling, so the
-surviving ratios lie in [0, 1] with the nearest record's exactly 1. Shifting
-rescales every class score by the same positive factor and leaves the argmax
-unchanged. This holds for every sigma whose 2 sigma^2 is a positive float;
-`KernelConfig` refuses the smaller ones (below about 1.5e-162), where the
-scale itself underflows to 0.0.
+Numerics policy: `KernelConfig.kernel` is the package's one producer of
+Gaussian kernel values exp(-d2 / (2 sigma^2)); scoring here, the margin's
+gram and its kernel components all read it, so they agree on every entry,
+0.0 included. Raw kernel values underflow to zero for small sigma, which
+would erase the very comparisons that matter. Ranking therefore feeds the
+producer shifted squared distances: the smallest squared distance over the
+records is subtracted first, so the surviving ratios lie in [0, 1] with the
+nearest record's exactly 1. Shifting rescales every class score by the same
+positive factor and leaves the argmax unchanged. This holds for every sigma
+whose 2 sigma^2 is a positive float; `KernelConfig` refuses the smaller ones
+(below about 1.5e-162), where the scale itself underflows to 0.0.
 """
 
 from __future__ import annotations
@@ -54,46 +56,22 @@ class KernelConfig:
                 f"2 sigma^2 underflows to 0.0"
             )
 
+    def kernel(self, d2):
+        """Gaussian kernel values exp(-d2 / (2 sigma^2)) over squared
+        distances `d2`. Where d2 / (2 sigma^2) overflows, as it can at sigma
+        near 1e-155, the value is 0.0, without a warning."""
+        with np.errstate(over="ignore"):
+            return np.exp(-d2 / (2.0 * self.sigma * self.sigma))
 
-def log_kernel_row(coords: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:
-    """Log kernel value from each row of `coords` to `x`. Finite unless
-    d2 / (2 sigma^2) overflows, as it can at sigma near 1e-155; ranking
-    never reads it, and shifts the distances instead (`_shifted_kernel`)."""
-    return -sq_dists_to(coords, x) / (2.0 * sigma * sigma)
 
-
-def _shifted_kernel(d2: np.ndarray, sigma: float) -> np.ndarray:
+def _shifted_kernel(d2: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     """Kernel values over squared distances `d2`, each divided by the largest
     in its row (last axis): exp(-(d2 - min d2) / (2 sigma^2)).
 
     The shift is taken on the distances, so the nearest record's ratio is
-    exactly 1 even where every log-kernel -d2 / (2 sigma^2) overflows to
-    -inf; the other ratios then underflow to 0.0."""
-    shift = d2 - d2.min(axis=-1, keepdims=True)
-    with np.errstate(over="ignore"):
-        return np.exp(-shift / (2.0 * sigma * sigma))
-
-
-def kernel_log_eval(cfg: KernelConfig, x, y) -> float:
-    """log k(x, y); finite even where k itself underflows, within the limit
-    `log_kernel_row` states."""
-    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return float(log_kernel_row(a, np.asarray(y, dtype=np.float64), cfg.sigma)[0])
-
-
-@dataclass(frozen=True)
-class UpdateRecord:
-    """One perceptron update: +1 on channel `c`, -1 on channel `y` at `x`.
-
-    `index` is the source row of `x` when it came from a dataset. `y` is None
-    only when the alphabet has a single class and there is nothing to
-    subtract.
-    """
-
-    index: int | None
-    x: tuple[float, ...]
-    c: str
-    y: str | None
+    exactly 1 even where every -d2 / (2 sigma^2) overflows to -inf; the
+    other ratios then underflow to 0.0."""
+    return cfg.kernel(d2 - d2.min(axis=-1, keepdims=True))
 
 
 class DualWeightVector:
@@ -101,8 +79,7 @@ class DualWeightVector:
 
     Materializing the feature space is never needed: scores against any query
     are kernel sums over the records. The records are kept as growing arrays
-    so the per-query scan stays vectorized; `records` rebuilds them as
-    `UpdateRecord`s on demand.
+    so the per-query scan stays vectorized.
     """
 
     def __init__(self, kernel: KernelConfig, classes: Sequence[str], dim: int):
@@ -119,24 +96,6 @@ class DualWeightVector:
         self._c_codes = np.empty(8, dtype=np.int64)
         self._y_codes = np.empty(8, dtype=np.int64)
         self._indices = np.empty(8, dtype=np.int64)
-
-    @property
-    def records(self) -> tuple[UpdateRecord, ...]:
-        n = self._size
-        return tuple(
-            UpdateRecord(
-                None if i < 0 else i,
-                tuple(x),
-                self.classes[c],
-                None if y < 0 else self.classes[y],
-            )
-            for i, x, c, y in zip(
-                self._indices[:n].tolist(),
-                self._coords[:n].tolist(),
-                self._c_codes[:n].tolist(),
-                self._y_codes[:n].tolist(),
-            )
-        )
 
     @property
     def coords(self) -> np.ndarray:
@@ -183,8 +142,18 @@ class DualWeightVector:
             "sigma": self.kernel.sigma,
             "classes": list(self.classes),
             "records": [
-                {"index": r.index, "x": list(r.x), "c": r.c, "y": r.y}
-                for r in self.records
+                {
+                    "index": None if i < 0 else i,
+                    "x": x,
+                    "c": self.classes[c],
+                    "y": None if y < 0 else self.classes[y],
+                }
+                for i, x, c, y in zip(
+                    self._indices[: self._size].tolist(),
+                    self.coords.tolist(),
+                    self.c_codes.tolist(),
+                    self.y_codes.tolist(),
+                )
             ],
         }
 
@@ -231,7 +200,7 @@ def shifted_class_scores(w: DualWeightVector, x) -> np.ndarray:
     if len(w) == 0:
         return np.zeros(len(w.classes), dtype=np.float64)
     q = np.asarray(x, dtype=np.float64)
-    ratios = _shifted_kernel(sq_dists_to(w.coords, q[None]), w.kernel.sigma)
+    ratios = _shifted_kernel(sq_dists_to(w.coords, q[None]), w.kernel)
     scores = _scores_from_ratios(ratios, w.c_codes, w.y_codes[None], len(w.classes))
     return scores[0, 0]
 

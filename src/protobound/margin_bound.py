@@ -74,7 +74,7 @@ def _pair_rows(points: np.ndarray, q: int) -> np.ndarray:
     return (points[:, None] * q + np.arange(q)).ravel()
 
 
-def _pair_gram(dataset: Dataset, points: np.ndarray, sigma: float) -> np.ndarray:
+def _pair_gram(dataset: Dataset, points: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     """Gram of the difference vectors of the given points, in pair order.
 
     Pair (i, y) stands for the feature of point i on its true channel minus
@@ -86,8 +86,7 @@ def _pair_gram(dataset: Dataset, points: np.ndarray, sigma: float) -> np.ndarray
     times the kernel elementwise. E E^T holds small integers and is exact.
     """
     q = len(dataset.classes) - 1
-    d2 = pairwise_sq_dists(dataset.coords[points])
-    kernel = np.exp(-d2 / (2.0 * sigma * sigma))
+    kernel = cfg.kernel(pairwise_sq_dists(dataset.coords[points]))
     local = np.repeat(np.arange(len(points)), q)
     eye = np.eye(len(dataset.classes))
     true = dataset.label_codes[points][local]
@@ -98,10 +97,10 @@ def _pair_gram(dataset: Dataset, points: np.ndarray, sigma: float) -> np.ndarray
 
 
 def _kernel_components(
-    dataset: Dataset, sigma: float
+    dataset: Dataset, cfg: KernelConfig
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Split the points by the graph that links i and j when
-    `np.exp(-d2[i, j] / (2 sigma^2)) > 0.0`, the kernel entry the gram holds.
+    `cfg.kernel(d2[i, j]) > 0.0`, the kernel entry the gram holds.
 
     Returns the isolated points, then the other components as sorted index
     arrays of at least two points each, ordered by their first point. exp is
@@ -109,26 +108,23 @@ def _kernel_components(
     other point is 0.0; only the remaining points are searched, breadth
     first, with one row of squared distances per frontier point. Those rows
     are `pairwise_sq_dists`' own entries, which are exactly symmetric, so
-    the links are too. At a small sigma, d2 / (2 sigma^2) may overflow to
-    inf; its kernel entry is then 0.0, as the gram's own would be.
+    the links are too.
     """
     coords = dataset.coords
-    scale = 2.0 * sigma * sigma
-    with np.errstate(over="ignore"):
-        isolated = np.exp(-dataset.nearest_sq_dists / scale) == 0.0
-        unseen = np.flatnonzero(~isolated)
-        components = []
-        while len(unseen):
-            frontier, unseen = unseen[:1], unseen[1:]
-            members = [frontier]
-            while len(frontier) and len(unseen):
-                rest = coords[unseen]
-                linked = np.zeros(len(unseen), dtype=bool)
-                for i in frontier:
-                    linked |= np.exp(-sq_dists_to(rest, coords[i]) / scale) > 0.0
-                frontier, unseen = unseen[linked], unseen[~linked]
-                members.append(frontier)
-            components.append(np.sort(np.concatenate(members)))
+    isolated = cfg.kernel(dataset.nearest_sq_dists) == 0.0
+    unseen = np.flatnonzero(~isolated)
+    components = []
+    while len(unseen):
+        frontier, unseen = unseen[:1], unseen[1:]
+        members = [frontier]
+        while len(frontier) and len(unseen):
+            rest = coords[unseen]
+            linked = np.zeros(len(unseen), dtype=bool)
+            for i in frontier:
+                linked |= cfg.kernel(sq_dists_to(rest, coords[i])) > 0.0
+            frontier, unseen = unseen[linked], unseen[~linked]
+            members.append(frontier)
+        components.append(np.sort(np.concatenate(members)))
     return np.flatnonzero(isolated), components
 
 
@@ -234,12 +230,12 @@ def _hull_descent(
 def _component_block(
     dataset: Dataset,
     points: np.ndarray,
-    sigma: float,
+    cfg: KernelConfig,
     tol: float,
     max_iters: int,
 ) -> _Block:
     """Solve one kernel component of two or more points on its own gram."""
-    G = _pair_gram(dataset, points, sigma)
+    G = _pair_gram(dataset, points, cfg)
     alpha, iterations, converged = _hull_descent(G, tol, max_iters)
     alpha = alpha / alpha.sum()  # renormalize, then rescore from scratch
     g = G @ alpha
@@ -322,7 +318,7 @@ def margin(
         )
     wrong = dataset.wrong_codes
     m, q = wrong.size, wrong.shape[1]
-    isolated, components = _kernel_components(dataset, cfg.sigma)
+    isolated, components = _kernel_components(dataset, cfg)
     largest = max((len(c) for c in components), default=1)
     gram_bytes = 8 * (largest * q) ** 2
     if components and gram_bytes > GRAM_BYTE_BUDGET:
@@ -332,8 +328,7 @@ def margin(
             f"the budget of {GRAM_BYTE_BUDGET:,} bytes"
         )
     blocks = [
-        _component_block(dataset, c, cfg.sigma, tol, max_iters)
-        for c in components
+        _component_block(dataset, c, cfg, tol, max_iters) for c in components
     ]
     if len(isolated):
         blocks.append(_isolated_block(isolated, q))

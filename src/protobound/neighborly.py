@@ -197,7 +197,7 @@ def _first_violation(dataset: Dataset, cfg: KernelConfig, cases) -> Violation | 
     for members, assignments, queries in cases:
         member_codes = label_codes[members]
         d2 = sq_dists_to(coords[members], coords[queries])
-        ratios = _shifted_kernel(d2, cfg.sigma)
+        ratios = _shifted_kernel(d2, cfg)
         scores = _scores_from_ratios(ratios, member_codes, assignments, n_classes)
         argmaxes, degenerate = _argmax_codes(scores)
         nn_codes = member_codes[d2.argmin(axis=1)]

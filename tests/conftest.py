@@ -73,6 +73,13 @@ GAP3_POINTS = [((0.0,), "A"), ((1.0,), "B"), ((2.5,), "A")]
 TINY_SIGMAS = (1e-155, 1e-160)
 # 2 sigma^2 underflows to 0.0 here, so no kernel exists
 UNDERFLOWING_SIGMA = 1e-170
+# Coordinates `Dataset` refuses: their squared distances overflow to inf (and
+# would give sigma* = inf), or underflow to 0.0 between distinct points.
+OVERFLOWING_POINTS = [
+    ((0.0,), "A"), ((1e200,), "B"), ((3e200,), "A"), ((2.5e200,), "B"),
+    ((2.6e200,), "B"),
+]
+UNDERFLOWING_POINTS = [((0.0,), "A"), ((1e-200,), "B")]
 
 
 @pytest.fixture

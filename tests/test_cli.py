@@ -6,7 +6,13 @@ import pytest
 from click.testing import CliRunner
 
 import protobound as pb
-from conftest import GAP3_POINTS, TINY_SIGMAS, UNDERFLOWING_SIGMA
+from conftest import (
+    GAP3_POINTS,
+    OVERFLOWING_POINTS,
+    TINY_SIGMAS,
+    UNDERFLOWING_POINTS,
+    UNDERFLOWING_SIGMA,
+)
 from protobound.cli import main
 
 LINE3_CSV = "x0,label\n0.0,A\n10.0,B\n11.0,B\n"
@@ -127,6 +133,30 @@ def test_unwritable_output_exits_2(runner, line3_csv, tmp_path, args):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "cannot write output" in result.output
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        (OVERFLOWING_POINTS, "overflows float64"),
+        (UNDERFLOWING_POINTS, "underflow to 0.0"),
+    ],
+    ids=["overflow", "underflow"],
+)
+@pytest.mark.parametrize("command", ["cnn", "mp", "equiv", "neighborly", "bound"])
+def test_coordinates_out_of_range_exit_2(runner, tmp_path, command, points, message):
+    # squared distances would leave float64: sigma* = inf, or d2 = 0.0
+    # between distinct points; the file is refused before any command runs
+    path = tmp_path / "range.csv"
+    path.write_text(
+        "x0,label\n" + "".join(f"{x!r},{label}\n" for (x,), label in points),
+        encoding="utf-8",
+    )
+    result = runner.invoke(main, [command, str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"error: {path}: ")
+    assert message in result.output
 
 
 @pytest.mark.parametrize("sigma", TINY_SIGMAS)

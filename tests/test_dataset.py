@@ -7,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import protobound as pb
+from conftest import OVERFLOWING_POINTS, UNDERFLOWING_POINTS
+from protobound.dataset import MIN_COORD_MAGNITUDE
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -40,10 +42,6 @@ class TestDataset:
         assert ds.classes == ("B", "A")
         assert ds.class_code("B") == 0
         assert list(ds.label_codes) == [0, 1, 0]
-
-    def test_extra_classes_append_without_duplicating(self):
-        ds = pb.Dataset([((0.0,), "A")], extra_classes=["B", "A", "C"])
-        assert ds.classes == ("A", "B", "C")
 
     def test_conflicting_duplicate_names_both_indices(self):
         with pytest.raises(pb.ConflictingDuplicateError) as exc:
@@ -79,11 +77,9 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.wrong_codes[0, 0] = 0
 
-    def test_wrong_codes_single_class_and_extra_classes(self):
+    def test_wrong_codes_single_class(self):
         single = pb.Dataset([((0.0,), "A"), ((1.0,), "A")])
         assert single.wrong_codes.shape == (2, 0)
-        extra = pb.Dataset([((0.0,), "B"), ((1.0,), "A")], extra_classes=["C"])
-        assert extra.wrong_codes.tolist() == [[1, 2], [0, 2]]
 
     def test_wrong_codes_equal_the_rules_they_replace(self):
         for seed in range(40):
@@ -103,6 +99,37 @@ class TestDataset:
             skip = others[None, :] + (others[None, :] >= codes[:, None])
             assert ds.wrong_codes.tobytes() == skip.tobytes()
 
+    def test_refuses_squared_distances_that_overflow(self):
+        # d2 would be inf, and the gaps min_squared_gap skips would be NaN
+        with pytest.raises(pb.DatasetError, match="overflows float64"):
+            pb.Dataset(OVERFLOWING_POINTS)
+        with pytest.raises(pb.DatasetError, match="overflows float64"):
+            pb.Dataset([((0.0, 1e154), "A"), ((0.0, -1e154), "B")])
+
+    def test_refuses_squared_distances_that_underflow(self):
+        # d2 would be 0.0 between two distinct points of different classes
+        with pytest.raises(pb.DatasetError, match="underflow to 0.0"):
+            pb.Dataset(UNDERFLOWING_POINTS)
+        below = np.nextafter(MIN_COORD_MAGNITUDE, 0.0)
+        with pytest.raises(pb.DatasetError, match="below 2\\^-482"):
+            pb.Dataset([((1.0, -below), "A")])
+
+    def test_squared_distances_at_the_range_limits_stay_positive_and_finite(
+        self,
+    ):
+        tiny = MIN_COORD_MAGNITUDE
+        sets = [
+            [((0.0,), "A"), ((tiny,), "B"), ((-2.0 * tiny,), "A")],
+            # the closest two floats at the limit: d2 is 2^-1068
+            [((tiny,), "A"), ((tiny + 2.0**-534,), "B")],
+            [((-1e153, 0.0), "A"), ((1e153, 0.0), "B")],
+        ]
+        for points in sets:
+            ds = pb.Dataset(points)
+            assert np.all(ds.nearest_sq_dists > 0.0)
+            assert ds.diameter() < math.inf
+            assert math.isfinite(pb.sufficient_sigma(ds).sigma_star)
+
     def test_diameter(self):
         ds = pb.Dataset([((0.0, 0.0), "A"), ((3.0, 4.0), "B"), ((1.0, 1.0), "A")])
         assert ds.diameter() == pytest.approx(5.0, abs=1e-12)
@@ -110,8 +137,8 @@ class TestDataset:
     def test_equality_covers_points_and_alphabet(self):
         a = pb.Dataset([((0.0,), "A")])
         b = pb.Dataset([((0.0,), "A")])
-        c = pb.Dataset([((0.0,), "A")], extra_classes=["B"])
-        assert a == b
+        c = pb.Dataset([((0.0,), "B")])
+        assert a == b and hash(a) == hash(b)
         assert a != c
 
 
@@ -196,7 +223,13 @@ class TestRoundTrip:
     @given(
         rows=st.lists(
             st.tuples(
-                st.floats(allow_nan=False, allow_infinity=False, width=64),
+                # the coordinates a Dataset accepts: zero, or a magnitude
+                # from 2^-482 up to where the squared span stays finite
+                st.one_of(
+                    st.just(0.0),
+                    st.floats(min_value=MIN_COORD_MAGNITUDE, max_value=1e153),
+                    st.floats(min_value=-1e153, max_value=-MIN_COORD_MAGNITUDE),
+                ),
                 st.sampled_from("AB"),
             ),
             min_size=1,

@@ -1,6 +1,6 @@
 """Dual-form kernel scoring, argmax semantics, and perceptron training."""
 
-import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +15,15 @@ finite_coords = st.lists(
 
 
 def kernel(cfg, x, y):
-    """Gaussian kernel value in [0, 1]; underflows to 0.0 where the log is
-    finite."""
-    return math.exp(pb.kernel_log_eval(cfg, x, y))
+    """Gaussian kernel value in [0, 1] between two points, from the one
+    producer."""
+    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return float(cfg.kernel(pb.sq_dists_to(a, np.asarray(y, dtype=np.float64)))[0])
+
+
+def records(w):
+    """The weight vector's update records, as its JSON report lists them."""
+    return w.to_json_dict()["records"]
 
 
 class TestKernel:
@@ -46,10 +52,29 @@ class TestKernel:
             0.36787944117144233, abs=1e-15
         )
 
-    def test_log_eval_finite_where_kernel_underflows(self):
-        cfg = pb.KernelConfig(1e-6)
-        lk = pb.kernel_log_eval(cfg, [0.0], [1.0])
-        assert math.isfinite(lk) and lk < -1e11
+    def test_kernel_underflows_where_its_exponent_is_finite(self):
+        # -d2 / (2 sigma^2) is -5e11 here, finite, yet its exponential is 0.0
+        assert kernel(pb.KernelConfig(1e-6), [0.0], [1.0]) == 0.0
+
+    def test_kernel_is_the_gaussian_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        for sigma in (1e-3, 0.05, 0.7, 1.0, 3.0, 40.0):
+            scale = rng.choice([1e-6, 1e-2, 1.0, 1e2, 1e6], size=(40, 25))
+            d2 = rng.exponential(sigma * sigma, size=(40, 25)) * scale
+            d2[0, :5] = 0.0
+            want = np.exp(-d2 / (2.0 * sigma * sigma))
+            got = pb.KernelConfig(sigma).kernel(d2)
+            assert got.shape == d2.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_kernel_at_tiny_sigma_is_zero_off_the_diagonal(self, gap3):
+        # every off-diagonal d2 / (2 sigma^2) overflows to inf, silently
+        d2 = pb.pairwise_sq_dists(gap3.coords)
+        for sigma in TINY_SIGMAS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                k = pb.KernelConfig(sigma).kernel(d2)
+            assert np.array_equal(k, np.eye(len(gap3)))
 
     @settings(max_examples=50, derandomize=True)
     @given(x=finite_coords, sigma=st.floats(min_value=0.1, max_value=10))
@@ -95,18 +120,18 @@ class TestDualWeightVector:
         for i in range(20):  # crosses the initial capacity twice
             w.append(i, (float(i),), "A" if i % 2 else "B", "B" if i % 2 else "A")
         assert len(w) == 20
-        assert [r.index for r in w.records] == list(range(20))
+        assert [r["index"] for r in records(w)] == list(range(20))
         assert np.array_equal(w.coords[:, 0], np.arange(20.0))
 
     def test_records_rebuild_the_appended_values(self):
         w = pb.DualWeightVector(pb.KernelConfig(1.0), ("A", "B", "C"), 2)
         w.append(4, (1, 2.5), "C", "A")
         w.append(None, [np.float64(-0.5), 3.0], "A", None)
-        assert w.records == (
-            pb.UpdateRecord(4, (1.0, 2.5), "C", "A"),
-            pb.UpdateRecord(None, (-0.5, 3.0), "A", None),
-        )
-        assert all(type(v) is float for r in w.records for v in r.x)
+        assert records(w) == [
+            {"index": 4, "x": [1.0, 2.5], "c": "C", "y": "A"},
+            {"index": None, "x": [-0.5, 3.0], "c": "A", "y": None},
+        ]
+        assert all(type(v) is float for r in records(w) for v in r["x"])
         assert list(w.y_codes) == [0, -1]
 
     def test_negative_index_refused(self):
@@ -174,9 +199,8 @@ class TestScoring:
             # shifting rescales all classes by one positive factor
             shifted = pb.shifted_class_scores(w, q)
             linear = np.array([want[c] for c in classes])
-            top = np.exp(
-                pb.log_kernel_row(w.coords, q, sigma).max()
-            )
+            d2 = pb.sq_dists_to(w.coords, q)
+            top = np.exp((-d2 / (2.0 * sigma * sigma)).max())
             assert np.allclose(shifted * top, linear, atol=1e-12)
 
     def test_tiny_sigma_stays_finite_and_ranked(self):
@@ -214,7 +238,7 @@ class TestRunMp:
             (e.pass_number, e.source_index, e.true_class, e.predicted)
             for e in trace.events
         ] == [(1, 0, "A", None), (1, 1, "B", "A")]
-        assert [(r.index, r.c, r.y) for r in w.records] == [
+        assert [(r["index"], r["c"], r["y"]) for r in records(w)] == [
             (0, "A", "B"),
             (1, "B", "A"),
         ]
@@ -247,7 +271,9 @@ class TestRunMp:
         ds = pb.Dataset([((0.0,), "A"), ((5.0,), "A")])
         trace, w = pb.run_mp(ds, pb.KernelConfig(1.0))
         assert trace.event_keys() == [(1, 0)]
-        assert [(r.index, r.c, r.y) for r in w.records] == [(0, "A", None)]
+        assert [(r["index"], r["c"], r["y"]) for r in records(w)] == [
+            (0, "A", None)
+        ]
         assert pb.argmax_class(w, [2.0]) == ("A", False)
 
     def test_pass_budget_error_carries_partials(self, line3):

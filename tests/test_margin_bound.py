@@ -25,7 +25,7 @@ def sigma_for_kernel(k, d=2.0):
 
 def full_gram(dataset, cfg):
     """`_pair_gram` over every point: the whole set's pairs in pair order."""
-    return margin_bound._pair_gram(dataset, np.arange(len(dataset)), cfg.sigma)
+    return margin_bound._pair_gram(dataset, np.arange(len(dataset)), cfg)
 
 
 def four_mask_gram(dataset, cfg):
@@ -175,7 +175,8 @@ class TestDifferenceVectorSet:
                     sign = (
                         (ci == cj) - (ci == yp) - (y == cj) + (y == yp)
                     )
-                    k = math.exp(pb.kernel_log_eval(cfg, ds[i].coords, ds[j].coords))
+                    d2 = sum((u - v) ** 2 for u, v in zip(ds[i].coords, ds[j].coords))
+                    k = math.exp(-d2 / (2.0 * cfg.sigma * cfg.sigma))
                     want = sign * k
                     assert G[a, b] == pytest.approx(want, abs=1e-14)
 
@@ -255,13 +256,14 @@ class TestMarginSolver:
             assert (cert.components, cert.largest_component) == (3, 1)
             assert 3.0 <= cert.bound <= 3.0 * (1 + 1e-12)
 
-    def test_single_point_two_classes(self):
-        # one difference vector: the hull is a point at distance sqrt(2)
-        ds = pb.Dataset([pb.LabeledPoint((1.0, 2.0), "A")], extra_classes=["B"])
-        cert = pb.margin(ds, pb.KernelConfig(1.0))
-        assert cert.delta_hat == pytest.approx(math.sqrt(2), abs=1e-14)
-        assert cert.bound == pytest.approx(1.0, rel=1e-12)
-        assert cert.iterations == 0  # an isolated point needs no solve
+    def test_two_isolated_points(self):
+        # exp(-1250) is 0.0, so the two difference vectors are orthogonal,
+        # each of norm sqrt(2): the hull's nearest point is their midpoint
+        cert = pb.margin(two_point(1.0), pb.KernelConfig(0.02))
+        assert (cert.components, cert.largest_component) == (2, 1)
+        assert cert.delta_hat == pytest.approx(1.0, abs=1e-14)
+        assert cert.bound == pytest.approx(2.0, rel=1e-12)
+        assert cert.iterations == 0  # isolated points need no solve
 
     def test_tiny_sigma_limit_is_pair_count(self, line3):
         # kernels vanish, the vectors go orthogonal, and the min-norm point
@@ -324,7 +326,7 @@ class TestMarginSolver:
 class TestKernelComponents:
     def test_partition_equals_union_find(self):
         for ds, cfg in component_cases():
-            isolated, components = margin_bound._kernel_components(ds, cfg.sigma)
+            isolated, components = margin_bound._kernel_components(ds, cfg)
             got = {frozenset([int(i)]) for i in isolated}
             got |= {frozenset(c.tolist()) for c in components}
             assert got == union_find_components(ds, cfg.sigma)
@@ -405,11 +407,10 @@ class TestKernelComponents:
         cfg = pb.KernelConfig(0.02)  # gaps of at least 1: exp(-1250) == 0.0
         for labels in ("AB", "ABC", "ABCD"):
             q = len(labels) - 1
-            for n in range(1, 161):
+            for n in range(len(labels), 161):
                 ds = pb.Dataset(
                     [((i + 0.01 * i * i,), labels[i % len(labels)])
-                     for i in range(n)],
-                    extra_classes=list(labels),
+                     for i in range(n)]
                 )
                 report = pb.cnn_bound(ds, cfg, override=True)
                 assert report.largest_component == 1

@@ -306,7 +306,8 @@ def loop_verify_exhaustive(dataset, cfg):
     coords = dataset.coords
     label_codes = dataset.label_codes
     d2_rows = [pb.sq_dists_to(coords, coords[q]) for q in range(n)]
-    logk_rows = [pb.log_kernel_row(coords, coords[q], cfg.sigma) for q in range(n)]
+    scale = 2.0 * cfg.sigma * cfg.sigma
+    logk_rows = [-d2 / scale for d2 in d2_rows]
     wrong = [
         [c for c in range(n_classes) if c != int(code)] for code in label_codes
     ]
