@@ -14,8 +14,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, LabeledPoint, sq_dists_to
-from .nn_rule import PrototypeSet, UpdateEvent, UpdateTrace, _doubled, classify
+from .dataset import Dataset, DatasetError, LabeledPoint, _RangeGuard, sq_dists_to
+from .nn_rule import PrototypeSet, UpdateEvent, UpdateTrace, _doubled
 
 
 def run_cnn(dataset: Dataset, shuffle_seed: int | None = None) -> UpdateTrace:
@@ -25,11 +25,22 @@ def run_cnn(dataset: Dataset, shuffle_seed: int | None = None) -> UpdateTrace:
     permutation instead (source indices still refer to the original dataset).
     Terminates after at most len(dataset) + 1 sweeps since each sweep before
     the last adds at least one point.
+
+    Every point's nearest prototype (squared distance, source index, class
+    code) is kept current: each addition takes one distance row over the
+    whole set and wins where it is nearer, or as near with a smaller source
+    index, the tie-break of `nearest` (insertion order is not source order
+    under a shuffle). A test is then a lookup, with `nearest`'s answer: the
+    row holds the very floats `sq_dists_to(prototypes.coords, x)` would.
     """
     order = list(range(len(dataset)))
     if shuffle_seed is not None:
         rng = np.random.default_rng(shuffle_seed)
         rng.shuffle(order)
+    coords, codes = dataset.coords, dataset.label_codes
+    near_d2 = np.full(len(dataset), np.inf)
+    near_index = np.zeros(len(dataset), dtype=np.int64)
+    near_code = np.zeros(len(dataset), dtype=np.int64)
     prototypes = PrototypeSet(dataset)
     events: list[UpdateEvent] = []
     pass_no = 0
@@ -37,16 +48,20 @@ def run_cnn(dataset: Dataset, shuffle_seed: int | None = None) -> UpdateTrace:
         pass_no += 1
         updated = False
         for i in order:
-            point = dataset[i]
             if len(prototypes) == 0:
                 predicted = None
+            elif near_code[i] == codes[i]:
+                continue
             else:
-                predicted = classify(prototypes, dataset.coords[i])
-                if predicted == point.label:
-                    continue
+                predicted = dataset.classes[near_code[i]]
             prototypes.add(i)
-            events.append(UpdateEvent(pass_no, i, point.label, predicted))
+            events.append(UpdateEvent(pass_no, i, dataset[i].label, predicted))
             updated = True
+            d2 = sq_dists_to(coords, coords[i])
+            won = (d2 < near_d2) | ((d2 == near_d2) & (i < near_index))
+            near_d2[won] = d2[won]
+            near_index[won] = i
+            near_code[won] = codes[i]
         if not updated:
             break
     return UpdateTrace(events, prototypes, pass_no)
@@ -79,9 +94,12 @@ def run_cnn_online(
 
     There are no repeat sweeps, so the prototype set never shrinks its error
     on past items to zero; what it buys is a bounded, one-look update rule.
-    Items that exactly duplicate a kept prototype's coordinates under a
-    different label violate the unambiguous-labeling assumption; they are
-    skipped and counted rather than admitted.
+    Items are refused, with DatasetError, by the range rule `Dataset`
+    applies to the items seen so far, so distinct items have a squared
+    distance d2 with 0 < d2 < inf. An item whose nearest prototype is at
+    d2 == 0.0 under a different label therefore duplicates it exactly and
+    violates the unambiguous-labeling assumption; it is skipped and counted
+    rather than admitted.
     """
     if checkpoints is None:
         checkpoints = default_checkpoints(max_items)
@@ -92,8 +110,8 @@ def run_cnn_online(
     next_mark = next(marks, None)
 
     dim: int | None = None
+    guard = _RangeGuard()
     labels: list[str] = []
-    kept: dict[tuple[float, ...], str] = {}
     curve: list[tuple[int, int]] = []
     conflicts = 0
     seen = 0
@@ -113,25 +131,27 @@ def run_cnn_online(
                 f"stream item {seen} has dimension {len(item.coords)}, "
                 f"expected {dim}"
             )
+        try:
+            guard.check(item.coords)
+        except DatasetError as exc:
+            raise DatasetError(f"stream item {seen}: {exc}") from None
         n = len(labels)
         if n == 0:
             misclassified = True
         else:
-            prior = kept.get(item.coords)
-            if prior is not None and prior != item.label:
+            d2 = sq_dists_to(coords[:n], np.asarray(item.coords))
+            # argmin returns the earliest minimum, which is the smallest
+            # source index because arrival order is insertion order.
+            j = int(d2.argmin())
+            misclassified = labels[j] != item.label
+            if misclassified and d2[j] == 0.0:
                 conflicts += 1
                 misclassified = False
-            else:
-                d2 = sq_dists_to(coords[:n], np.asarray(item.coords))
-                # argmin returns the earliest minimum, which is the smallest
-                # source index because arrival order is insertion order.
-                misclassified = labels[int(np.argmin(d2))] != item.label
         if misclassified:
             if n == len(coords):
                 coords = _doubled(coords)
             coords[n] = item.coords
             labels.append(item.label)
-            kept[item.coords] = item.label
         while next_mark is not None and seen == next_mark:
             curve.append((seen, len(labels)))
             next_mark = next(marks, None)

@@ -24,6 +24,9 @@ DEFAULT_LABEL_COLUMN = "label"
 # least 2^-534, whose square 2^-1068 is still a positive float; below it,
 # distinct coordinates can have a squared difference of 0.0.
 MIN_COORD_MAGNITUDE = 2.0**-482
+# Batched distance passes split their queries into blocks of at most this
+# many elements (at least one query per block), so their memory stays flat.
+BLOCK_ELEMENTS = 2**14
 
 
 def sq_dists_to(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -31,10 +34,28 @@ def sq_dists_to(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
     of shape (q, d), one such row per query, shape (q, len(coords)).
 
     This is the single distance kernel for the whole package; everything that
-    must agree bit-for-bit on distances routes through it.
+    must agree bit-for-bit on distances routes through it. The result equals
+    `np.sum(diff * diff, axis=-1)` bit for bit: below 8 coordinates numpy
+    adds them left to right, which the column sum does without a reduction's
+    overhead; from 8 on, numpy's pairwise order applies, so `np.sum` stays.
     """
     diff = coords - np.asarray(x)[..., None, :]
-    return np.sum(diff * diff, axis=-1)
+    if diff.shape[-1] >= 8:
+        return np.sum(diff * diff, axis=-1)
+    sq = np.multiply(diff, diff, out=diff)
+    out = sq[..., 0].copy()
+    for j in range(1, sq.shape[-1]):
+        out += sq[..., j]
+    return out
+
+
+def _query_blocks(n_queries: int, per_query: int) -> Iterator[slice]:
+    """Consecutive slices of range(n_queries) that hold at most
+    BLOCK_ELEMENTS elements at `per_query` elements a query, and at least
+    one query each."""
+    step = max(1, BLOCK_ELEMENTS // max(1, per_query))
+    for start in range(0, n_queries, step):
+        yield slice(start, min(start + step, n_queries))
 
 
 def pairwise_sq_dists(coords: np.ndarray) -> np.ndarray:
@@ -76,32 +97,75 @@ class LabeledPoint:
         object.__setattr__(self, "label", str(self.label))
 
 
-def _check_range(coords: np.ndarray) -> None:
-    """Refuse coordinates whose squared distances could leave float64.
+def _check_box(lo, hi) -> None:
+    """Refuse a bounding box, given by its per-coordinate minima `lo` and
+    maxima `hi`, whose corner-to-corner squared distance overflows.
 
-    Every pair of points differs by at most the bounding box's span in each
+    Every pair of points in the box differs by at most its span in each
     coordinate, and rounding is monotone, so no squared distance exceeds the
-    one `sq_dists_to` computes between the box's corners; if that is finite,
-    all are. A nonzero coordinate below MIN_COORD_MAGNITUDE is refused, so
-    distinct points never have a squared distance of 0.0. O(n d).
+    one `sq_dists_to` computes between the corners; if that is finite, all
+    are.
     """
-    # per-coordinate min and max: numpy reduces contiguous rows far faster
-    columns = np.ascontiguousarray(coords.T)
     with np.errstate(over="ignore"):
-        corners = sq_dists_to(columns.min(axis=1)[None], columns.max(axis=1))
+        corners = sq_dists_to(np.asarray(lo, dtype=np.float64)[None], hi)
     if not np.isfinite(corners[0]):
         raise DatasetError(
             "coordinates span too wide a range: the squared diameter of "
             "their bounding box overflows float64"
         )
+
+
+def _tiny_coordinate_error(value: float) -> DatasetError:
+    """The refusal of a nonzero coordinate below MIN_COORD_MAGNITUDE, below
+    which distinct points can have a squared distance of 0.0."""
+    return DatasetError(
+        f"coordinate {float(value)!r} is nonzero but below 2^-482 (about "
+        f"{MIN_COORD_MAGNITUDE:.1e}) in magnitude: squared distances between "
+        f"such points can underflow to 0.0"
+    )
+
+
+def _check_range(coords: np.ndarray) -> None:
+    """Refuse coordinates whose squared distances could leave float64: a
+    bounding box `_check_box` refuses, or a nonzero coordinate below
+    MIN_COORD_MAGNITUDE. Every two distinct accepted points then have a
+    squared distance d2 with 0 < d2 < inf. O(n d).
+    """
+    # per-coordinate min and max: numpy reduces contiguous rows far faster
+    columns = np.ascontiguousarray(coords.T)
+    _check_box(columns.min(axis=1), columns.max(axis=1))
     magnitudes = np.abs(coords)
     tiny = (magnitudes > 0.0) & (magnitudes < MIN_COORD_MAGNITUDE)
     if tiny.any():
-        raise DatasetError(
-            f"coordinate {float(coords[tiny][0])!r} is nonzero but below "
-            f"2^-482 (about {MIN_COORD_MAGNITUDE:.1e}) in magnitude: squared "
-            f"distances between such points can underflow to 0.0"
-        )
+        raise _tiny_coordinate_error(coords[tiny][0])
+
+
+class _RangeGuard:
+    """`_check_range` for points that arrive one at a time: each point costs
+    O(d) plain Python, and a numpy call only when it widens the running
+    bounding box."""
+
+    def __init__(self) -> None:
+        self._lo: list[float] | None = None
+        self._hi: list[float] = []
+
+    def check(self, coords: tuple[float, ...]) -> None:
+        """Admit `coords` to the box, or raise DatasetError as `Dataset`
+        would for a set holding it and every point admitted before."""
+        if self._lo is None:
+            self._lo, self._hi = list(coords), list(coords)
+        widened = False
+        for j, v in enumerate(coords):
+            if 0.0 < abs(v) < MIN_COORD_MAGNITUDE:
+                raise _tiny_coordinate_error(v)
+            if v < self._lo[j]:
+                self._lo[j] = v
+                widened = True
+            elif v > self._hi[j]:
+                self._hi[j] = v
+                widened = True
+        if widened:
+            _check_box(self._lo, self._hi)
 
 
 class Dataset:

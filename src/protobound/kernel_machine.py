@@ -18,6 +18,11 @@ nearest record's exactly 1. Shifting rescales every class score by the same
 positive factor and leaves the argmax unchanged. This holds for every sigma
 whose 2 sigma^2 is a positive float; `KernelConfig` refuses the smaller ones
 (below about 1.5e-162), where the scale itself underflows to 0.0.
+
+The perceptron sweep does not score per test: it keeps every point's shift
+and per-class sums and updates them once per record. The sums are the same
+floats the per-query bincount gives, because both add each class's ratios
+in record order, and a point whose shift moves is re-derived from scratch.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, sq_dists_to
+from .dataset import Dataset, _query_blocks, sq_dists_to
 from .nn_rule import PrototypeSet, UpdateEvent, UpdateTrace, _doubled
 
 
@@ -158,6 +163,26 @@ class DualWeightVector:
         }
 
 
+def _class_sums(ratios: np.ndarray, rows: np.ndarray, n_classes: int) -> np.ndarray:
+    """Per-class sums of shifted kernel ratios, shape (q, R, k): one row of
+    ratios (q, P) per query, one row of class codes (R, P) per channel set
+    (-1 for none).
+
+    Row r of query i sums ratios[i, j] over the records j with rows[r, j]
+    equal to the class. All rows of all queries go through one flat bincount,
+    which sums each bin in record order; each row's column 0 collects its -1
+    codes and is dropped.
+    """
+    n_queries, n_rows = len(ratios), len(rows)
+    width = n_classes + 1
+    offsets = np.arange(1, n_queries * n_rows * width, width)
+    bins = rows + offsets.reshape(n_queries, n_rows, 1)
+    weights = ratios[:, None, :].repeat(n_rows, axis=1)
+    return np.bincount(
+        bins.ravel(), weights=weights.ravel(), minlength=len(offsets) * width
+    ).reshape(n_queries, n_rows, width)[..., 1:]
+
+
 def _scores_from_ratios(
     ratios: np.ndarray,
     c_codes: np.ndarray,
@@ -166,23 +191,11 @@ def _scores_from_ratios(
 ) -> np.ndarray:
     """Per-class signed sums of shifted kernel ratios, shape (q, A, k): one
     row of ratios (q, P) per query, one row of subtracted-channel codes
-    (A, P) per assignment (-1 for no subtraction).
-
-    Record j adds ratios[i, j] to class c_codes[j] and subtracts it from
-    class y_rows[r, j] in row r. The added channels ride along as row 0, and
-    all rows of all queries go through one flat bincount, which sums each
-    bin in record order; each row's column 0 collects its -1 codes and is
-    dropped.
+    (A, P) per assignment (-1 for no subtraction). Record j adds
+    ratios[i, j] to class c_codes[j] and subtracts it from class y_rows[r, j]
+    in row r; the added channels ride along in `_class_sums` as row 0.
     """
-    rows = np.concatenate((c_codes[None], y_rows))
-    n_queries, n_rows = len(ratios), len(rows)
-    width = n_classes + 1
-    offsets = np.arange(1, n_queries * n_rows * width, width)
-    bins = rows + offsets.reshape(n_queries, n_rows, 1)
-    weights = ratios[:, None, :].repeat(n_rows, axis=1)
-    sums = np.bincount(
-        bins.ravel(), weights=weights.ravel(), minlength=len(offsets) * width
-    ).reshape(n_queries, n_rows, width)[..., 1:]
+    sums = _class_sums(ratios, np.concatenate((c_codes[None], y_rows)), n_classes)
     return sums[:, :1] - sums[:, 1:]
 
 
@@ -239,11 +252,19 @@ def run_mp(
     Termination is not guaranteed for arbitrary bandwidths; `max_passes`
     bounds the loop and the raised error carries the partial trace. Fewer
     than one pass could never finish, so it is refused.
+
+    Every point's shift (its smallest squared distance to a record) and its
+    per-class added and subtracted sums are kept current, one distance row
+    per update, so a test is a lookup. The sums are the floats the per-query
+    bincount gives, as both add in record order, and a point whose shift
+    moves is re-derived exactly; so the lookup is `argmax_class`'s answer
+    bit for bit (see `_SweepScores`).
     """
     if max_passes < 1:
         raise ValueError(f"max_passes must be at least 1, got {max_passes}")
     w = DualWeightVector(cfg, dataset.classes, dataset.dim)
     wrong = dataset.wrong_codes
+    state = _SweepScores(dataset, w)
     prototypes = PrototypeSet(dataset)
     events: list[UpdateEvent] = []
     pass_no = 0
@@ -257,15 +278,16 @@ def run_mp(
         pass_no += 1
         updated = False
         for i, point in enumerate(dataset):
-            was_empty = len(w) == 0
-            predicted, degenerate = argmax_class(w, dataset.coords[i])
-            if predicted == point.label and not degenerate:
+            if not state.mistaken[i]:
                 continue
+            was_empty = len(w) == 0
+            predicted = w.classes[state.argmax_codes[i]]
             if predicted != point.label:
                 subtracted = predicted
             else:  # the first wrong class; a single class has none
                 subtracted = w.classes[wrong[i, 0]] if wrong.size else None
             w.append(i, point.coords, point.label, subtracted)
+            state.absorb(i)
             if i not in prototypes:  # set union: repeat updates cannot re-add
                 prototypes.add(i)
             events.append(
@@ -275,3 +297,58 @@ def run_mp(
         if not updated:
             break
     return UpdateTrace(events, prototypes, pass_no), w
+
+
+class _SweepScores:
+    """`argmax_class(w, x)` for every point x of a dataset, kept current as
+    records are appended to `w`, one distance row per record.
+
+    Per point, it keeps the shift (the smallest squared distance to a record)
+    and the per-class sums of added and subtracted shifted ratios, class-major
+    (k, n). The record's distance row over the points holds the floats each
+    point's own query would, as (a - b)^2 and (b - a)^2 are equal. A new
+    record that is no nearer than a point's shift leaves the shift, and so
+    every earlier ratio, as it was; its own ratio is added to the two sums.
+    That is the float `_class_sums`' bincount gives, since it adds each
+    bin's ratios in record order. Where the new record is nearer, every
+    ratio changes: those points are re-derived from all records exactly as
+    `shifted_class_scores` derives them, batched in query blocks.
+    """
+
+    def __init__(self, dataset: Dataset, w: DualWeightVector):
+        n, k = len(dataset), len(w.classes)
+        self._coords = dataset.coords
+        self._label_codes = dataset.label_codes
+        self._w = w
+        self._shift = np.full(n, np.inf)
+        self._added = np.zeros((k, n))
+        self._subtracted = np.zeros((k, n))
+        # an empty weight vector's argmax is the first class, degenerately
+        self.argmax_codes = np.zeros(n, dtype=np.int64)
+        self.mistaken = np.ones(n, dtype=bool)
+
+    def absorb(self, i: int) -> None:
+        """Take in the record just appended to `w`, at point i."""
+        w = self._w
+        d2 = sq_dists_to(self._coords, self._coords[i])
+        nearer = np.flatnonzero(d2 < self._shift)
+        np.minimum(self._shift, d2, out=self._shift)
+        ratios = w.kernel.kernel(d2 - self._shift)
+        self._added[w.c_codes[-1]] += ratios
+        if w.y_codes[-1] >= 0:
+            self._subtracted[w.y_codes[-1]] += ratios
+        rows = np.stack((w.c_codes, w.y_codes))
+        for block in _query_blocks(len(nearer), w.coords.size):
+            q = nearer[block]
+            block_ratios = _shifted_kernel(
+                sq_dists_to(w.coords, self._coords[q]), w.kernel
+            )
+            sums = _class_sums(block_ratios, rows, len(w.classes))
+            self._added[:, q] = sums[:, 0].T
+            self._subtracted[:, q] = sums[:, 1].T
+        # a zero ratio changes no sum, and every re-derived point's is 1
+        changed = np.flatnonzero(ratios)
+        scores = self._added[:, changed] - self._subtracted[:, changed]
+        codes, degenerate = _argmax_codes(scores.T)
+        self.argmax_codes[changed] = codes
+        self.mistaken[changed] = degenerate | (codes != self._label_codes[changed])

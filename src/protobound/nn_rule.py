@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, LabeledPoint, sq_dists_to
+from .dataset import Dataset, LabeledPoint, _query_blocks, sq_dists_to
 
 
 class EmptyPrototypeSetError(Exception):
@@ -122,17 +122,9 @@ class UpdateTrace:
         return [(e.pass_number, e.source_index) for e in self.events]
 
 
-def _nearest_position(d2: np.ndarray, source_indices: np.ndarray) -> int:
-    """Position of the minimum of `d2`, ties broken by smallest source index."""
-    m = d2.min()
-    candidates = np.nonzero(d2 == m)[0]
-    if len(candidates) == 1:
-        return int(candidates[0])
-    return int(candidates[np.argmin(source_indices[candidates])])
-
-
 def nearest(prototypes: PrototypeSet, x) -> tuple[LabeledPoint, int]:
-    """Nearest member of the prototype set to `x`, with its source index."""
+    """Nearest member of the prototype set to `x`, with its source index;
+    ties go to the smallest source index."""
     if len(prototypes) == 0:
         raise EmptyPrototypeSetError("nearest neighbor of an empty set")
     q = np.asarray(x, dtype=np.float64)
@@ -141,8 +133,8 @@ def nearest(prototypes: PrototypeSet, x) -> tuple[LabeledPoint, int]:
             f"query has shape {q.shape}, expected ({prototypes.parent.dim},)"
         )
     d2 = sq_dists_to(prototypes.coords, q)
-    pos = _nearest_position(d2, prototypes.index_array)
-    idx = int(prototypes.index_array[pos])
+    tied = prototypes.index_array[d2 == d2.min()]
+    idx = int(tied.min())
     return prototypes.parent[idx], idx
 
 
@@ -154,13 +146,19 @@ def classify(prototypes: PrototypeSet, x) -> str:
 def is_consistent(prototypes: PrototypeSet, dataset: Dataset) -> bool:
     """True when every point of `dataset` gets its own label back.
 
-    `prototypes` must have been drawn from `dataset`.
+    `prototypes` must have been drawn from `dataset`. One batched pass in
+    query blocks: with the members in source-index order, the first minimal
+    distance is the nearest member with the smallest source index, as in
+    `nearest`.
     """
     if prototypes.parent is not dataset:
         raise ValueError("prototype set was not drawn from this dataset")
     if len(prototypes) == 0:
         raise EmptyPrototypeSetError("an empty set classifies nothing")
-    for i, p in enumerate(dataset):
-        if classify(prototypes, dataset.coords[i]) != p.label:
+    by_index = np.argsort(prototypes.index_array)
+    coords, codes = prototypes.coords[by_index], prototypes.codes[by_index]
+    for block in _query_blocks(len(dataset), coords.size):
+        d2 = sq_dists_to(coords, dataset.coords[block])
+        if (codes[d2.argmin(axis=1)] != dataset.label_codes[block]).any():
             return False
     return True

@@ -1,0 +1,104 @@
+"""The sweeps as they were before they kept per-point state: every test
+rescans the prototypes or records through the public per-query API. The
+incremental sweeps in `protobound` must reproduce these bit for bit."""
+
+import numpy as np
+
+import protobound as pb
+from protobound.kernel_machine import DEFAULT_MAX_PASSES
+
+
+def oracle_run_cnn(dataset, shuffle_seed=None):
+    order = list(range(len(dataset)))
+    if shuffle_seed is not None:
+        rng = np.random.default_rng(shuffle_seed)
+        rng.shuffle(order)
+    prototypes = pb.PrototypeSet(dataset)
+    events = []
+    pass_no = 0
+    while True:
+        pass_no += 1
+        updated = False
+        for i in order:
+            point = dataset[i]
+            if len(prototypes) == 0:
+                predicted = None
+            else:
+                predicted = pb.classify(prototypes, dataset.coords[i])
+                if predicted == point.label:
+                    continue
+            prototypes.add(i)
+            events.append(pb.UpdateEvent(pass_no, i, point.label, predicted))
+            updated = True
+        if not updated:
+            break
+    return pb.UpdateTrace(events, prototypes, pass_no)
+
+
+def oracle_run_mp(dataset, cfg, max_passes=DEFAULT_MAX_PASSES):
+    w = pb.DualWeightVector(cfg, dataset.classes, dataset.dim)
+    wrong = dataset.wrong_codes
+    prototypes = pb.PrototypeSet(dataset)
+    events = []
+    pass_no = 0
+    while True:
+        if pass_no >= max_passes:
+            raise pb.PassBudgetError(
+                f"no stable pass within {max_passes} passes",
+                pb.UpdateTrace(events, prototypes, pass_no),
+                w,
+            )
+        pass_no += 1
+        updated = False
+        for i, point in enumerate(dataset):
+            was_empty = len(w) == 0
+            predicted, degenerate = pb.argmax_class(w, dataset.coords[i])
+            if predicted == point.label and not degenerate:
+                continue
+            if predicted != point.label:
+                subtracted = predicted
+            else:
+                subtracted = w.classes[wrong[i, 0]] if wrong.size else None
+            w.append(i, point.coords, point.label, subtracted)
+            if i not in prototypes:
+                prototypes.add(i)
+            events.append(
+                pb.UpdateEvent(pass_no, i, point.label, None if was_empty else predicted)
+            )
+            updated = True
+        if not updated:
+            break
+    return pb.UpdateTrace(events, prototypes, pass_no), w
+
+
+def oracle_is_consistent(prototypes, dataset):
+    return all(
+        pb.classify(prototypes, dataset.coords[i]) == p.label
+        for i, p in enumerate(dataset)
+    )
+
+
+def oracle_run_cnn_online(stream, max_items):
+    """Online condensation with its former duplicate dictionary and no range
+    check; returns (prototype count, items seen, conflicts skipped)."""
+    labels, kept, coords = [], {}, []
+    conflicts = seen = 0
+    for item in stream:
+        if seen == max_items:
+            break
+        seen += 1
+        if not labels:
+            misclassified = True
+        else:
+            prior = kept.get(item.coords)
+            if prior is not None and prior != item.label:
+                conflicts += 1
+                misclassified = False
+            else:
+                d2 = pb.sq_dists_to(np.array(coords), np.asarray(item.coords))
+                misclassified = labels[int(np.argmin(d2))] != item.label
+        if misclassified:
+            coords.append(item.coords)
+            labels.append(item.label)
+            kept[item.coords] = item.label
+    return len(labels), seen, conflicts

@@ -511,6 +511,24 @@ class TestOnlineCommand:
         result = runner.invoke(main, ["online", "--spec", SPEC, "--items", "-1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ('{"centers": [{"coords": [0], "label": "A"}, {"coords": [1e200], '
+             '"label": "B"}], "spread": 1e199}', "overflows float64"),
+            ('{"centers": [{"coords": [0], "label": "A"}, {"coords": [0], '
+             '"label": "B"}], "spread": 1e-150}', "underflow to 0.0"),
+        ],
+        ids=["wide", "narrow"],
+    )
+    def test_items_out_of_range_exit_2(self, runner, spec, message):
+        # streamed items meet the range rule of a dataset file
+        result = runner.invoke(main, ["online", "--spec", spec, "--items", "50"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: stream item ")
+        assert message in result.output
+
 
 class TestGenCommand:
     def test_writes_loadable_csv(self, runner, tmp_path):

@@ -132,6 +132,38 @@ class TestRunCnnOnline:
         assert result.prototype_count == 2
         assert result.items_seen == 4
 
+    @pytest.mark.parametrize(
+        "coords, message, item",
+        [
+            ([(0.0,), (1e200,)], "overflows float64", 2),
+            ([(1.0, 2.0), (-1e154, 0.0), (1e154, 3.0)], "overflows float64", 3),
+            ([(0.0,), (1e-200,)], "below 2\\^-482", 2),
+        ],
+        ids=["wide", "wide-later", "narrow"],
+    )
+    def test_items_out_of_range_refused(self, coords, message, item):
+        # the rule Dataset applies: squared distances between the items seen
+        # so far must stay positive and finite
+        items = [pb.LabeledPoint(c, "AB"[j % 2]) for j, c in enumerate(coords)]
+        with pytest.raises(pb.DatasetError, match=message) as exc:
+            pb.run_cnn_online(iter(items), len(items))
+        assert str(exc.value).startswith(f"stream item {item}: ")
+        pb.Dataset(items[: item - 1])
+        with pytest.raises(pb.DatasetError, match=message):
+            pb.Dataset(items[:item])
+
+    def test_items_at_the_range_limits_accepted(self):
+        tiny = pb.dataset.MIN_COORD_MAGNITUDE
+        items = [pb.LabeledPoint(c, label) for c, label in [
+            ((0.0,), "A"), ((tiny,), "B"), ((-2.0 * tiny,), "A"), ((1e153,), "B"),
+            ((-1e153,), "A"),
+        ]]
+        result = pb.run_cnn_online(iter(items), 5, checkpoints=[5])
+        # 0, tiny and 1e153 join: -2 tiny is nearest 0, and 1e153 is as far
+        # from 0 as from tiny, so the tie goes to the earlier 0
+        assert (result.items_seen, result.prototype_count) == (5, 3)
+        assert result.conflicts_skipped == 0
+
     def test_dimension_mismatch_rejected(self):
         items = [pb.LabeledPoint((0.0,), "A"), pb.LabeledPoint((0.0, 1.0), "B")]
         with pytest.raises(ValueError, match="dimension"):

@@ -8,7 +8,6 @@ import pytest
 
 import protobound as pb
 from conftest import TINY_SIGMAS
-from protobound.nn_rule import _nearest_position
 
 
 def tie_set():
@@ -334,7 +333,8 @@ def loop_verify_exhaustive(dataset, cfg):
             tops = scores.max(axis=1)
             degenerate = (scores == tops[:, None]).sum(axis=1) > 1
             argmaxes = scores.argmax(axis=1)
-            nn_pos = _nearest_position(d2_rows[q][members_arr], members_arr)
+            # members ascend: the first minimum has the smallest source index
+            nn_pos = int(np.argmin(d2_rows[q][members_arr]))
             bad = degenerate | (argmaxes != label_codes[members_arr[nn_pos]])
             if bad.any():
                 rank = int(np.argmax(bad))

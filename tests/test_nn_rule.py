@@ -124,3 +124,21 @@ class TestSqDists:
                 assert full[q].tobytes() == row.tobytes()
                 row = pb.sq_dists_to(coords[::2], coords[q])
                 assert batched[q].tobytes() == row.tobytes()
+
+    def test_equals_numpy_sum_bit_for_bit(self):
+        # the column sum below 8 coordinates, and numpy's pairwise sum from 8
+        # on, against the reduction it replaces, with magnitudes spread over
+        # 200 decades
+        rng = np.random.default_rng(3)
+        for d in (*range(1, 10), 16, 17, 33, 130):
+            for _ in range(20):
+                coords, x, queries = (
+                    rng.normal(size=shape) * 10.0 ** rng.uniform(-100, 100, size=shape)
+                    for shape in ((31, d), (d,), (4, d))
+                )
+                for q in (x, queries):
+                    diff = coords - q[..., None, :]
+                    expected = np.sum(diff * diff, axis=-1)
+                    got = pb.sq_dists_to(coords, q)
+                    assert got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes(), d
