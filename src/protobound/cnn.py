@@ -14,7 +14,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError, LabeledPoint, _RangeGuard, sq_dists_to
+from .dataset import (
+    Dataset,
+    DatasetError,
+    LabeledPoint,
+    _coord_buffer,
+    _RangeGuard,
+    sq_dists_to,
+)
 from .nn_rule import PrototypeSet, UpdateEvent, UpdateTrace, _doubled
 
 
@@ -125,7 +132,7 @@ def run_cnn_online(
         seen += 1
         if dim is None:
             dim = len(item.coords)
-            coords = np.empty((16, dim), dtype=np.float64)
+            coords = _coord_buffer(16, dim)
         elif len(item.coords) != dim:
             raise ValueError(
                 f"stream item {seen} has dimension {len(item.coords)}, "

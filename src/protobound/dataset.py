@@ -29,23 +29,55 @@ MIN_COORD_MAGNITUDE = 2.0**-482
 BLOCK_ELEMENTS = 2**14
 
 
+# numpy's sum adds fewer than this many terms left to right and more in
+# pairwise blocks; `sq_dists_to` and the coordinate layout follow it.
+_PAIRWISE_MIN_DIM = 8
+
+
+def _coord_buffer(n: int, d: int) -> np.ndarray:
+    """An uninitialised (n, d) float64 coordinate matrix in the layout
+    `sq_dists_to` reads: feature-major (Fortran order) below 8 coordinates,
+    row-major from 8 on. Every coordinate matrix the package owns is
+    allocated here."""
+    order = "F" if d < _PAIRWISE_MIN_DIM else "C"
+    return np.empty((n, d), dtype=np.float64, order=order)
+
+
+def _take_rows(coords: np.ndarray, idx) -> np.ndarray:
+    """`coords[idx]` for an index array `idx`, in the layout `_coord_buffer`
+    gives; plain fancy indexing would return rows."""
+    if coords.shape[1] < _PAIRWISE_MIN_DIM:
+        return np.take(coords.T, idx, axis=1).T
+    return coords[idx]
+
+
 def sq_dists_to(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance from each row of `coords` to `x`; for `x`
     of shape (q, d), one such row per query, shape (q, len(coords)).
 
     This is the single distance kernel for the whole package; everything that
     must agree bit-for-bit on distances routes through it. The result equals
-    `np.sum(diff * diff, axis=-1)` bit for bit: below 8 coordinates numpy
-    adds them left to right, which the column sum does without a reduction's
-    overhead; from 8 on, numpy's pairwise order applies, so `np.sum` stays.
+    `np.sum(diff * diff, axis=-1)` over C-contiguous copies bit for bit, for
+    `coords` and `x` in any layout. Below 8 coordinates numpy adds them left
+    to right, which a sum of squared columns does: one pass per coordinate,
+    contiguous when `coords` is feature-major (`_coord_buffer`), with no
+    (q, n, d) temporary. From 8 on, numpy's pairwise order applies only over
+    contiguous rows (over a strided last axis `np.sum` adds left to right),
+    so `diff` is formed in C order whatever the caller's layout, and squared
+    in place.
     """
-    diff = coords - np.asarray(x)[..., None, :]
-    if diff.shape[-1] >= 8:
-        return np.sum(diff * diff, axis=-1)
-    sq = np.multiply(diff, diff, out=diff)
-    out = sq[..., 0].copy()
-    for j in range(1, sq.shape[-1]):
-        out += sq[..., j]
+    x = np.asarray(x)
+    d = coords.shape[-1]
+    if d >= _PAIRWISE_MIN_DIM:
+        diff = coords - x[..., None, :]
+        if not diff.flags.c_contiguous:
+            diff = np.ascontiguousarray(diff)
+        return np.sum(np.multiply(diff, diff, out=diff), axis=-1)
+    out = coords[:, 0] - x[..., 0, None]
+    np.multiply(out, out, out=out)
+    for j in range(1, d):
+        sq = coords[:, j] - x[..., j, None]
+        out += np.multiply(sq, sq, out=sq)
     return out
 
 
@@ -58,11 +90,19 @@ def _query_blocks(n_queries: int, per_query: int) -> Iterator[slice]:
         yield slice(start, min(start + step, n_queries))
 
 
+def _distance_row_blocks(coords: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """(block, `sq_dists_to(coords, coords[block])`) over consecutive query
+    blocks of every point in `coords`; row r of a block's matrix is query
+    block.start + r, the very floats a single-row call gives."""
+    for block in _query_blocks(len(coords), coords.size):
+        yield block, sq_dists_to(coords, coords[block])
+
+
 def pairwise_sq_dists(coords: np.ndarray) -> np.ndarray:
     """The n x n matrix whose row q is `sq_dists_to(coords, coords[q])`."""
     out = np.empty((len(coords), len(coords)), dtype=np.float64)
-    for q, x in enumerate(coords):
-        out[q] = sq_dists_to(coords, x)
+    for block, rows in _distance_row_blocks(coords):
+        out[block] = rows
     return out
 
 
@@ -131,7 +171,8 @@ def _check_range(coords: np.ndarray) -> None:
     MIN_COORD_MAGNITUDE. Every two distinct accepted points then have a
     squared distance d2 with 0 < d2 < inf. O(n d).
     """
-    # per-coordinate min and max: numpy reduces contiguous rows far faster
+    # per-coordinate min and max: numpy reduces contiguous rows far faster,
+    # and feature-major coordinates are already columns
     columns = np.ascontiguousarray(coords.T)
     _check_box(columns.min(axis=1), columns.max(axis=1))
     magnitudes = np.abs(coords)
@@ -222,7 +263,8 @@ class Dataset:
         self._dim = dim
         self._feature_names = feature_names
         self._label_name = str(label_name)
-        coords = np.array([p.coords for p in pts], dtype=np.float64)
+        coords = _coord_buffer(len(pts), dim)
+        coords[:] = [p.coords for p in pts]
         _check_range(coords)
         coords.flags.writeable = False
         self._coords = coords
@@ -250,7 +292,12 @@ class Dataset:
 
     @property
     def coords(self) -> np.ndarray:
-        """Read-only (n, d) float64 coordinate matrix, in point order."""
+        """Read-only (n, d) float64 coordinate matrix, in point order.
+
+        Below 8 coordinates it is stored column by column (Fortran order),
+        so each coordinate is one contiguous pass of `sq_dists_to`; from 8
+        on, row by row. Shape, values and indexing are the same either way.
+        """
         return self._coords
 
     @property
@@ -269,14 +316,14 @@ class Dataset:
     def nearest_sq_dists(self) -> np.ndarray:
         """Read-only (n,) squared distance from each point to its nearest
         other point (inf for a one-point set). Found on the first read, one
-        row of `pairwise_sq_dists` at a time so no n x n array is held, and
-        kept: the dataset is immutable."""
+        query block of `pairwise_sq_dists` rows at a time so no n x n array
+        is held, and kept: the dataset is immutable."""
         if self._nearest_sq_dists is None:
             nearest = np.empty(len(self._coords))
-            for q, x in enumerate(self._coords):
-                row = sq_dists_to(self._coords, x)
-                row[q] = np.inf
-                nearest[q] = row.min()
+            for block, rows in _distance_row_blocks(self._coords):
+                queries = np.arange(block.start, block.stop)
+                rows[queries - block.start, queries] = np.inf
+                nearest[block] = rows.min(axis=1)
             nearest.flags.writeable = False
             self._nearest_sq_dists = nearest
         return self._nearest_sq_dists
@@ -295,7 +342,7 @@ class Dataset:
     def diameter(self) -> float:
         """Largest pairwise Euclidean distance."""
         return math.sqrt(
-            max(float(sq_dists_to(self._coords, x).max()) for x in self._coords)
+            max(float(rows.max()) for _, rows in _distance_row_blocks(self._coords))
         )
 
     def __len__(self) -> int:
@@ -473,9 +520,7 @@ def blob_stream(
     rng = np.random.default_rng(seed)
     while True:
         center, label = validated[int(rng.integers(len(validated)))]
-        coords = tuple(
-            float(v) for v in center + spread * rng.standard_normal(center.size)
-        )
+        coords = tuple((center + spread * rng.standard_normal(center.size)).tolist())
         yield LabeledPoint(coords, label)
 
 

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, _query_blocks, sq_dists_to
+from .dataset import Dataset, _coord_buffer, _query_blocks, sq_dists_to
 from .nn_rule import PrototypeSet, UpdateEvent, UpdateTrace, _doubled
 
 
@@ -97,7 +97,7 @@ class DualWeightVector:
         self.dim = int(dim)
         self._code = {c: k for k, c in enumerate(self.classes)}
         self._size = 0
-        self._coords = np.empty((8, self.dim), dtype=np.float64)
+        self._coords = _coord_buffer(8, self.dim)
         self._c_codes = np.empty(8, dtype=np.int64)
         self._y_codes = np.empty(8, dtype=np.int64)
         self._indices = np.empty(8, dtype=np.int64)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cnn import run_cnn
-from .dataset import Dataset, pairwise_sq_dists, sq_dists_to
+from .dataset import Dataset, _take_rows, pairwise_sq_dists, sq_dists_to
 from .kernel_machine import KernelConfig
 from .neighborly import (
     ExhaustiveCapError,
@@ -86,7 +86,7 @@ def _pair_gram(dataset: Dataset, points: np.ndarray, cfg: KernelConfig) -> np.nd
     times the kernel elementwise. E E^T holds small integers and is exact.
     """
     q = len(dataset.classes) - 1
-    kernel = cfg.kernel(pairwise_sq_dists(dataset.coords[points]))
+    kernel = cfg.kernel(pairwise_sq_dists(_take_rows(dataset.coords, points)))
     local = np.repeat(np.arange(len(points)), q)
     eye = np.eye(len(dataset.classes))
     true = dataset.label_codes[points][local]
@@ -118,7 +118,7 @@ def _kernel_components(
         frontier, unseen = unseen[:1], unseen[1:]
         members = [frontier]
         while len(frontier) and len(unseen):
-            rest = coords[unseen]
+            rest = _take_rows(coords, unseen)
             linked = np.zeros(len(unseen), dtype=bool)
             for i in frontier:
                 linked |= cfg.kernel(sq_dists_to(rest, coords[i])) > 0.0

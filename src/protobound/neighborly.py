@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, sq_dists_to
+from .dataset import Dataset, _distance_row_blocks, _take_rows, sq_dists_to
 from .kernel_machine import (
     DualWeightVector,
     KernelConfig,
@@ -105,20 +105,22 @@ def min_squared_gap(dataset: Dataset) -> float:
     """Smallest positive gap between squared distances from any query in the
     set to any two of its points (the query's zero self-distance included).
 
-    Raises GammaDegenerateError on an exact tie.
+    Raises GammaDegenerateError on an exact tie, naming the first tied
+    query. Queries are taken in blocks of `pairwise_sq_dists` rows.
     """
     n = len(dataset)
     if n < 2:
         raise ValueError("need at least two points")
     gamma = math.inf
-    coords = dataset.coords
-    for q in range(n):
-        d2 = sq_dists_to(coords, coords[q])
-        diffs = np.diff(np.sort(d2))
-        if not diffs.all():
+    for block, d2 in _distance_row_blocks(dataset.coords):
+        diffs = np.diff(np.sort(d2, axis=1), axis=1)
+        tied = np.flatnonzero(~diffs.all(axis=1))
+        if len(tied):
             # only a tie needs the permutation, to name the tied points
-            order = np.argsort(d2, kind="stable")
-            t = int(np.nonzero(diffs == 0.0)[0][0])
+            r = int(tied[0])
+            q = block.start + r
+            order = np.argsort(d2[r], kind="stable")
+            t = int(np.nonzero(diffs[r] == 0.0)[0][0])
             raise GammaDegenerateError(
                 f"query {q} is equidistant from points {int(order[t])} "
                 f"and {int(order[t + 1])}",
@@ -196,7 +198,7 @@ def _first_violation(dataset: Dataset, cfg: KernelConfig, cases) -> Violation | 
     n_classes = len(dataset.classes)
     for members, assignments, queries in cases:
         member_codes = label_codes[members]
-        d2 = sq_dists_to(coords[members], coords[queries])
+        d2 = sq_dists_to(_take_rows(coords, members), coords[queries])
         ratios = _shifted_kernel(d2, cfg)
         scores = _scores_from_ratios(ratios, member_codes, assignments, n_classes)
         argmaxes, degenerate = _argmax_codes(scores)

@@ -11,7 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, LabeledPoint, _query_blocks, sq_dists_to
+from .dataset import (
+    Dataset,
+    LabeledPoint,
+    _coord_buffer,
+    _query_blocks,
+    _take_rows,
+    sq_dists_to,
+)
 
 
 class EmptyPrototypeSetError(Exception):
@@ -19,8 +26,12 @@ class EmptyPrototypeSetError(Exception):
 
 
 def _doubled(buf: np.ndarray) -> np.ndarray:
-    """A copy of `buf` in a buffer with twice as many rows."""
-    grown = np.empty((2 * len(buf),) + buf.shape[1:], dtype=buf.dtype)
+    """A copy of `buf` in a buffer with twice as many rows; a coordinate
+    matrix keeps `_coord_buffer`'s layout."""
+    if buf.ndim == 2:
+        grown = _coord_buffer(2 * len(buf), buf.shape[1])
+    else:
+        grown = np.empty(2 * len(buf), dtype=buf.dtype)
     grown[: len(buf)] = buf
     return grown
 
@@ -41,7 +52,7 @@ class PrototypeSet:
         self._size = 0
         self._member = np.zeros(n, dtype=bool)
         self._idx_arr = np.empty(n, dtype=np.int64)
-        self._coords = np.empty((n, parent.dim), dtype=np.float64)
+        self._coords = _coord_buffer(n, parent.dim)
         self._codes = np.empty(n, dtype=np.int64)
         for i in indices or ():
             self.add(i)
@@ -156,7 +167,8 @@ def is_consistent(prototypes: PrototypeSet, dataset: Dataset) -> bool:
     if len(prototypes) == 0:
         raise EmptyPrototypeSetError("an empty set classifies nothing")
     by_index = np.argsort(prototypes.index_array)
-    coords, codes = prototypes.coords[by_index], prototypes.codes[by_index]
+    coords = _take_rows(prototypes.coords, by_index)
+    codes = prototypes.codes[by_index]
     for block in _query_blocks(len(dataset), coords.size):
         d2 = sq_dists_to(coords, dataset.coords[block])
         if (codes[d2.argmin(axis=1)] != dataset.label_codes[block]).any():

@@ -1,6 +1,10 @@
 """The sweeps as they were before they kept per-point state: every test
 rescans the prototypes or records through the public per-query API. The
-incremental sweeps in `protobound` must reproduce these bit for bit."""
+incremental sweeps in `protobound` must reproduce these bit for bit. So must
+the blocked all-pairs passes reproduce their row-by-row loops, kept below.
+"""
+
+import math
 
 import numpy as np
 
@@ -102,3 +106,36 @@ def oracle_run_cnn_online(stream, max_items):
             labels.append(item.label)
             kept[item.coords] = item.label
     return len(labels), seen, conflicts
+
+
+def oracle_pairwise_sq_dists(coords):
+    return np.stack([pb.sq_dists_to(coords, x) for x in coords])
+
+
+def oracle_nearest_sq_dists(dataset):
+    nearest = np.empty(len(dataset))
+    for q, x in enumerate(dataset.coords):
+        row = pb.sq_dists_to(dataset.coords, x)
+        row[q] = np.inf
+        nearest[q] = row.min()
+    return nearest
+
+
+def oracle_diameter(dataset):
+    coords = dataset.coords
+    return math.sqrt(max(float(pb.sq_dists_to(coords, x).max()) for x in coords))
+
+
+def oracle_min_squared_gap(dataset):
+    """The gap, or the (query, first, second) a tie raises with."""
+    gamma = math.inf
+    coords = dataset.coords
+    for q in range(len(dataset)):
+        d2 = pb.sq_dists_to(coords, coords[q])
+        diffs = np.diff(np.sort(d2))
+        if not diffs.all():
+            order = np.argsort(d2, kind="stable")
+            t = int(np.nonzero(diffs == 0.0)[0][0])
+            return q, int(order[t]), int(order[t + 1])
+        gamma = min(gamma, float(diffs.min()))
+    return gamma

@@ -17,6 +17,18 @@ def write(tmp_path, text, name="data.csv"):
     return path
 
 
+def former_blob_stream(seed, centers, spread):
+    """`blob_stream` as it was when it converted each coordinate on its own."""
+    validated = [(np.asarray(c, dtype=np.float64), str(label)) for c, label in centers]
+    rng = np.random.default_rng(seed)
+    while True:
+        center, label = validated[int(rng.integers(len(validated)))]
+        coords = tuple(
+            float(v) for v in center + spread * rng.standard_normal(center.size)
+        )
+        yield pb.LabeledPoint(coords, label)
+
+
 class TestLabeledPoint:
     def test_coerces_and_freezes(self):
         p = pb.LabeledPoint((1, 2), 3)
@@ -279,6 +291,19 @@ class TestGenerators:
         again = list(itertools.islice(pb.blob_stream(3, self.CENTERS, 1.0), 50))
         assert first == again
         assert {p.label for p in first} == {"A", "B"}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "centers",
+        [[([0.0], "A"), ([2.5], "B")],
+         [([0.0, 1.0, -2.0], "A"), ([3.0, 0.0, 1.0], "B"), ([-1.0, 4.0, 0.5], "C")]],
+        ids=["1d", "3d"],
+    )
+    def test_stream_items_equal_the_former_generator(self, seed, centers):
+        import itertools
+
+        got = list(itertools.islice(pb.blob_stream(seed, centers, 0.7), 2000))
+        assert got == list(itertools.islice(former_blob_stream(seed, centers, 0.7), 2000))
 
     def test_random_dataset_every_class_appears(self):
         for seed in range(10):

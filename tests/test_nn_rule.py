@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import protobound as pb
+from protobound.dataset import _take_rows
 
 
 class TestPrototypeSet:
@@ -127,18 +128,65 @@ class TestSqDists:
 
     def test_equals_numpy_sum_bit_for_bit(self):
         # the column sum below 8 coordinates, and numpy's pairwise sum from 8
-        # on, against the reduction it replaces, with magnitudes spread over
-        # 200 decades
+        # on, against the reduction it replaces over C-contiguous copies, with
+        # magnitudes spread over 200 decades, for every layout the package
+        # stores or gathers coordinates in: row-major, feature-major, strided
+        # slices, `_take_rows` output and feature-major query blocks
         rng = np.random.default_rng(3)
         for d in (*range(1, 10), 16, 17, 33, 130):
             for _ in range(20):
-                coords, x, queries = (
+                big, x, queries = (
                     rng.normal(size=shape) * 10.0 ** rng.uniform(-100, 100, size=shape)
-                    for shape in ((31, d), (d,), (4, d))
+                    for shape in ((62, 2 * d), (d,), (4, d))
                 )
-                for q in (x, queries):
-                    diff = coords - q[..., None, :]
-                    expected = np.sum(diff * diff, axis=-1)
-                    got = pb.sq_dists_to(coords, q)
-                    assert got.shape == expected.shape
-                    assert got.tobytes() == expected.tobytes(), d
+                coords = np.ascontiguousarray(big[:31, :d])
+                idx = rng.permutation(62)[:31]
+                layouts = (
+                    coords,
+                    np.asfortranarray(coords),
+                    big[::2, ::2],
+                    np.asfortranarray(big)[1::2, :d],
+                    _take_rows(np.asfortranarray(big[:, :d]), idx),
+                    _take_rows(big[:, :d], idx),
+                )
+                for c in layouts:
+                    for q in (x, queries, np.asfortranarray(queries), big[:4, ::2]):
+                        cc, qc = np.ascontiguousarray(c), np.ascontiguousarray(q)
+                        diff = cc - qc[..., None, :]
+                        expected = np.sum(diff * diff, axis=-1)
+                        got = pb.sq_dists_to(c, q)
+                        assert got.shape == expected.shape
+                        assert got.tobytes() == expected.tobytes(), d
+
+
+def is_layout_for(coords, d):
+    """Whether every column (below 8 coordinates) or every row (from 8 on)
+    of `coords` is contiguous, as `sq_dists_to` reads them."""
+    axis = 0 if d < 8 else 1
+    return coords.strides[axis] == coords.itemsize
+
+
+class TestLayout:
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16])
+    def test_owned_coordinates_are_stored_as_the_kernel_reads_them(self, d):
+        ds = pb.random_dataset(d, n_points=30, dim=d, n_classes=3)
+        assert is_layout_for(ds.coords, d)
+        assert ds.coords.flags.f_contiguous == (d < 8)
+        assert ds.coords.flags.c_contiguous == (d >= 8 or d == 1)
+        ps = pb.PrototypeSet(ds, [4, 0, 17])
+        assert is_layout_for(ps.coords, d)
+        assert np.array_equal(ps.coords, ds.coords[[4, 0, 17]])
+        w = pb.DualWeightVector(pb.KernelConfig(1.0), ds.classes, d)
+        for i, p in enumerate(ds):  # 30 records: the buffer doubles twice
+            w.append(i, p.coords, p.label, None)
+        assert is_layout_for(w.coords, d)
+        assert np.array_equal(w.coords, ds.coords)
+
+    def test_take_rows_equals_fancy_indexing(self):
+        rng = np.random.default_rng(4)
+        for d in (1, 2, 7, 8, 9):
+            ds = pb.random_dataset(d, n_points=20, dim=d, n_classes=2)
+            idx = rng.permutation(20)[:9]
+            got = _take_rows(ds.coords, idx)
+            assert np.array_equal(got, ds.coords[idx])
+            assert is_layout_for(got, d)

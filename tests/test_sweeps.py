@@ -1,6 +1,7 @@
 """The incremental sweeps against their per-query oracles: `run_cnn`,
 `run_mp` and `is_consistent` must give the same traces, weights and verdicts
-bit for bit, whatever the block cap of their batched passes."""
+bit for bit, whatever the block cap of their batched passes; and so must the
+blocked all-pairs passes against their row-by-row loops."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,11 @@ import pytest
 import protobound as pb
 import protobound.dataset
 from sweep_oracles import (
+    oracle_diameter,
     oracle_is_consistent,
+    oracle_min_squared_gap,
+    oracle_nearest_sq_dists,
+    oracle_pairwise_sq_dists,
     oracle_run_cnn,
     oracle_run_cnn_online,
     oracle_run_mp,
@@ -156,3 +161,28 @@ class TestRunCnnOnline:
             assert (got.prototype_count, got.items_seen, got.conflicts_skipped) == (
                 oracle_run_cnn_online(iter(items), 60)
             )
+
+
+def min_squared_gap_outcome(dataset):
+    try:
+        return pb.min_squared_gap(dataset)
+    except pb.GammaDegenerateError as exc:
+        return exc.query_index, exc.first, exc.second
+
+
+class TestRowBlocks:
+    def test_equal_row_by_row_oracles(self, block_cap):
+        ties = 0
+        for ds in fuzz_sets(30) + [lattice_set(s) for s in range(30)]:
+            assert pb.pairwise_sq_dists(ds.coords).tobytes() == (
+                oracle_pairwise_sq_dists(ds.coords).tobytes()
+            )
+            assert ds.nearest_sq_dists.tobytes() == (
+                oracle_nearest_sq_dists(ds).tobytes()
+            )
+            assert ds.diameter() == oracle_diameter(ds)
+            if len(ds) > 1:
+                got = min_squared_gap_outcome(ds)
+                assert got == oracle_min_squared_gap(ds)
+                ties += isinstance(got, tuple)
+        assert ties > 0  # the named tie was compared too
