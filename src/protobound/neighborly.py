@@ -233,19 +233,26 @@ def _exhaustive_cases(dataset: Dataset):
 
 
 def _sampled_cases(dataset: Dataset, seed: int, trials: int):
-    """Per trial: membership by fair coin (redrawn until nonempty), one wrong
-    class per member in index order, then the query."""
+    """Per trial, three draws from one generator: fair coins for membership
+    (`random(n)`, redrawn until nonempty), then one `integers(q, size=|P|)`
+    call picking each member's wrong class in index order (q = |C| - 1 for
+    every point), then `integers(n)` for the query.
+
+    The sized call yields the values, and leaves the generator in the state,
+    of |P| scalar `integers(q)` calls; a test pins it to that per-member
+    stream, so a seed names the same witness it always has."""
     n = len(dataset)
     rng = np.random.default_rng(seed)
-    wrong = dataset.wrong_codes.tolist()
+    wrong = dataset.wrong_codes
+    q = wrong.shape[1]
     for _ in range(trials):
         while True:
             take = rng.random(n) < 0.5
             if take.any():
                 break
         members = np.flatnonzero(take)
-        row = [wrong[i][int(rng.integers(len(wrong[i])))] for i in members.tolist()]
-        yield members, np.array([row], dtype=np.int64), [int(rng.integers(n))]
+        row = wrong[members, rng.integers(q, size=len(members))]
+        yield members, row[None, :], [int(rng.integers(n))]
 
 
 def verify_neighborly(
@@ -260,9 +267,11 @@ def verify_neighborly(
     Exhaustive mode enumerates every nonempty subset, assignment of a wrong
     class to each member, and training query. Before enumerating it refuses
     more than `EXHAUSTIVE_ROW_BUDGET` scored rows: n * (k^n - 1) for n points
-    in k classes. Sampled mode draws `trials` random triples (membership by
-    fair coin, assignments and query uniform) from `seed` and refuses fewer
-    than one trial, which would pass without checking anything. Returns None
+    in k classes. Sampled mode draws `trials` random triples from `seed`,
+    each in a fixed order: membership by fair coin, then every member's wrong
+    class in one uniform `integers(k - 1, size=|P|)` call, then a uniform
+    query (see `_sampled_cases`). It refuses fewer than one trial, which
+    would pass without checking anything. Returns None
     on a pass or the first violation found; a degenerate (tied) argmax counts
     as a violation even when its resolution happens to match the NN label.
     """

@@ -413,6 +413,27 @@ class TestNeighborlyCommand:
         assert violation["subset"] == [0, 1, 2]
         assert violation["query_index"] == 0
 
+    def test_sampled_seed_names_its_golden_witness(self, runner, tmp_path):
+        # the witness the per-member draws named for this seed, so the
+        # one-call draw keeps it; it is the 1,555th of the default 2,000
+        # trials
+        path = tmp_path / "r6.csv"
+        pb.write_csv(
+            pb.random_dataset(1, n_points=40, dim=2, n_classes=6), path
+        )
+        result = runner.invoke(
+            main,
+            ["neighborly", str(path), "--sigma", "0.05", "--mode", "sampled",
+             "--seed", "11"],
+        )
+        assert result.exit_code == 1
+        assert result.output == (
+            "VIOLATION: argmax mismatch: P=[2, 3, 7, 8, 9, 17, 18, 20, 21, 22, "
+            "23, 26, 28, 29, 33, 34, 35, 38], o=(2->F, 3->C, 7->B, 8->F, 9->E, "
+            "17->C, 18->E, 20->A, 21->B, 22->A, 23->E, 26->F, 28->D, 29->A, "
+            "33->E, 34->F, 35->E, 38->E), query=15, argmax='B', nn='F'\n"
+        )
+
     def test_tie_has_no_certificate(self, runner, tmp_path):
         path = tmp_path / "tie.csv"
         path.write_text(TIE_CSV, encoding="utf-8")

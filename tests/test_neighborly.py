@@ -8,6 +8,7 @@ import pytest
 
 import protobound as pb
 from conftest import TINY_SIGMAS
+from protobound.neighborly import _sampled_cases
 
 
 def tie_set():
@@ -193,6 +194,25 @@ class TestVerifyNeighborly:
                 line3, pb.KernelConfig(sigma), mode="sampled", trials=300
             )
             is None
+        )
+
+    def test_seed_names_its_golden_witness(self):
+        # the witness the per-member draws named for this seed, so the
+        # one-call draw keeps it; the 53rd of 100 trials is the first to
+        # violate
+        ds = pb.fuzz_dataset(12, max_n=40, max_dim=3, max_classes=8)
+        assert (len(ds), len(ds.classes)) == (25, 8)
+        cfg = pb.KernelConfig(10.0 * pb.sufficient_sigma(ds).sigma_star)
+        for trials, want in ((52, False), (100, True)):
+            got = pb.verify_neighborly(
+                ds, cfg, mode="sampled", seed=3, trials=trials
+            )
+            assert (got is not None) == want
+        assert got.describe() == (
+            "argmax mismatch: P=[0, 1, 2, 4, 6, 7, 8, 9, 10, 12, 13, 16, 17, "
+            "19, 20, 21, 22, 24], o=(0->B, 1->C, 2->G, 4->E, 6->G, 7->B, 8->H, "
+            "9->B, 10->B, 12->F, 13->F, 16->D, 17->F, 19->G, 20->F, 21->A, "
+            "22->C, 24->B), query=0, argmax='E', nn='F'"
         )
 
     def test_passes_where_every_log_kernel_overflows(self, gap3):
@@ -399,6 +419,92 @@ class TestAgainstReplayOracle:
                 outcomes.append(got is None)
         # the corpus mixes passes and violations
         assert any(outcomes) and not all(outcomes)
+
+    def test_sampled_matches_past_three_classes(self):
+        # up to 8 classes, so members draw from q = 1..7 wrong classes
+        outcomes = []
+        class_counts = set()
+        for seed in range(10):
+            ds = pb.fuzz_dataset(seed, max_n=40, max_dim=3, max_classes=8)
+            class_counts.add(len(ds.classes))
+            star = pb.sufficient_sigma(ds).sigma_star
+            for sigma in (star / 2.0, 10.0 * star, ds.diameter()):
+                cfg = pb.KernelConfig(sigma)
+                got = pb.verify_neighborly(
+                    ds, cfg, mode="sampled", seed=seed, trials=200
+                )
+                assert got == replay_verify_sampled(ds, cfg, seed, 200), (
+                    seed, sigma
+                )
+                outcomes.append(got is None)
+        assert max(class_counts) >= 6
+        # the corpus mixes passes and violations
+        assert any(outcomes) and not all(outcomes)
+
+
+def loop_sampled_cases(dataset, seed, trials):
+    """`_sampled_cases` with one scalar `integers` draw per member, in index
+    order: the oracle for its one-call draw of the wrong classes."""
+    n = len(dataset)
+    rng = np.random.default_rng(seed)
+    wrong = dataset.wrong_codes.tolist()
+    for _ in range(trials):
+        while True:
+            take = rng.random(n) < 0.5
+            if take.any():
+                break
+        members = np.flatnonzero(take)
+        row = [
+            wrong[i][int(rng.integers(len(wrong[i])))] for i in members.tolist()
+        ]
+        yield members, np.array([row], dtype=np.int64), [int(rng.integers(n))]
+
+
+class TestSampledCaseStream:
+    def assert_same_stream(self, ds, seed, trials):
+        got = list(_sampled_cases(ds, seed, trials))
+        want = list(loop_sampled_cases(ds, seed, trials))
+        assert len(got) == len(want) == trials
+        for (members, rows, queries), (w_members, w_rows, w_queries) in zip(
+            got, want
+        ):
+            assert np.array_equal(members, w_members)
+            assert rows.dtype == w_rows.dtype == np.int64
+            assert rows.shape == w_rows.shape == (1, len(members))
+            assert np.array_equal(rows, w_rows)
+            assert list(queries) == w_queries
+        return [len(members) for members, _, _ in want]
+
+    def test_matches_per_member_draws_for_every_class_count(self):
+        # q = |C| - 1 wrong classes per point, from 1 to 7, and n from 2
+        # (one point has one class and no stream) to 60; long runs of
+        # trials, so an odd member count leaves numpy's buffered 32-bit
+        # half-word to the next trial many times over
+        counts = set()
+        odd = 0
+        for k in range(2, 9):
+            for n in (2, 3, 5, 8, 13, 21, 34, 60):
+                if n < k:
+                    continue
+                ds = pb.random_dataset(
+                    100 * k + n, n_points=n, dim=2, n_classes=k
+                )
+                counts.add(ds.wrong_codes.shape[1])
+                for seed in (0, 1, 12345):
+                    sizes = self.assert_same_stream(ds, seed, 60)
+                    odd += sum(size % 2 for size in sizes[:-1])
+        assert counts == set(range(1, 8))
+        assert odd > 1000
+
+    def test_matches_on_a_large_blob_set(self):
+        centers = [
+            ((float(c), float(c % 2)), name) for c, name in enumerate("ABCDE")
+        ]
+        ds = pb.generate_blobs(0, 600, centers, 0.8)
+        assert len(ds) == 3000 and ds.wrong_codes.shape[1] == 4
+        for seed in (0, 7):
+            sizes = self.assert_same_stream(ds, seed, 20)
+            assert any(size % 2 for size in sizes)
 
 
 class TestAgainstLoopEnumerator:
