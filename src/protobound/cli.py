@@ -342,7 +342,8 @@ def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
                    "under the certified threshold.")
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
 @click.option("--max-iters", type=click.IntRange(min=1), default=DEFAULT_MAX_ITERS,
-              show_default=True)
+              show_default=True,
+              help="Solver budget per kernel component, in major steps.")
 @click.option("--out", type=click.Path(), default=None, help="JSON report path.")
 def bound_cmd(dataset_path, label_column, sigma_grid, tol, max_iters, out):
     """Best certified size bound for the condensed set over a bandwidth grid."""

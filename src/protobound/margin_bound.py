@@ -11,8 +11,11 @@ squared norm exactly 2, and the update count of the perceptron (equivalently,
 the size of the condensed prototype set at a certified bandwidth) is at most
 R^2 / delta^2 with R = sqrt(2).
 
-The solver reports a feasible margin delta_hat = min_v (p . v) / ||p|| for
-its current hull point p. Feasibility makes 2 / delta_hat^2 a valid bound
+The solver is Wolfe's nearest-point algorithm (P. Wolfe, "Finding the
+nearest point in a polytope", Math. Programming 11, 1976) in gram form, run
+on each kernel component; its `iterations` count major steps, and so does
+`max_iters`. It reports a feasible margin delta_hat = min_v (p . v) / ||p||
+for its current hull point p. Feasibility makes 2 / delta_hat^2 a valid bound
 regardless of how far the solver converged; the duality gap ||p|| - delta_hat
 quantifies the remaining slack.
 """
@@ -43,9 +46,13 @@ DEFAULT_MAX_ITERS = 100_000
 # the radius is this constant rather than anything computed from the data.
 RADIUS = math.sqrt(2.0)
 # Largest gram, in bytes, that `margin` allocates for one kernel component.
-# Building and solving it holds up to three more arrays of at most its size.
+# Building it holds one more array of its size and a kernel no larger;
+# solving it holds the corral inverse, at worst one more gram-sized array
+# (and a quarter of one more while that grows).
 GRAM_BYTE_BUDGET = 2**30
 SIGMA_GRID_SIZE = 16
+# Rank-one terms `_hull_descent` holds before folding them into its inverse.
+_PENDING = 32
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -135,9 +142,9 @@ class MarginCertificate:
     `coefficients` are convex weights over `pairs` describing the hull point
     p. `delta_hat` is the feasible margin min_v (p . v) / ||p||; `bound` is
     radius^2 / delta_hat^2. `duality_gap` is ||p|| - delta_hat. `iterations`
-    sums the solver steps over the kernel components; `components` counts
-    them, isolated points included, and `largest_component` is the point
-    count of the largest.
+    sums the solver's major steps over the kernel components; `components`
+    counts them, isolated points included, and `largest_component` is the
+    point count of the largest.
     """
 
     sigma: float
@@ -189,42 +196,120 @@ class _Block(NamedTuple):
 def _hull_descent(
     G: np.ndarray, tol: float, max_iters: int
 ) -> tuple[np.ndarray, int, bool]:
-    """Away-step descent on the convex weights over the gram G, from its
-    first vertex; returns the weights, the step count and whether the gap
-    closed to `tol`."""
-    alpha = np.zeros(len(G), dtype=np.float64)
+    """Wolfe's nearest-point algorithm on the convex weights over the gram
+    G, from its first vertex; returns the weights, the major-step count and
+    whether the gap closed to `tol`.
+
+    The corral S holds affinely independent vertices with positive weights
+    `lam`. Each major step adds the vertex fw minimizing p . v; minor cycles
+    then move to the affine minimizer of S, whose weights are proportional
+    to (G_SS + J)^-1 1, stopping at the hull boundary and dropping the
+    members that reach zero whenever an affine weight is negative.
+
+    The inverse of G_SS + J changes by one rank-one term per member that
+    enters (a bordered update) or leaves (a Schur downdate of the last row
+    and column, after a swap puts it there). It is kept as
+    base + U diag(d) U^T, and the terms in U are folded into `base`
+    _PENDING at a time, by one matrix product instead of one pass over its
+    |S|^2 entries each. Its row sums `w` are kept current directly.
+
+    A step must lower ||p||^2 and keep it above `tol`, or the solve ends at
+    the last point: rounding has stalled the corral, or p has reached the
+    rounding level of the origin, where every hull point has margin at most
+    sqrt(tol) and min_v (p . v) / ||p|| no longer recomputes stably.
+    """
+    m = len(G)
+    corral = np.zeros(1, dtype=np.intp)
+    lam = np.ones(1)
+    w = np.array([1.0 / (G[0, 0] + 1.0)])
+    base = np.zeros((min(m, 64), min(m, 64)))
+    base[0, 0] = w[0]
+    U = np.empty((len(base), _PENDING))
+    d = np.empty(_PENDING)
+    r = 0  # terms pending in U and d
+    in_corral = np.zeros(m, dtype=bool)
+    in_corral[0] = True
+    alpha = np.zeros(m, dtype=np.float64)
     alpha[0] = 1.0
     g = G @ alpha
+    norm2 = float(alpha @ g)
     iterations = 0
-    converged = False
+
+    def push(v: np.ndarray, coefficient: float) -> None:
+        """Add coefficient * v v^T to the inverse's first len(v) rows and
+        columns."""
+        nonlocal r
+        if r == _PENDING:
+            base[: len(v), : len(v)] += (U[: len(v)] * d) @ U[: len(v)].T
+            r = 0
+        U[: len(v), r], d[r] = v, coefficient
+        r += 1
 
     while iterations < max_iters:
         iterations += 1
-        norm2 = float(alpha @ g)
-        if norm2 <= 0.0:
-            break  # the origin itself; nothing further to certify
         fw = int(np.argmin(g))
         pnorm = math.sqrt(norm2)
         if pnorm - float(g[fw]) / pnorm <= tol:
-            converged = True
+            return alpha, iterations, True
+        # an affine minimizer scores its corral alike, so fw in S is rounding
+        if in_corral[fw]:
             break
-        away = int(np.argmax(np.where(alpha > 0.0, g, -np.inf)))
-        num = float(g[away] - g[fw])
-        denom = float(G[fw, fw] + G[away, away] - 2.0 * G[fw, away])
-        if num <= 0.0 or denom <= 0.0:
-            converged = True  # no movable mass improves: p is optimal over G
-            break
-        lam = min(num / denom, float(alpha[away]))
-        alpha[fw] += lam
-        if lam == float(alpha[away]):
-            alpha[away] = 0.0
-        else:
-            alpha[away] -= lam
+        k = len(corral)
         # G is exactly symmetric, so its contiguous rows equal its columns
-        g = g + lam * (G[fw] - G[away])
-        if iterations % 256 == 0:
-            g = G @ alpha  # refresh accumulated drift
-    return alpha, iterations, converged
+        c = G[fw, corral] + 1.0
+        u = base[:k, :k] @ c + U[:k, :r] @ (d[:r] * (c @ U[:k, :r]))
+        s = float(G[fw, fw] + 1.0 - c @ u)
+        if s <= 0.0:
+            break  # fw lies in S's affine hull to rounding
+        if k == len(base):
+            size = min(m, 2 * k)
+            base = np.pad(base, (0, size - k))
+            U = np.pad(U, ((0, size - k), (0, 0)))
+        # bordered update: the old inverse padded with a zero row and
+        # column, plus [u; -1] [u; -1]^T / s
+        base[k, : k + 1] = base[:k, k] = 0.0
+        U[k, :r] = 0.0
+        push(np.append(u, -1.0), 1.0 / s)
+        su = float(u.sum())
+        w = np.append(w + u * ((su - 1.0) / s), (1.0 - su) / s)
+        corral = np.append(corral, fw)
+        lam = np.append(lam, 0.0)
+        in_corral[fw] = True
+        k += 1
+        while True:  # minor cycles
+            mu = w / w.sum()
+            out = np.flatnonzero(mu < 0.0)
+            if not len(out):
+                lam = mu
+                break
+            ratio = lam[out] / (lam[out] - mu[out])
+            lam = lam + float(ratio.min()) * (mu - lam)
+            lam[out[np.argmin(ratio)]] = 0.0  # the blocking member, exactly
+            # from the back, so that the swapped-in last member always stays
+            for i in np.flatnonzero(lam <= 0.0)[::-1]:
+                k -= 1
+                order, swap = [i, k], [k, i]
+                corral[order], lam[order], w[order] = (
+                    corral[swap], lam[swap], w[swap]
+                )
+                base[order, : k + 1] = base[swap, : k + 1]
+                base[: k + 1, order] = base[: k + 1, swap]
+                U[order, :r] = U[swap, :r]
+                # Schur downdate: the leading block less b b^T / beta, where
+                # [b; beta] is the inverse's last column
+                col = base[: k + 1, k] + U[: k + 1, :r] @ (d[:r] * U[k, :r])
+                push(col[:k], -1.0 / col[k])
+                w = w[:k] - col[:k] * (w[k] / col[k])
+                in_corral[corral[k]] = False
+                corral, lam = corral[:k], lam[:k]
+        step = np.zeros(m, dtype=np.float64)
+        step[corral] = lam
+        g_step = G @ step
+        norm2_step = float(step @ g_step)
+        if not tol < norm2_step < norm2:
+            break
+        alpha, g, norm2 = step, g_step, norm2_step
+    return alpha, iterations, False
 
 
 def _component_block(
@@ -277,13 +362,15 @@ def margin(
     An isolated point's q = |C| - 1 pairs have the gram I + J, whose nearest
     hull point has uniform weights and squared norm 1 + 1/q, so its bound is
     2q / (q + 1) = 2(|C| - 1) / |C| with no iterations; all isolated points
-    form one closed-form block. Every other component runs the iterative
-    solver on its own gram: starting from its first difference vector (all
-    have norm RADIUS), each step moves weight from the currently
-    worst-scoring active vertex toward the vertex minimizing p . v, with an
-    exact line search, until the component's duality gap falls to `tol` or
-    `max_iters` steps run out. A set that is one component thus builds the
-    dense gram and takes the same steps as a single solve.
+    form one closed-form block. Every other component runs Wolfe's
+    nearest-point algorithm on its own gram (`_hull_descent`): starting from
+    its first difference vector (all have norm RADIUS), each major step adds
+    the vertex minimizing p . v to a corral of vertices and moves p to the
+    point of the corral's hull nearest the origin, until the component's
+    duality gap falls to `tol`, `max_iters` major steps run out, or rounding
+    stops the descent. `iterations` counts those major steps. A set that is
+    one component thus builds the dense gram and takes the same steps as a
+    single solve.
 
     The certificate weights the blocks' hull points by t_k as above and
     scatters them into the global pair order. That p is a hull point however
@@ -488,11 +575,13 @@ def _bound_report(
 
 
 def default_sigma_grid(sigma_star: float) -> list[float]:
-    """Geometric grid of SIGMA_GRID_SIZE points from sigma*/100 up to sigma*
-    itself."""
+    """Geometric grid of SIGMA_GRID_SIZE points from sigma*/100 up to the
+    largest float below sigma*, which the analytic certificate, strict at
+    sigma* itself, still covers."""
     lo, hi = sigma_star / 100.0, sigma_star
     last = SIGMA_GRID_SIZE - 1
-    return [lo * (hi / lo) ** (i / last) for i in range(SIGMA_GRID_SIZE)]
+    grid = [lo * (hi / lo) ** (i / last) for i in range(last)]
+    return grid + [math.nextafter(sigma_star, 0.0)]
 
 
 @dataclass

@@ -11,8 +11,6 @@ import protobound as pb
 from conftest import TINY_SIGMAS
 from protobound import margin_bound
 
-EPS = float(np.finfo(np.float64).eps)
-
 
 def two_point(d=2.0):
     return pb.Dataset([((0.0,), "A"), ((d,), "B")])
@@ -58,9 +56,10 @@ class DenseMargin(NamedTuple):
 
 
 def dense_margin(dataset, cfg, tol=pb.DEFAULT_TOL, max_iters=pb.DEFAULT_MAX_ITERS):
-    """One solve over the whole m x m gram: the solver that per-component
-    solving replaced, kept as its oracle. It reports the solve's own rounding,
-    without the allowance `margin` takes off delta_hat."""
+    """One away-step descent over the whole m x m gram: the solver that
+    per-component solving and then Wolfe's algorithm replaced, kept as their
+    oracle. It reports the solve's own rounding, without the allowance
+    `margin` takes off delta_hat."""
     G = four_mask_gram(dataset, cfg)
     alpha = np.zeros(len(G), dtype=np.float64)
     alpha[0] = 1.0
@@ -103,6 +102,20 @@ def dense_margin(dataset, cfg, tol=pb.DEFAULT_TOL, max_iters=pb.DEFAULT_MAX_ITER
     return DenseMargin(
         delta_hat, bound, gap, alpha, converged and gap <= tol, iterations, pnorm
     )
+
+
+def assert_kkt(dataset, cfg, cert, tol=pb.DEFAULT_TOL):
+    """Optimality of a converged certificate on every kernel component: the
+    component's own hull point p scores each of its vertices at least
+    ||p||^2 - tol ||p||, the gap test a converged solve stops on."""
+    G = four_mask_gram(dataset, cfg)
+    point = np.array([i for i, _ in cert.pairs])
+    for members in union_find_components(dataset, cfg.sigma):
+        rows = np.flatnonzero(np.isin(point, list(members)))
+        alpha = cert.coefficients[rows] / cert.coefficients[rows].sum()
+        g = G[np.ix_(rows, rows)] @ alpha
+        norm2 = float(alpha @ g)
+        assert g.min() >= norm2 - tol * math.sqrt(norm2)
 
 
 def union_find_components(dataset, sigma):
@@ -282,7 +295,8 @@ class TestMarginSolver:
         assert sum(s["coefficient"] for s in support) == pytest.approx(1.0)
 
     def test_norm_never_increases_with_budget(self, line3):
-        # ||p|| = delta_hat + duality_gap, for every budget up to convergence
+        # ||p|| = delta_hat + duality_gap, for every budget of major steps up
+        # to convergence
         cfg = pb.KernelConfig(0.3)
         certs = [pb.margin(line3, cfg, max_iters=k) for k in range(1, 31)]
         assert certs[-1].converged and not certs[0].converged
@@ -333,8 +347,9 @@ class TestKernelComponents:
             assert all(len(c) >= 2 for c in components)
 
     def test_certificates_against_dense_oracle(self):
-        # a budget of 2,000 steps leaves about a fifth of the one-component
-        # solves unconverged, which the feasibility checks then cover
+        # a budget of 2,000 steps leaves about a fifth of the away-step
+        # oracle's one-component solves unconverged, which the feasibility
+        # checks then cover; Wolfe's algorithm converges on more of them
         tol = pb.DEFAULT_TOL
         kinds = set()
         for ds, cfg in component_cases():
@@ -345,32 +360,69 @@ class TestKernelComponents:
             assert cert.largest_component == max(len(c) for c in partition)
             if cert.components == 1:
                 kinds.add("one")
-                assert cert.coefficients.tobytes() == dense.coefficients.tobytes()
-                # the same solve, less the rounding allowance on delta_hat
-                delta = dense.delta_hat * (1 - (len(cert.pairs) + 4) * EPS)
                 bound = math.inf
-                if delta > 0.0:
-                    bound = pb.RADIUS * pb.RADIUS / (delta * delta)
-                assert (cert.delta_hat, cert.bound, cert.duality_gap) == (
-                    delta, bound, dense.norm - delta
-                )
-                assert (cert.iterations, cert.converged) == (
-                    dense.iterations, dense.converged
-                )
+                if cert.delta_hat > 0.0:
+                    bound = pb.RADIUS * pb.RADIUS / (cert.delta_hat * cert.delta_hat)
+                assert cert.bound == bound
             else:
                 kinds.add("isolated" if cert.largest_component == 1 else "mixed")
             # feasible: the reported margin recomputes from the four-mask gram
             g = four_mask_gram(ds, cfg) @ cert.coefficients
-            recomputed = float(g.min()) / math.sqrt(float(cert.coefficients @ g))
-            assert abs(recomputed - cert.delta_hat) <= 1e-9
+            norm = math.sqrt(float(cert.coefficients @ g))
+            assert abs(float(g.min()) / norm - cert.delta_hat) <= 1e-9
+            assert abs(norm - cert.delta_hat - cert.duality_gap) <= 1e-9
             # never optimistic: below the norm of the oracle's hull point
             assert cert.delta_hat <= dense.delta_hat + dense.duality_gap + 1e-12
             # on these sets each component converges within the budget
-            # wherever the dense solve does, and so does their union
+            # wherever the dense solve does, and so does their union, to a
+            # margin within tol of the oracle's
             assert cert.converged or not dense.converged
+            if dense.converged:
+                assert cert.delta_hat >= dense.delta_hat - tol
+            if cert.converged:
+                assert_kkt(ds, cfg, cert, tol)
+                kinds.add("converged")
             if cert.converged and dense.converged:
                 assert abs(cert.delta_hat - dense.delta_hat) <= tol
-        assert kinds == {"one", "isolated", "mixed"}
+        assert kinds == {"one", "isolated", "mixed", "converged"}
+
+    def test_dense_component_converges_in_few_steps(self):
+        # three blobs at sigma = 0.1 form one component with a dense,
+        # ill-conditioned gram; the away-step oracle needs thousands of steps
+        blobs = [((0.0, 0.0), "A"), ((2.0, 0.0), "B"), ((1.0, 1.5), "C")]
+        cfg = pb.KernelConfig(0.1)
+        for seed in range(2):
+            ds = pb.generate_blobs(seed, 30, blobs, 0.3)
+            cert = pb.margin(ds, cfg)
+            assert (cert.components, cert.largest_component) == (1, 90)
+            assert cert.converged and cert.duality_gap <= pb.DEFAULT_TOL
+            assert_kkt(ds, cfg, cert)
+            assert cert.iterations < pb.DEFAULT_MAX_ITERS // 100
+            dense = dense_margin(ds, cfg)
+            assert dense.converged and cert.iterations < dense.iterations // 10
+            assert cert.delta_hat >= dense.delta_hat - pb.DEFAULT_TOL
+            # ||p|| falls with every major step the budget allows
+            norms = [
+                c.delta_hat + c.duality_gap
+                for c in (pb.margin(ds, cfg, max_iters=k) for k in (1, 2, 4, 16, 64))
+            ]
+            assert all(b < a for a, b in zip(norms, norms[1:]))
+
+    def test_hull_holding_the_origin_stays_recomputable(self):
+        # criterion 8's seed 29: a Wolfe loop left to run drives ||p|| to
+        # about 5e-7, where min_v (p . v) / ||p|| no longer recomputes within
+        # 1e-9; the solve keeps its last point with ||p||^2 above tol
+        ds = pb.fuzz_dataset(29, max_n=10, max_dim=3, max_classes=3)
+        rng = np.random.default_rng(1029)
+        cfg = pb.KernelConfig(float(rng.uniform(0.1, 1.0)) * max(ds.diameter(), 1.0))
+        cert = pb.margin(ds, cfg, max_iters=20_000)
+        assert cert.components == 1
+        assert not cert.separable and not cert.converged
+        assert cert.bound == math.inf
+        g = four_mask_gram(ds, cfg) @ cert.coefficients
+        norm2 = float(cert.coefficients @ g)
+        assert norm2 > pb.DEFAULT_TOL
+        assert abs(float(g.min()) / math.sqrt(norm2) - cert.delta_hat) <= 1e-9
 
     def test_all_isolated_closed_form(self):
         for seed in range(24):
@@ -493,9 +545,9 @@ class TestBoundInfimum:
         gs = pb.bound_infimum(line3)
         assert len(gs.evaluated) == 16
         assert gs.skipped_sigmas == []
-        # the endpoint sigma* is not covered analytically (strict inequality)
-        # but passes exhaustive verification on this set
-        assert gs.best.sigma == star
+        # the last point is the largest float below sigma*, so the analytic
+        # certificate (strict at sigma* itself) covers the whole grid
+        assert gs.best.sigma == math.nextafter(star, 0.0)
         assert gs.best.bound == pytest.approx(2.6, rel=1e-6)
         assert gs.best.prototype_count == 2
         assert gs.best.satisfied
@@ -504,11 +556,16 @@ class TestBoundInfimum:
         assert gs.best.bound == min(r.bound for r in gs.evaluated)
 
     def test_grid_endpoints(self):
-        grid = pb.default_sigma_grid(1.0)
-        assert len(grid) == margin_bound.SIGMA_GRID_SIZE == 16
-        assert grid[0] == pytest.approx(0.01)
-        assert grid[-1] == pytest.approx(1.0)
-        assert all(a < b for a, b in zip(grid, grid[1:]))
+        for star in (1.0, 0.6005612043932249, 3e-150):
+            grid = pb.default_sigma_grid(star)
+            assert len(grid) == margin_bound.SIGMA_GRID_SIZE == 16
+            assert grid[0] == pytest.approx(star / 100)
+            # strictly below sigma*, so the analytic certificate covers it
+            assert grid[-1] == math.nextafter(star, 0.0) < star
+            # the other points are the geometric grid from sigma*/100
+            lo = star / 100.0
+            assert grid[:-1] == [lo * (star / lo) ** (i / 15) for i in range(15)]
+            assert all(a < b for a, b in zip(grid, grid[1:]))
 
     def test_uncertifiable_points_are_skipped(self, line3):
         star = pb.sufficient_sigma(line3).sigma_star
