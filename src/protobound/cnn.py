@@ -20,6 +20,7 @@ from .dataset import (
     LabeledPoint,
     _coord_buffer,
     _RangeGuard,
+    _stream_block_size,
     sq_dists_to,
 )
 from .nn_rule import PrototypeSet, UpdateEvent, UpdateTrace, _doubled
@@ -107,6 +108,21 @@ def run_cnn_online(
     d2 == 0.0 under a different label therefore duplicates it exactly and
     violates the unambiguous-labeling assumption; it is skipped and counted
     rather than admitted.
+
+    Items are pulled and checked one at a time, and scored in blocks. With
+    n prototypes in d coordinates a block is the largest q with
+    q * (n + q) * d <= `BLOCK_ELEMENTS` (at least 1, and never past
+    `max_items`); the first item, which fixes d, is a block of its own. The
+    block is written to the buffer's free rows, and one distance call gives
+    each item its squared distance to the n block-start prototypes and to
+    every item of the block, the very floats a per-item call would give.
+    Its nearest block-start prototype is the earliest minimum. Walking the
+    block in order, item t then compares that with each item s < t the
+    walk added, and s wins only on a strictly smaller d2: its insertion
+    index is later than every block-start prototype's. That is the
+    earliest-minimum rule over the grown set, so the prototypes, curve and
+    conflict count are those of scoring one item at a time. A block of one
+    item is scored as one item, with no block rows.
     """
     if checkpoints is None:
         checkpoints = default_checkpoints(max_items)
@@ -124,42 +140,80 @@ def run_cnn_online(
     seen = 0
 
     it: Iterator[LabeledPoint] = iter(stream)
+    q = 1  # the first item fixes the dimension: a block of its own
     while seen < max_items:
-        try:
-            item = next(it)
-        except StopIteration:
-            break
-        seen += 1
-        if dim is None:
-            dim = len(item.coords)
-            coords = _coord_buffer(16, dim)
-        elif len(item.coords) != dim:
-            raise ValueError(
-                f"stream item {seen} has dimension {len(item.coords)}, "
-                f"expected {dim}"
-            )
-        try:
-            guard.check(item.coords)
-        except DatasetError as exc:
-            raise DatasetError(f"stream item {seen}: {exc}") from None
+        block: list[LabeledPoint] = []
+        for item in it:
+            seen += 1
+            if dim is None:
+                dim = len(item.coords)
+                coords = _coord_buffer(16, dim)
+            elif len(item.coords) != dim:
+                raise ValueError(
+                    f"stream item {seen} has dimension {len(item.coords)}, "
+                    f"expected {dim}"
+                )
+            try:
+                guard.check(item.coords)
+            except DatasetError as exc:
+                raise DatasetError(f"stream item {seen}: {exc}") from None
+            block.append(item)
+            if len(block) == q:
+                break
         n = len(labels)
-        if n == 0:
-            misclassified = True
-        else:
-            d2 = sq_dists_to(coords[:n], np.asarray(item.coords))
-            # argmin returns the earliest minimum, which is the smallest
-            # source index because arrival order is insertion order.
-            j = int(d2.argmin())
-            misclassified = labels[j] != item.label
-            if misclassified and d2[j] == 0.0:
-                conflicts += 1
-                misclassified = False
-        if misclassified:
-            if n == len(coords):
+        if len(block) == 1:
+            item = block[0]
+            if n == 0:
+                misclassified = True
+            else:
+                d2 = sq_dists_to(coords[:n], np.asarray(item.coords))
+                # argmin returns the earliest minimum, which is the smallest
+                # source index because arrival order is insertion order.
+                j = int(d2.argmin())
+                misclassified = labels[j] != item.label
+                if misclassified and d2[j] == 0.0:
+                    conflicts += 1
+                    misclassified = False
+            if misclassified:
+                if n == len(coords):
+                    coords = _doubled(coords)
+                coords[n] = item.coords
+                labels.append(item.label)
+            while seen == next_mark:
+                curve.append((seen, len(labels)))
+                next_mark = next(marks, None)
+        elif block:
+            # the block's rows follow the prototypes' in the buffer; the
+            # one distance call reads them all before additions overwrite
+            # them, the k-th addition row n + k
+            while len(coords) < n + len(block):
                 coords = _doubled(coords)
-            coords[n] = item.coords
-            labels.append(item.label)
-        while next_mark is not None and seen == next_mark:
-            curve.append((seen, len(labels)))
-            next_mark = next(marks, None)
+            coords[n : n + len(block)] = [item.coords for item in block]
+            d2 = sq_dists_to(coords[: n + len(block)], coords[n : n + len(block)])
+            inner: list[list[float]] = []
+            added: list[int] = []
+            first = seen - len(block)
+            for t, j in enumerate(d2[:, :n].argmin(axis=1).tolist()):
+                item, label, best = block[t], labels[j], d2[t, j]
+                for s in added:
+                    if inner[t][s] < best:
+                        best, label = inner[t][s], block[s].label
+                if label != item.label:
+                    if best == 0.0:
+                        conflicts += 1
+                    else:
+                        if not added:
+                            inner = d2[:, n:].tolist()
+                        added.append(t)
+                        coords[len(labels)] = item.coords
+                        labels.append(item.label)
+                while first + t + 1 == next_mark:
+                    curve.append((next_mark, len(labels)))
+                    next_mark = next(marks, None)
+        if len(block) < q:
+            break
+        if q > 1 or n == 0:
+            # n only grows and the items left only shrink, so once a block
+            # holds one item every later block does
+            q = _stream_block_size(len(labels), dim, max_items - seen)
     return OnlineResult(curve, len(labels), seen, conflicts)

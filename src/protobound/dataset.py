@@ -90,6 +90,16 @@ def _query_blocks(n_queries: int, per_query: int) -> Iterator[slice]:
         yield slice(start, min(start + step, n_queries))
 
 
+def _stream_block_size(n: int, d: int, limit: int) -> int:
+    """The largest q >= 1, and at most `limit`, with q * (n + q) * d <=
+    BLOCK_ELEMENTS: a block of q queries scored against n points and against
+    itself then forms at most BLOCK_ELEMENTS elements of differences."""
+    # q * (n + q) <= m  <=>  (2q + n)^2 <= n^2 + 4m  <=>  2q + n <= isqrt(...)
+    m = BLOCK_ELEMENTS // d
+    q = (math.isqrt(n * n + 4 * m) - n) // 2
+    return max(1, min(q, limit))
+
+
 def _distance_row_blocks(coords: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """(block, `sq_dists_to(coords, coords[block])`) over consecutive query
     blocks of every point in `coords`; row r of a block's matrix is query
@@ -512,16 +522,22 @@ def blob_stream(
     """Endless stream of draws from a mixture of labeled Gaussian blobs.
 
     Each item picks a center uniformly at random, then adds isotropic noise.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. The arithmetic is done in Python floats,
+    one multiply and one add per coordinate as numpy's `center + spread * z`
+    does them, so the items are those of the array expression bit for bit.
     """
     if not (spread > 0 and math.isfinite(spread)):
         raise DatasetError(f"spread must be positive and finite, got {spread!r}")
-    validated = _validated_centers(centers)
+    spread = float(spread)
+    validated = [(c.tolist(), label) for c, label in _validated_centers(centers)]
+    dim = len(validated[0][0])
     rng = np.random.default_rng(seed)
     while True:
         center, label = validated[int(rng.integers(len(validated)))]
-        coords = tuple((center + spread * rng.standard_normal(center.size)).tolist())
-        yield LabeledPoint(coords, label)
+        noise = rng.standard_normal(dim).tolist()
+        yield LabeledPoint(
+            tuple([c + spread * z for c, z in zip(center, noise)]), label
+        )
 
 
 _CLASS_NAMES = ("A", "B", "C", "D", "E", "F", "G", "H")

@@ -1,7 +1,8 @@
 """The sweeps as they were before they kept per-point state: every test
 rescans the prototypes or records through the public per-query API. The
 incremental sweeps in `protobound` must reproduce these bit for bit. So must
-the blocked all-pairs passes reproduce their row-by-row loops, kept below.
+the blocked all-pairs passes reproduce their row-by-row loops, and blocked
+online condensation its per-item loop, kept below.
 """
 
 import math
@@ -9,7 +10,9 @@ import math
 import numpy as np
 
 import protobound as pb
+from protobound.dataset import _coord_buffer, _RangeGuard
 from protobound.kernel_machine import DEFAULT_MAX_PASSES
+from protobound.nn_rule import _doubled
 
 
 def oracle_run_cnn(dataset, shuffle_seed=None):
@@ -84,28 +87,82 @@ def oracle_is_consistent(prototypes, dataset):
 
 def oracle_run_cnn_online(stream, max_items):
     """Online condensation with its former duplicate dictionary and no range
-    check; returns (prototype count, items seen, conflicts skipped)."""
-    labels, kept, coords = [], {}, []
+    check; returns (kept items in order, items seen, conflicts skipped)."""
+    kept, dictionary = [], {}
     conflicts = seen = 0
     for item in stream:
         if seen == max_items:
             break
         seen += 1
-        if not labels:
+        if not kept:
             misclassified = True
         else:
-            prior = kept.get(item.coords)
+            prior = dictionary.get(item.coords)
             if prior is not None and prior != item.label:
                 conflicts += 1
                 misclassified = False
             else:
-                d2 = pb.sq_dists_to(np.array(coords), np.asarray(item.coords))
-                misclassified = labels[int(np.argmin(d2))] != item.label
+                d2 = pb.sq_dists_to(np.array([p.coords for p in kept]),
+                                    np.asarray(item.coords))
+                misclassified = kept[int(np.argmin(d2))].label != item.label
         if misclassified:
-            coords.append(item.coords)
-            labels.append(item.label)
-            kept[item.coords] = item.label
-    return len(labels), seen, conflicts
+            kept.append(item)
+            dictionary[item.coords] = item.label
+    return kept, seen, conflicts
+
+
+def loop_run_cnn_online(stream, max_items, checkpoints=None):
+    """`run_cnn_online` as it was before it scored items in blocks: one
+    distance call per item. Returns (curve, kept items in order, items seen,
+    conflicts skipped)."""
+    if checkpoints is None:
+        checkpoints = pb.default_checkpoints(max_items)
+    marks = iter(sorted(set(int(c) for c in checkpoints)))
+    next_mark = next(marks, None)
+
+    dim = None
+    guard = _RangeGuard()
+    kept, curve = [], []
+    conflicts = seen = 0
+
+    it = iter(stream)
+    while seen < max_items:
+        try:
+            item = next(it)
+        except StopIteration:
+            break
+        seen += 1
+        if dim is None:
+            dim = len(item.coords)
+            coords = _coord_buffer(16, dim)
+        elif len(item.coords) != dim:
+            raise ValueError(
+                f"stream item {seen} has dimension {len(item.coords)}, "
+                f"expected {dim}"
+            )
+        try:
+            guard.check(item.coords)
+        except pb.DatasetError as exc:
+            raise pb.DatasetError(f"stream item {seen}: {exc}") from None
+        n = len(kept)
+        if n == 0:
+            misclassified = True
+        else:
+            d2 = pb.sq_dists_to(coords[:n], np.asarray(item.coords))
+            j = int(d2.argmin())
+            misclassified = kept[j].label != item.label
+            if misclassified and d2[j] == 0.0:
+                conflicts += 1
+                misclassified = False
+        if misclassified:
+            if n == len(coords):
+                coords = _doubled(coords)
+            coords[n] = item.coords
+            kept.append(item)
+        while next_mark is not None and seen == next_mark:
+            curve.append((seen, len(kept)))
+            next_mark = next(marks, None)
+    return curve, kept, seen, conflicts
 
 
 def oracle_pairwise_sq_dists(coords):

@@ -296,8 +296,11 @@ class TestGenerators:
     @pytest.mark.parametrize(
         "centers",
         [[([0.0], "A"), ([2.5], "B")],
-         [([0.0, 1.0, -2.0], "A"), ([3.0, 0.0, 1.0], "B"), ([-1.0, 4.0, 0.5], "C")]],
-        ids=["1d", "3d"],
+         [([0.0, 1.0, -2.0], "A"), ([3.0, 0.0, 1.0], "B"), ([-1.0, 4.0, 0.5], "C")],
+         [([0.5 * j - 2.0 for j in range(9)], "A"),
+          ([1e3, -3.25, 0.1, 7.0, -1e-3, 2.0, 0.0, 5.5, -8.0], "B")],
+         [([1.5, -0.25], "A")]],
+        ids=["1d", "3d", "9d", "one-center"],
     )
     def test_stream_items_equal_the_former_generator(self, seed, centers):
         import itertools

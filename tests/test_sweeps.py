@@ -1,7 +1,10 @@
 """The incremental sweeps against their per-query oracles: `run_cnn`,
 `run_mp` and `is_consistent` must give the same traces, weights and verdicts
 bit for bit, whatever the block cap of their batched passes; and so must the
-blocked all-pairs passes against their row-by-row loops."""
+blocked all-pairs passes against their row-by-row loops, and blocked online
+condensation against its per-item loop."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import pytest
 import protobound as pb
 import protobound.dataset
 from sweep_oracles import (
+    loop_run_cnn_online,
     oracle_diameter,
     oracle_is_consistent,
     oracle_min_squared_gap,
@@ -20,6 +24,8 @@ from sweep_oracles import (
 )
 
 MAX_PASSES = 20
+# two classes drawn around one center: about half the items are kept
+OVERLAP = [((0.0, 0.0), "A"), ((0.0, 0.0), "B")]
 
 
 @pytest.fixture(params=[None, 1, 2**62], ids=["default-cap", "one-row", "huge-cap"])
@@ -145,22 +151,132 @@ class TestIsConsistent:
                 assert pb.is_consistent(ps, ds) == oracle_is_consistent(ps, ds)
 
 
+def kept_items(items, curve):
+    """The items a run kept, read off its curve at every item count."""
+    sizes = [0] + [size for _, size in curve]
+    return [item for item, before, after in zip(items, sizes, sizes[1:])
+            if after > before]
+
+
+def online_outcome(items, max_items, checkpoints=None):
+    """`run_cnn_online` over `items` in `loop_run_cnn_online`'s form: (curve,
+    kept items in order, items seen, conflicts skipped). The kept items come
+    from a second run checkpointed at every item count."""
+    got = pb.run_cnn_online(iter(items), max_items, checkpoints)
+    every = pb.run_cnn_online(iter(items), max_items, range(1, max_items + 1))
+    kept = kept_items(items, every.curve)
+    assert got.prototype_count == every.prototype_count == len(kept)
+    return got.curve, kept, got.items_seen, got.conflicts_skipped
+
+
+def lattice_stream(seed, length=60):
+    """Items on a small integer grid under two labels, so exact duplicates,
+    conflicts and distance ties (between block-start prototypes and a
+    block's own additions too) are frequent."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 3))
+    return [
+        pb.LabeledPoint(tuple(float(v) for v in rng.integers(0, 4, size=d)),
+                        "AB"[int(rng.integers(2))])
+        for _ in range(length)
+    ]
+
+
+class CountingStream:
+    """An iterator over `items` that counts how many were pulled."""
+
+    def __init__(self, items):
+        self._items = iter(items)
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self._items)
+        self.pulled += 1
+        return item
+
+
 class TestRunCnnOnline:
     def test_equals_former_duplicate_dictionary(self):
-        # lattice streams repeat points under both labels, so conflicts and
-        # agreeing duplicates are frequent
+        conflicts = 0
         for seed in range(100):
-            rng = np.random.default_rng(seed)
-            d = int(rng.integers(1, 3))
-            items = [
-                pb.LabeledPoint(tuple(float(v) for v in rng.integers(0, 4, size=d)),
-                                "AB"[int(rng.integers(2))])
-                for _ in range(60)
-            ]
-            got = pb.run_cnn_online(iter(items), 60, checkpoints=[60])
-            assert (got.prototype_count, got.items_seen, got.conflicts_skipped) == (
-                oracle_run_cnn_online(iter(items), 60)
+            items = lattice_stream(seed)
+            curve, kept, seen, skipped = online_outcome(items, 60, [60])
+            assert (kept, seen, skipped) == oracle_run_cnn_online(iter(items), 60)
+            assert curve == [(60, len(kept))]
+            conflicts += skipped
+        assert conflicts > 0  # the conflict rule was compared too
+
+    def test_equals_per_item_loop_on_lattice_streams(self, block_cap):
+        for seed in range(100):
+            items = lattice_stream(seed)
+            assert online_outcome(items, 60) == loop_run_cnn_online(iter(items), 60)
+
+    def test_equals_per_item_loop_on_fuzz_streams(self, block_cap):
+        # max_n=400 makes streams long enough to split into blocks at the
+        # default cap, in up to 9 coordinates
+        for seed in range(30):
+            max_n = 30 if seed % 2 else 400
+            items = list(pb.fuzz_dataset(seed, max_n=max_n, max_dim=9).points)
+            assert online_outcome(items, len(items)) == (
+                loop_run_cnn_online(iter(items), len(items))
             )
+
+    def test_equals_per_item_loop_in_16_dimensions(self, block_cap):
+        centers = [([0.0] * 16, "A"), ([1.0] * 8 + [0.0] * 8, "B"),
+                   ([0.0] * 8 + [2.0] * 8, "C")]
+        items = list(itertools.islice(pb.blob_stream(5, centers, 1.0), 600))
+        got = online_outcome(items, 600)
+        assert got == loop_run_cnn_online(iter(items), 600)
+        assert 0 < len(got[1]) < 600
+
+    def test_equals_per_item_loop_at_random_checkpoints(self, block_cap):
+        rng = np.random.default_rng(11)
+        for seed in range(20):
+            items = lattice_stream(seed, 200) if seed % 2 else list(
+                itertools.islice(pb.blob_stream(seed, OVERLAP, 1.0), 300)
+            )
+            marks = rng.choice(len(items), size=int(rng.integers(1, 12)),
+                               replace=False) + 1
+            assert online_outcome(items, len(items), marks.tolist()) == (
+                loop_run_cnn_online(iter(items), len(items), marks.tolist())
+            )
+
+    def test_equals_per_item_loop_on_short_streams(self, block_cap):
+        for seed in range(20):
+            items = lattice_stream(seed, seed * 7 % 50)
+            for max_items in (len(items) + 1, 2 * len(items) + 30):
+                got = online_outcome(items, max_items)
+                assert got == loop_run_cnn_online(iter(items), max_items)
+                assert got[2] == len(items)
+
+    def test_pulls_exactly_the_items_it_reads(self, block_cap):
+        items = list(itertools.islice(pb.blob_stream(0, OVERLAP, 1.0), 500))
+        for length, max_items in ((500, 500), (500, 137), (500, 499), (40, 500),
+                                  (0, 10), (500, 0)):
+            stream = CountingStream(items[:length])
+            result = pb.run_cnn_online(stream, max_items)
+            assert stream.pulled == result.items_seen == min(max_items, length)
+
+    def test_bad_item_inside_a_block_named_and_nothing_past_it_pulled(
+        self, block_cap
+    ):
+        # item k overflows the range rule, item k + 1 has another dimension;
+        # both sit inside one block at the default cap
+        items = list(itertools.islice(pb.blob_stream(1, OVERLAP, 1.0), 30))
+        k = 20
+        items[k - 1] = pb.LabeledPoint((1e200, 0.0), "A")
+        items[k] = pb.LabeledPoint((0.0, 0.0, 0.0), "B")
+        stream = CountingStream(items)
+        with pytest.raises(pb.DatasetError, match="overflows float64") as exc:
+            pb.run_cnn_online(stream, len(items))
+        assert str(exc.value).startswith(f"stream item {k}: ")
+        assert stream.pulled == k
+        with pytest.raises(pb.DatasetError) as former:
+            loop_run_cnn_online(iter(items), len(items))
+        assert str(exc.value) == str(former.value)
 
 
 def min_squared_gap_outcome(dataset):
