@@ -59,7 +59,6 @@ from .neighborly import (
     GammaDegenerateError,
     SigmaCertificate,
     Violation,
-    bisect_sigma,
     min_squared_gap,
     replay_violation,
     sufficient_sigma,
@@ -107,7 +106,6 @@ __all__ = [
     "VacuousBoundError",
     "Violation",
     "argmax_class",
-    "bisect_sigma",
     "blob_stream",
     "bound_infimum",
     "classify",

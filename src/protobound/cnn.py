@@ -19,11 +19,12 @@ from .dataset import (
     DatasetError,
     LabeledPoint,
     _coord_buffer,
+    _doubled,
     _RangeGuard,
     _stream_block_size,
     sq_dists_to,
 )
-from .nn_rule import PrototypeSet, UpdateEvent, UpdateTrace, _doubled
+from .nn_rule import PrototypeSet, UpdateEvent, UpdateTrace
 
 
 def run_cnn(dataset: Dataset, shuffle_seed: int | None = None) -> UpdateTrace:
@@ -112,17 +113,18 @@ def run_cnn_online(
     Items are pulled and checked one at a time, and scored in blocks. With
     n prototypes in d coordinates a block is the largest q with
     q * (n + q) * d <= `BLOCK_ELEMENTS` (at least 1, and never past
-    `max_items`); the first item, which fixes d, is a block of its own. The
-    block is written to the buffer's free rows, and one distance call gives
-    each item its squared distance to the n block-start prototypes and to
-    every item of the block, the very floats a per-item call would give.
-    Its nearest block-start prototype is the earliest minimum. Walking the
-    block in order, item t then compares that with each item s < t the
+    `max_items`); the first item, which fixes d, is a block of its own and
+    is always kept. Every block is scored on one path, with at most two
+    distance calls, each giving the very floats a per-item call would. The
+    first gives each item its squared distances to the n block-start
+    prototypes, and its nearest one is the earliest minimum. The second,
+    the block's items against themselves, is made only once an item is
+    added with items still after it. Walking the block in order, item t
+    compares its nearest block-start prototype with each item s < t the
     walk added, and s wins only on a strictly smaller d2: its insertion
     index is later than every block-start prototype's. That is the
     earliest-minimum rule over the grown set, so the prototypes, curve and
-    conflict count are those of scoring one item at a time. A block of one
-    item is scored as one item, with no block rows.
+    conflict count are those of scoring one item at a time.
     """
     if checkpoints is None:
         checkpoints = default_checkpoints(max_items)
@@ -160,56 +162,38 @@ def run_cnn_online(
             block.append(item)
             if len(block) == q:
                 break
+        if not block:
+            break
         n = len(labels)
-        if len(block) == 1:
-            item = block[0]
-            if n == 0:
-                misclassified = True
-            else:
-                d2 = sq_dists_to(coords[:n], np.asarray(item.coords))
-                # argmin returns the earliest minimum, which is the smallest
-                # source index because arrival order is insertion order.
-                j = int(d2.argmin())
-                misclassified = labels[j] != item.label
-                if misclassified and d2[j] == 0.0:
+        x = np.array([item.coords for item in block])
+        if n:
+            d2 = sq_dists_to(coords[:n], x)
+            nearest = d2.argmin(axis=1).tolist()
+        inner: list[list[float]] = []
+        added: list[int] = []
+        first = seen - len(block)
+        for t, item in enumerate(block):
+            label, best = None, np.inf
+            if n:
+                j = nearest[t]
+                label, best = labels[j], d2[t, j]
+            for s in added:
+                if inner[t][s] < best:
+                    best, label = inner[t][s], block[s].label
+            if label != item.label:
+                if best == 0.0:
                     conflicts += 1
-                    misclassified = False
-            if misclassified:
-                if n == len(coords):
-                    coords = _doubled(coords)
-                coords[n] = item.coords
-                labels.append(item.label)
-            while seen == next_mark:
-                curve.append((seen, len(labels)))
+                else:
+                    if not inner and t + 1 < len(block):
+                        inner = sq_dists_to(x, x).tolist()
+                    added.append(t)
+                    if len(labels) == len(coords):
+                        coords = _doubled(coords)
+                    coords[len(labels)] = item.coords
+                    labels.append(item.label)
+            while first + t + 1 == next_mark:
+                curve.append((next_mark, len(labels)))
                 next_mark = next(marks, None)
-        elif block:
-            # the block's rows follow the prototypes' in the buffer; the
-            # one distance call reads them all before additions overwrite
-            # them, the k-th addition row n + k
-            while len(coords) < n + len(block):
-                coords = _doubled(coords)
-            coords[n : n + len(block)] = [item.coords for item in block]
-            d2 = sq_dists_to(coords[: n + len(block)], coords[n : n + len(block)])
-            inner: list[list[float]] = []
-            added: list[int] = []
-            first = seen - len(block)
-            for t, j in enumerate(d2[:, :n].argmin(axis=1).tolist()):
-                item, label, best = block[t], labels[j], d2[t, j]
-                for s in added:
-                    if inner[t][s] < best:
-                        best, label = inner[t][s], block[s].label
-                if label != item.label:
-                    if best == 0.0:
-                        conflicts += 1
-                    else:
-                        if not added:
-                            inner = d2[:, n:].tolist()
-                        added.append(t)
-                        coords[len(labels)] = item.coords
-                        labels.append(item.label)
-                while first + t + 1 == next_mark:
-                    curve.append((next_mark, len(labels)))
-                    next_mark = next(marks, None)
         if len(block) < q:
             break
         if q > 1 or n == 0:

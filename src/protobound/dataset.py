@@ -43,6 +43,17 @@ def _coord_buffer(n: int, d: int) -> np.ndarray:
     return np.empty((n, d), dtype=np.float64, order=order)
 
 
+def _doubled(buf: np.ndarray) -> np.ndarray:
+    """A copy of `buf` in a buffer with twice as many rows; a coordinate
+    matrix keeps `_coord_buffer`'s layout."""
+    if buf.ndim == 2:
+        grown = _coord_buffer(2 * len(buf), buf.shape[1])
+    else:
+        grown = np.empty(2 * len(buf), dtype=buf.dtype)
+    grown[: len(buf)] = buf
+    return grown
+
+
 def _take_rows(coords: np.ndarray, idx) -> np.ndarray:
     """`coords[idx]` for an index array `idx`, in the layout `_coord_buffer`
     gives; plain fancy indexing would return rows."""
@@ -525,19 +536,25 @@ def blob_stream(
     Deterministic for a fixed seed. The arithmetic is done in Python floats,
     one multiply and one add per coordinate as numpy's `center + spread * z`
     does them, so the items are those of the array expression bit for bit.
+    The spread and centers are checked by the call itself, before any item
+    is pulled.
     """
     if not (spread > 0 and math.isfinite(spread)):
         raise DatasetError(f"spread must be positive and finite, got {spread!r}")
     spread = float(spread)
     validated = [(c.tolist(), label) for c, label in _validated_centers(centers)]
     dim = len(validated[0][0])
-    rng = np.random.default_rng(seed)
-    while True:
-        center, label = validated[int(rng.integers(len(validated)))]
-        noise = rng.standard_normal(dim).tolist()
-        yield LabeledPoint(
-            tuple([c + spread * z for c, z in zip(center, noise)]), label
-        )
+
+    def items() -> Iterator[LabeledPoint]:
+        rng = np.random.default_rng(seed)
+        while True:
+            center, label = validated[int(rng.integers(len(validated)))]
+            noise = rng.standard_normal(dim).tolist()
+            yield LabeledPoint(
+                tuple([c + spread * z for c, z in zip(center, noise)]), label
+            )
+
+    return items()
 
 
 _CLASS_NAMES = ("A", "B", "C", "D", "E", "F", "G", "H")

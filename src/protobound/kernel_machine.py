@@ -33,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, _coord_buffer, _query_blocks, sq_dists_to
-from .nn_rule import PrototypeSet, UpdateEvent, UpdateTrace, _doubled
+from .dataset import Dataset, _coord_buffer, _doubled, _query_blocks, sq_dists_to
+from .nn_rule import PrototypeSet, UpdateEvent, UpdateTrace
 
 
 class PassBudgetError(Exception):

@@ -24,8 +24,10 @@ simultaneously, and solving for sigma gives the threshold
 
 Every sigma strictly below sigma* is certified. If some query is exactly
 equidistant from two points (gamma = 0) the construction collapses and no
-analytic certificate exists; `bisect_sigma` can still search for an
-empirically verified bandwidth on small sets.
+analytic certificate exists. Tied data still reaches a verified bound through
+an explicit grid: `bound_infimum(ds, sigma_grid=[...])`, or `protobound bound
+--sigma-grid`, verifies each grid point exhaustively when the set fits the
+exhaustive row budget.
 """
 
 from __future__ import annotations
@@ -50,15 +52,14 @@ from .nn_rule import PrototypeSet, classify
 DEFAULT_SAMPLED_TRIALS = 2000
 # Largest number of rows exhaustive mode scores; see verify_neighborly.
 EXHAUSTIVE_ROW_BUDGET = 10**6
-BISECT_MAX_HALVINGS = 60
-BISECT_REFINE_ROUNDS = 12
 
 
 class GammaDegenerateError(Exception):
     """Some query is exactly equidistant from two dataset points.
 
     No analytic certificate exists: the domination argument needs a positive
-    gap. Perturb the data or search empirically with `bisect_sigma`.
+    gap. Perturb the data, or give `bound_infimum` (`protobound bound
+    --sigma-grid`) an explicit grid, whose points it verifies exhaustively.
     """
 
     def __init__(self, message: str, query_index: int, first: int, second: int):
@@ -76,10 +77,10 @@ class ExhaustiveCapError(Exception):
 class SigmaCertificate:
     """A certified-neighborly bandwidth statement.
 
-    Analytic certificates cover every sigma strictly below `sigma_star`.
-    Empirical certificates cover exactly the bandwidth that passed
-    verification; neighborliness is not monotone in sigma in general, so
-    nothing else can be inferred from them.
+    Analytic certificates cover every sigma strictly below `sigma_star`; a
+    certificate of any other method covers nothing. Tied data has no
+    analytic certificate: an explicit grid for `bound_infimum` (`protobound
+    bound --sigma-grid`) verifies its points one by one instead.
     """
 
     sigma_star: float
@@ -88,9 +89,7 @@ class SigmaCertificate:
     verified: bool
 
     def covers(self, sigma: float) -> bool:
-        if self.method == "analytic-sufficient":
-            return 0.0 < sigma < self.sigma_star
-        return self.verified and sigma == self.sigma_star
+        return self.method == "analytic-sufficient" and 0.0 < sigma < self.sigma_star
 
     def to_json_dict(self) -> dict:
         return {
@@ -294,35 +293,3 @@ def verify_neighborly(
     if k < 2:
         return None  # no restricted vector exists
     return _first_violation(dataset, cfg, cases)
-
-
-def bisect_sigma(dataset: Dataset) -> SigmaCertificate:
-    """Search for an exhaustively verified bandwidth when no analytic
-    certificate exists (gamma = 0 on ties).
-
-    Halves sigma from max(diameter, 1) until verification passes, then
-    bisects geometrically toward the largest passing bandwidth found. The
-    returned certificate covers exactly its own sigma. Each step is one
-    exhaustive verification, so any set within `EXHAUSTIVE_ROW_BUDGET` is
-    searched; near the budget that is slow (15 points in 2 classes: 18-19
-    verifications, about 15 s on a 2-vCPU VM).
-    """
-    sigma = max(dataset.diameter(), 1.0)
-    for halvings in range(BISECT_MAX_HALVINGS):
-        if verify_neighborly(dataset, KernelConfig(sigma)) is None:
-            break
-        sigma /= 2.0
-    else:
-        raise ValueError(
-            f"no neighborly bandwidth found down to {sigma}; "
-            f"the set may admit none (cross-class distance ties)"
-        )
-    # a pass at the start leaves nothing to refine against
-    lo, hi = sigma, 2.0 * sigma
-    for _ in range(BISECT_REFINE_ROUNDS if halvings else 0):
-        mid = math.sqrt(lo * hi)
-        if verify_neighborly(dataset, KernelConfig(mid)) is None:
-            lo = mid
-        else:
-            hi = mid
-    return SigmaCertificate(lo, 0.0, "empirical-bisection", True)

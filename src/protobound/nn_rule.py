@@ -11,39 +11,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (
-    Dataset,
-    LabeledPoint,
-    _coord_buffer,
-    _query_blocks,
-    _take_rows,
-    sq_dists_to,
-)
+from .dataset import Dataset, LabeledPoint, _query_blocks, _take_rows, sq_dists_to
 
 
 class EmptyPrototypeSetError(Exception):
     """The nearest-neighbor map does not exist for an empty prototype set."""
 
 
-def _doubled(buf: np.ndarray) -> np.ndarray:
-    """A copy of `buf` in a buffer with twice as many rows; a coordinate
-    matrix keeps `_coord_buffer`'s layout."""
-    if buf.ndim == 2:
-        grown = _coord_buffer(2 * len(buf), buf.shape[1])
-    else:
-        grown = np.empty(2 * len(buf), dtype=buf.dtype)
-    grown[: len(buf)] = buf
-    return grown
-
-
 class PrototypeSet:
     """An insertion-ordered subset of a dataset's points.
 
-    Members are stored as source indices into the parent dataset, in
-    insertion order, plus a membership mask over the parent. Coordinates and
-    codes are copied into rows preallocated for the whole parent, so
-    nearest-neighbor scans stay vectorized while condensation algorithms
-    append one point at a time.
+    Members are stored only as source indices into the parent dataset, in
+    insertion order, plus a membership mask over the parent. `coords` and
+    `codes` gather the members' rows from the parent, in insertion order,
+    when asked for.
     """
 
     def __init__(self, parent: Dataset, indices: list[int] | None = None):
@@ -52,8 +33,6 @@ class PrototypeSet:
         self._size = 0
         self._member = np.zeros(n, dtype=bool)
         self._idx_arr = np.empty(n, dtype=np.int64)
-        self._coords = _coord_buffer(n, parent.dim)
-        self._codes = np.empty(n, dtype=np.int64)
         for i in indices or ():
             self.add(i)
 
@@ -67,11 +46,11 @@ class PrototypeSet:
 
     @property
     def coords(self) -> np.ndarray:
-        return self._coords[: self._size]
+        return _take_rows(self._parent.coords, self.index_array)
 
     @property
     def codes(self) -> np.ndarray:
-        return self._codes[: self._size]
+        return self._parent.label_codes[self.index_array]
 
     @property
     def index_array(self) -> np.ndarray:
@@ -82,12 +61,9 @@ class PrototypeSet:
             raise IndexError(f"source index {source_index} out of range")
         if self._member[source_index]:
             raise ValueError(f"source index {source_index} already a member")
-        n = self._size
-        self._coords[n] = self._parent.coords[source_index]
-        self._codes[n] = self._parent.label_codes[source_index]
-        self._idx_arr[n] = source_index
+        self._idx_arr[self._size] = source_index
         self._member[source_index] = True
-        self._size = n + 1
+        self._size += 1
 
     def members(self) -> list[tuple[int, LabeledPoint]]:
         return [(i, self._parent[i]) for i in self.indices]
@@ -166,9 +142,9 @@ def is_consistent(prototypes: PrototypeSet, dataset: Dataset) -> bool:
         raise ValueError("prototype set was not drawn from this dataset")
     if len(prototypes) == 0:
         raise EmptyPrototypeSetError("an empty set classifies nothing")
-    by_index = np.argsort(prototypes.index_array)
-    coords = _take_rows(prototypes.coords, by_index)
-    codes = prototypes.codes[by_index]
+    members = np.sort(prototypes.index_array)
+    coords = _take_rows(dataset.coords, members)
+    codes = dataset.label_codes[members]
     for block in _query_blocks(len(dataset), coords.size):
         d2 = sq_dists_to(coords, dataset.coords[block])
         if (codes[d2.argmin(axis=1)] != dataset.label_codes[block]).any():

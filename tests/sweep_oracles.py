@@ -10,9 +10,8 @@ import math
 import numpy as np
 
 import protobound as pb
-from protobound.dataset import _coord_buffer, _RangeGuard
+from protobound.dataset import _coord_buffer, _doubled, _RangeGuard
 from protobound.kernel_machine import DEFAULT_MAX_PASSES
-from protobound.nn_rule import _doubled
 
 
 def oracle_run_cnn(dataset, shuffle_seed=None):

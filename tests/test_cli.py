@@ -528,6 +528,13 @@ class TestOnlineCommand:
         assert result.exit_code == 2
         assert "generator spec" in result.stderr
 
+    def test_bad_spec_values_exit_2_with_no_items(self, runner):
+        result = runner.invoke(
+            main,
+            ["online", "--spec", '{"centers": [], "spread": -1}', "--items", "0"],
+        )
+        assert result.exit_code == 2, result.output
+
     def test_negative_items(self, runner):
         result = runner.invoke(main, ["online", "--spec", SPEC, "--items", "-1"])
         assert result.exit_code == 2

@@ -284,6 +284,13 @@ class TestGenerators:
         with pytest.raises(pb.DatasetError):
             pb.generate_blobs(0, 1, [([0.0], "A"), ([0.0, 1.0], "B")], 0.5)
 
+    def test_stream_validates_when_called(self):
+        # the call itself raises, before any item is pulled
+        with pytest.raises(pb.DatasetError, match="spread"):
+            pb.blob_stream(0, self.CENTERS, -1.0)
+        with pytest.raises(pb.DatasetError, match="center"):
+            pb.blob_stream(0, [], 1.0)
+
     def test_stream_deterministic_and_mixed(self):
         import itertools
 

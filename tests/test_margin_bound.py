@@ -600,6 +600,12 @@ class TestBoundInfimum:
         gs = pb.bound_infimum(ds, sigma_grid=[0.05])
         assert gs.best.sigma == 0.05
         assert gs.best.sigma_certified
+        # a cross-class tie: queries between the two classes can never be
+        # resolved consistently, so no bandwidth verifies
+        ds = pb.Dataset([((0.0,), "A"), ((2.0,), "B"), ((1.0,), "C")])
+        for grid in ([0.05], [1e-3, 0.01, 0.1, 1.0, 10.0]):
+            with pytest.raises(pb.NoCertifiedSigmaError):
+                pb.bound_infimum(ds, sigma_grid=grid)
 
     def test_single_class_short_circuit(self):
         ds = pb.Dataset([((0.0,), "A"), ((9.0,), "A")])

@@ -110,6 +110,10 @@ class TestSufficientSigma:
         assert not cert.covers(cert.sigma_star * 1.001)
         assert not cert.covers(0.0)
 
+    def test_other_methods_cover_nothing(self):
+        cert = pb.SigmaCertificate(0.5, 0.0, "empirical", True)
+        assert not any(cert.covers(s) for s in (0.25, 0.5, 1.0))
+
     def test_json_dict(self, line3):
         d = pb.sufficient_sigma(line3).to_json_dict()
         assert set(d) == {"sigma_star", "gamma", "method", "verified"}
@@ -560,35 +564,3 @@ class TestAgainstNaiveEnumerator:
                     assert got is not None
                     assert want == (got.subset, got.assignment, got.query_index)
 
-
-class TestBisectSigma:
-    def test_finds_verified_bandwidth_despite_ties(self):
-        ds = tie_set()
-        with pytest.raises(pb.GammaDegenerateError):
-            pb.sufficient_sigma(ds)
-        cert = pb.bisect_sigma(ds)
-        assert cert.method == "empirical-bisection"
-        assert cert.verified
-        assert (
-            pb.verify_neighborly(ds, pb.KernelConfig(cert.sigma_star)) is None
-        )
-        assert cert.covers(cert.sigma_star)
-        assert not cert.covers(cert.sigma_star * 0.9)
-        assert not cert.covers(cert.sigma_star * 1.1)
-
-    def test_respects_budget(self):
-        # 9 points fit the budget and are bisected; 16 points do not
-        ds = pb.random_dataset(1, n_points=9, dim=2, n_classes=2)
-        cert = pb.bisect_sigma(ds)
-        assert cert.verified
-        assert pb.verify_neighborly(ds, pb.KernelConfig(cert.sigma_star)) is None
-        ds = pb.random_dataset(1, n_points=16, dim=2, n_classes=2)
-        with pytest.raises(pb.ExhaustiveCapError, match="budget"):
-            pb.bisect_sigma(ds)
-
-    def test_gives_up_when_nothing_verifies(self):
-        # cross-class exact tie: queries between the two classes can never
-        # be resolved consistently, so no bandwidth passes
-        ds = pb.Dataset([((0.0,), "A"), ((2.0,), "B"), ((1.0,), "C")])
-        with pytest.raises(ValueError, match="no neighborly bandwidth"):
-            pb.bisect_sigma(ds)

@@ -33,6 +33,14 @@ class TestPrototypeSet:
         assert np.array_equal(ps.coords, ds.coords)
         assert np.array_equal(ps.codes, ds.label_codes)
 
+    @pytest.mark.parametrize("d", [2, 9])
+    def test_views_are_the_parent_rows_in_insertion_order(self, d):
+        ds = pb.random_dataset(d, n_points=30, dim=d, n_classes=3)
+        order = [17, 3, 29, 0, 8]
+        ps = pb.PrototypeSet(ds, order)
+        assert np.array_equal(ps.coords, ds.coords[order])
+        assert np.array_equal(ps.codes, ds.label_codes[order])
+
     def test_membership_outside_the_parent(self, line3):
         ps = pb.PrototypeSet(line3, [2])
         assert -1 not in ps and 3 not in ps and 2 in ps
