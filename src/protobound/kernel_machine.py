@@ -23,6 +23,10 @@ The perceptron sweep does not score per test: it keeps every point's shift
 and per-class sums and updates them once per record. The sums are the same
 floats the per-query bincount gives, because both add each class's ratios
 in record order, and a point whose shift moves is re-derived from scratch.
+The sweep skips every (point, record) entry whose shifted squared distance
+exceeds `_zero_cut`, 2 sigma^2 * 800: its ratio is exactly 0.0, and every
+sum starts at +0.0 and adds non-negative ratios, so no float changes. The
+per-query scoring drops its zero ratios before summing, for the same reason.
 """
 
 from __future__ import annotations
@@ -163,23 +167,27 @@ class DualWeightVector:
         }
 
 
-def _class_sums(ratios: np.ndarray, rows: np.ndarray, n_classes: int) -> np.ndarray:
-    """Per-class sums of shifted kernel ratios, shape (q, R, k): one row of
-    ratios (q, P) per query, one row of class codes (R, P) per channel set
-    (-1 for none).
+def _class_sums(
+    ratios: np.ndarray, queries: np.ndarray, codes: np.ndarray, n_queries: int,
+    n_classes: int,
+) -> np.ndarray:
+    """Per-class sums of shifted kernel ratios, shape (q, R, k), over kernel
+    entries: entry t is the ratio of one (query, record) pair, `ratios[t]`
+    for query `queries[t]`, and row r of `codes` (R, entries) holds the class
+    it goes to in that query's row r (-1 for none).
 
-    Row r of query i sums ratios[i, j] over the records j with rows[r, j]
-    equal to the class. All rows of all queries go through one flat bincount,
-    which sums each bin in record order; each row's column 0 collects its -1
-    codes and is dropped.
+    All rows of all queries go through one flat bincount, which sums each bin
+    in entry order, so entries given in (query, record) order, as np.nonzero
+    yields them, are summed in record order. Each row's column 0 collects its
+    -1 codes and is dropped; a query with no entries sums to +0.0.
     """
-    n_queries, n_rows = len(ratios), len(rows)
+    n_rows = len(codes)
     width = n_classes + 1
-    offsets = np.arange(1, n_queries * n_rows * width, width)
-    bins = rows + offsets.reshape(n_queries, n_rows, 1)
-    weights = ratios[:, None, :].repeat(n_rows, axis=1)
+    offsets = (queries * n_rows + np.arange(n_rows)[:, None]) * width + 1
     return np.bincount(
-        bins.ravel(), weights=weights.ravel(), minlength=len(offsets) * width
+        (codes + offsets).ravel(),
+        weights=ratios[None].repeat(n_rows, axis=0).ravel(),
+        minlength=n_queries * n_rows * width,
     ).reshape(n_queries, n_rows, width)[..., 1:]
 
 
@@ -194,8 +202,13 @@ def _scores_from_ratios(
     (A, P) per assignment (-1 for no subtraction). Record j adds
     ratios[i, j] to class c_codes[j] and subtracts it from class y_rows[r, j]
     in row r; the added channels ride along in `_class_sums` as row 0.
+
+    Only the nonzero ratios are summed: every sum starts at +0.0 and adds
+    non-negative ratios, so a 0.0 term changes no float.
     """
-    sums = _class_sums(ratios, np.concatenate((c_codes[None], y_rows)), n_classes)
+    queries, records = np.nonzero(ratios)
+    codes = np.concatenate((c_codes[None], y_rows))[:, records]
+    sums = _class_sums(ratios[queries, records], queries, codes, len(ratios), n_classes)
     return sums[:, :1] - sums[:, 1:]
 
 
@@ -262,6 +275,7 @@ def run_mp(
     """
     if max_passes < 1:
         raise ValueError(f"max_passes must be at least 1, got {max_passes}")
+    n = len(dataset)
     w = DualWeightVector(cfg, dataset.classes, dataset.dim)
     wrong = dataset.wrong_codes
     state = _SweepScores(dataset, w)
@@ -277,9 +291,13 @@ def run_mp(
             )
         pass_no += 1
         updated = False
-        for i, point in enumerate(dataset):
+        i = 0
+        while i < n:
+            # the next mistaken point, read after the last update
+            i += int(state.mistaken[i:].argmax())
             if not state.mistaken[i]:
-                continue
+                break
+            point = dataset[i]
             was_empty = len(w) == 0
             predicted = w.classes[state.argmax_codes[i]]
             if predicted != point.label:
@@ -294,9 +312,25 @@ def run_mp(
                 UpdateEvent(pass_no, i, point.label, None if was_empty else predicted)
             )
             updated = True
+            i += 1
         if not updated:
             break
     return UpdateTrace(events, prototypes, pass_no), w
+
+
+# exp(-t) is exactly 0.0 for t > 1075 ln 2 ~ 745.13, where the true value is
+# below half the smallest subnormal, 2^-1075. The sweep skips an entry whose
+# shifted squared distance x exceeds cut = fl(s * 800), with s = fl(2 sigma^2)
+# the kernel's own scale. That product is exact while subnormal and within a
+# relative 2^-53 otherwise, and the kernel's quotient fl(x / s) rounds once
+# more, so the exponent it is fed is at least 800 (1 - 2^-52) > 799.99, or
+# inf. Its exp is then a factor e^-54 below 2^-1075, far past any libm's
+# error. The margin costs only the entries in (745.13, 800], which are
+# evaluated and are 0.0. Where cut overflows to inf (sigma above ~3.35e152),
+# no finite x exceeds it and nothing is skipped.
+def _zero_cut(cfg: KernelConfig) -> float:
+    """Shifted squared distance above which `cfg.kernel` is exactly 0.0."""
+    return 2.0 * cfg.sigma * cfg.sigma * 800.0
 
 
 class _SweepScores:
@@ -313,6 +347,12 @@ class _SweepScores:
     bin's ratios in record order. Where the new record is nearer, every
     ratio changes: those points are re-derived from all records exactly as
     `shifted_class_scores` derives them, batched in query blocks.
+
+    Both steps skip the (point, record) entries whose shifted squared
+    distance exceeds `_zero_cut`: their ratio is exactly 0.0, and adding 0.0
+    to a sum that starts at +0.0 and grows by non-negative ratios changes no
+    float. Only the row's kept points get a ratio, and a re-derivation sums
+    only its kept entries, in record order.
     """
 
     def __init__(self, dataset: Dataset, w: DualWeightVector):
@@ -320,6 +360,7 @@ class _SweepScores:
         self._coords = dataset.coords
         self._label_codes = dataset.label_codes
         self._w = w
+        self._cut = _zero_cut(w.kernel)
         self._shift = np.full(n, np.inf)
         self._added = np.zeros((k, n))
         self._subtracted = np.zeros((k, n))
@@ -331,23 +372,31 @@ class _SweepScores:
         """Take in the record just appended to `w`, at point i."""
         w = self._w
         d2 = sq_dists_to(self._coords, self._coords[i])
-        nearer = np.flatnonzero(d2 < self._shift)
-        np.minimum(self._shift, d2, out=self._shift)
-        ratios = w.kernel.kernel(d2 - self._shift)
-        self._added[w.c_codes[-1]] += ratios
+        # the nearer points, with d2 - shift < 0, are all kept
+        keep = np.flatnonzero(d2 - self._shift <= self._cut)
+        d2 = d2[keep]
+        shift = self._shift[keep]
+        nearer = keep[d2 < shift]
+        np.minimum(shift, d2, out=shift)
+        self._shift[keep] = shift
+        ratios = w.kernel.kernel(d2 - shift)
+        self._added[w.c_codes[-1], keep] += ratios
         if w.y_codes[-1] >= 0:
-            self._subtracted[w.y_codes[-1]] += ratios
-        rows = np.stack((w.c_codes, w.y_codes))
+            self._subtracted[w.y_codes[-1], keep] += ratios
         for block in _query_blocks(len(nearer), w.coords.size):
             q = nearer[block]
-            block_ratios = _shifted_kernel(
-                sq_dists_to(w.coords, self._coords[q]), w.kernel
+            shifted = sq_dists_to(w.coords, self._coords[q])
+            shifted -= shifted.min(axis=1, keepdims=True)
+            queries, records = np.nonzero(shifted <= self._cut)
+            codes = np.stack((w.c_codes[records], w.y_codes[records]))
+            sums = _class_sums(
+                w.kernel.kernel(shifted[queries, records]), queries, codes,
+                len(q), len(w.classes),
             )
-            sums = _class_sums(block_ratios, rows, len(w.classes))
             self._added[:, q] = sums[:, 0].T
             self._subtracted[:, q] = sums[:, 1].T
         # a zero ratio changes no sum, and every re-derived point's is 1
-        changed = np.flatnonzero(ratios)
+        changed = keep[np.flatnonzero(ratios)]
         scores = self._added[:, changed] - self._subtracted[:, changed]
         codes, degenerate = _argmax_codes(scores.T)
         self.argmax_codes[changed] = codes

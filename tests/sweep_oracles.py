@@ -1,8 +1,10 @@
 """The sweeps as they were before they kept per-point state: every test
-rescans the prototypes or records through the public per-query API. The
-incremental sweeps in `protobound` must reproduce these bit for bit. So must
-the blocked all-pairs passes reproduce their row-by-row loops, and blocked
-online condensation its per-item loop, kept below.
+rescans the prototypes or records through the public per-query API, and the
+perceptron scores every (query, record) entry through its own dense class
+sums, zero ratios included. The incremental sweeps in `protobound` must
+reproduce these bit for bit. So must the blocked all-pairs passes reproduce
+their row-by-row loops, and blocked online condensation its per-item loop,
+kept below.
 """
 
 import math
@@ -41,6 +43,40 @@ def oracle_run_cnn(dataset, shuffle_seed=None):
     return pb.UpdateTrace(events, prototypes, pass_no)
 
 
+def dense_class_sums(ratios, rows, n_classes):
+    """Per-class sums of shifted kernel ratios, shape (q, R, k), over every
+    entry of `ratios` (q, P), zeros included: row r of query i sums
+    ratios[i, j] over the records j with rows[r, j] equal to the class (-1
+    for none), in record order, through one flat bincount."""
+    n_queries, n_rows = len(ratios), len(rows)
+    width = n_classes + 1
+    offsets = np.arange(1, n_queries * n_rows * width, width)
+    bins = rows + offsets.reshape(n_queries, n_rows, 1)
+    weights = ratios[:, None, :].repeat(n_rows, axis=1)
+    return np.bincount(
+        bins.ravel(), weights=weights.ravel(), minlength=len(offsets) * width
+    ).reshape(n_queries, n_rows, width)[..., 1:]
+
+
+def dense_sums(w, x):
+    """(added, subtracted) per-class sums of shifted ratios at the query
+    points `x` (q, d), each (q, k), from every record of `w`."""
+    d2 = pb.sq_dists_to(w.coords, np.asarray(x, dtype=np.float64))
+    ratios = w.kernel.kernel(d2 - d2.min(axis=1, keepdims=True))
+    sums = dense_class_sums(ratios, np.stack((w.c_codes, w.y_codes)), len(w.classes))
+    return sums[:, 0], sums[:, 1]
+
+
+def dense_argmax_class(w, x):
+    """`argmax_class(w, x)` scored through `dense_class_sums`."""
+    if len(w) == 0:
+        return w.classes[0], True
+    added, subtracted = dense_sums(w, np.asarray(x)[None])
+    scores = added[0] - subtracted[0]
+    degenerate = np.count_nonzero(scores == scores.max()) > 1
+    return w.classes[int(scores.argmax())], bool(degenerate)
+
+
 def oracle_run_mp(dataset, cfg, max_passes=DEFAULT_MAX_PASSES):
     w = pb.DualWeightVector(cfg, dataset.classes, dataset.dim)
     wrong = dataset.wrong_codes
@@ -58,7 +94,7 @@ def oracle_run_mp(dataset, cfg, max_passes=DEFAULT_MAX_PASSES):
         updated = False
         for i, point in enumerate(dataset):
             was_empty = len(w) == 0
-            predicted, degenerate = pb.argmax_class(w, dataset.coords[i])
+            predicted, degenerate = dense_argmax_class(w, dataset.coords[i])
             if predicted == point.label and not degenerate:
                 continue
             if predicted != point.label:

@@ -11,7 +11,15 @@ import pytest
 
 import protobound as pb
 import protobound.dataset
+from protobound.kernel_machine import (
+    _class_sums,
+    _scores_from_ratios,
+    _SweepScores,
+    _zero_cut,
+)
 from sweep_oracles import (
+    dense_class_sums,
+    dense_sums,
     loop_run_cnn_online,
     oracle_diameter,
     oracle_is_consistent,
@@ -138,6 +146,105 @@ class TestRunMp:
                 assert got == mp_outcome(oracle_run_mp, data, s, max_passes)
                 budget_hits += got[0]
         assert budget_hits == 4
+
+
+# shifted exponents (d2 - shift) / (2 sigma^2) on both sides of where exp
+# underflows to 0.0 (~745.13) and of the sweep's cut (800)
+CUT_EXPONENTS = (745.0, 745.2, 799.9, 800.1)
+CUT_SIGMA = 0.5  # 2 sigma^2 = 0.5 exactly
+
+
+def cut_set():
+    """Pairs of an A and a B point whose squared distance is 0.5 t for each
+    t of CUT_EXPONENTS, 100 apart along x; each is a record once the sweep
+    is stable, so the pair's entries come up in rows and in re-derivations,
+    and every entry across pairs is skipped."""
+    points = []
+    for k, t in enumerate(CUT_EXPONENTS):
+        points += [((100.0 * k, 0.0), "A"), ((100.0 * k + np.sqrt(0.5 * t), 0.0), "B")]
+    return pb.Dataset(points)
+
+
+def replayed_sweep(dataset, w):
+    """A fresh sweep state that absorbs the records of `w` one by one;
+    yields (weights so far, state) after each."""
+    replay = pb.DualWeightVector(w.kernel, w.classes, w.dim)
+    state = _SweepScores(dataset, replay)
+    for r in w.to_json_dict()["records"]:
+        replay.append(r["index"], r["x"], r["c"], r["y"])
+        state.absorb(r["index"])
+        yield replay, state
+
+
+class TestSkippedEntries:
+    """The sweep skips the entries past `_zero_cut`, whose ratio is 0.0."""
+
+    def test_kernel_is_zero_past_the_cut(self):
+        sigmas = np.concatenate(
+            (np.geomspace(1e-160, 1e154, 641), [1e-155, 1.5e-162, 3.3e152, 3.4e152])
+        )
+        subnormal_scale = overflowing_cut = 0
+        for sigma in sigmas.tolist():
+            cfg = pb.KernelConfig(sigma)
+            cut = _zero_cut(cfg)
+            subnormal_scale += 0.0 < 2.0 * sigma * sigma < np.finfo(float).tiny
+            if np.isinf(cut):  # nothing is skipped
+                assert sigma > 3e152
+                overflowing_cut += 1
+                continue
+            assert cfg.kernel(np.nextafter(cut, np.inf)) == 0.0, sigma
+        assert subnormal_scale > 0 and overflowing_cut > 0
+
+    def test_cut_set_lands_on_both_sides(self):
+        ds = cut_set()
+        cfg = pb.KernelConfig(CUT_SIGMA)
+        d2 = np.array([pb.sq_dists_to(ds.coords[i: i + 1], ds.coords[i + 1])[0]
+                       for i in range(0, len(ds), 2)])
+        exponents = d2 / (2.0 * CUT_SIGMA * CUT_SIGMA)
+        assert np.allclose(exponents, CUT_EXPONENTS, rtol=0, atol=1e-9)
+        assert (cfg.kernel(d2) > 0.0).tolist() == [True, False, False, False]
+        assert (d2 <= _zero_cut(cfg)).tolist() == [True, True, True, False]
+
+    def test_run_mp_equals_oracle_on_cut_set(self, block_cap):
+        ds = cut_set()
+        got = mp_outcome(pb.run_mp, ds, CUT_SIGMA)
+        assert got == mp_outcome(oracle_run_mp, ds, CUT_SIGMA)
+        assert not got[0] and len(got[1][2]) == len(ds)  # every point a record
+
+    def test_sweep_sums_equal_dense_sums(self, block_cap):
+        sets = [(cut_set(), CUT_SIGMA)] + [
+            (ds, sigma) for ds in fuzz_sets(8) + [lattice_set(s) for s in range(8)]
+            for sigma in mp_sigmas(ds)
+        ]
+        for ds, sigma in sets:
+            try:
+                _, w = pb.run_mp(ds, pb.KernelConfig(sigma), MAX_PASSES)
+            except pb.PassBudgetError as exc:
+                w = exc.weights
+            for replay, state in replayed_sweep(ds, w):
+                added, subtracted = dense_sums(replay, ds.coords)
+                assert state._added.T.tobytes() == added.tobytes(), sigma
+                assert state._subtracted.T.tobytes() == subtracted.tobytes(), sigma
+
+
+class TestClassSums:
+    def test_nonzero_entries_sum_as_dense(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            q, p, a, k = (int(v) for v in rng.integers(1, [6, 30, 5, 5]))
+            ratios = rng.random((q, p)) * (rng.random((q, p)) < 0.5)
+            c_codes = rng.integers(0, k, size=p)
+            y_rows = rng.integers(-1, k, size=(a, p))
+            sums = dense_class_sums(ratios, np.concatenate((c_codes[None], y_rows)), k)
+            want = sums[:, :1] - sums[:, 1:]
+            got = _scores_from_ratios(ratios, c_codes, y_rows, k)
+            assert got.tobytes() == want.tobytes()
+
+    def test_query_without_entries_sums_to_zero(self):
+        sums = _class_sums(np.array([0.5]), np.array([1]), np.array([[1], [-1]]), 3, 2)
+        assert sums.shape == (3, 2, 2)
+        assert sums.tolist() == [[[0.0, 0.0]] * 2, [[0.0, 0.5], [0.0, 0.0]],
+                                 [[0.0, 0.0]] * 2]
 
 
 class TestIsConsistent:
