@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .cnn import run_cnn
-from .dataset import Dataset, _take_rows, pairwise_sq_dists, sq_dists_to
+from .dataset import Dataset, _take_rows, sq_dists_to
 from .kernel_machine import KernelConfig
 from .neighborly import (
     ExhaustiveCapError,
@@ -45,10 +45,11 @@ DEFAULT_MAX_ITERS = 100_000
 # Every difference vector has squared norm exactly 2 (the gram diagonal), so
 # the radius is this constant rather than anything computed from the data.
 RADIUS = math.sqrt(2.0)
-# Largest gram, in bytes, that `margin` allocates for one kernel component.
-# Building it holds one more array of its size and a kernel no larger;
-# solving it holds the corral inverse, at worst one more gram-sized array
-# (and a quarter of one more while that grows).
+# Largest gram, in bytes, that `margin` admits for one kernel component of m
+# pairs: 8 m^2. The solver never forms that gram. It keeps the corral's gram
+# rows, at most m of them, so 8 m^2 still bounds its row block, and the
+# corral inverse at most as much again; while either grows by a quarter, its
+# former copy is held too.
 GRAM_BYTE_BUDGET = 2**30
 SIGMA_GRID_SIZE = 16
 # Rank-one terms `_hull_descent` holds before folding them into its inverse.
@@ -81,26 +82,36 @@ def _pair_rows(points: np.ndarray, q: int) -> np.ndarray:
     return (points[:, None] * q + np.arange(q)).ravel()
 
 
-def _pair_gram(dataset: Dataset, points: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """Gram of the difference vectors of the given points, in pair order.
+def _pair_gram_rows(
+    dataset: Dataset, points: np.ndarray, cfg: KernelConfig
+) -> Callable[[int], np.ndarray]:
+    """Rows of the gram of the difference vectors of the given points, in
+    pair order: the returned `row(a)` makes row a.
 
     Pair (i, y) stands for the feature of point i on its true channel minus
     the same feature on channel y. Inner products never touch feature space:
 
         <(i, y), (j, y')> = (e_{c_i} - e_y) . (e_{c_j} - e_{y'}) * k(x_i, x_j)
 
-    so with E's rows the channel vectors e_{c_i} - e_y, the gram is E E^T
-    times the kernel elementwise. E E^T holds small integers and is exact.
+    so with E's rows the channel vectors e_{c_i} - e_y, row a is point i's
+    kernel row gathered to pairs, times E E[a]. E E[a] holds small integers
+    and is exact, and the kernel row is one `sq_dists_to` row, whose entries
+    are exactly symmetric; so the gram is exactly symmetric, and its diagonal
+    is exactly 2.
     """
     q = len(dataset.classes) - 1
-    kernel = cfg.kernel(pairwise_sq_dists(_take_rows(dataset.coords, points)))
+    coords = _take_rows(dataset.coords, points)
     local = np.repeat(np.arange(len(points)), q)
     eye = np.eye(len(dataset.classes))
     true = dataset.label_codes[points][local]
     E = eye[true] - eye[dataset.wrong_codes[points].ravel()]
-    gram = kernel[np.ix_(local, local)]
-    gram *= E @ E.T
-    return gram
+
+    def row(a: int) -> np.ndarray:
+        out = cfg.kernel(sq_dists_to(coords, coords[local[a]]))[local]
+        out *= E @ E[a]
+        return out
+
+    return row
 
 
 def _kernel_components(
@@ -114,8 +125,8 @@ def _kernel_components(
     monotone, so a point is isolated exactly when the kernel of its nearest
     other point is 0.0; only the remaining points are searched, breadth
     first, with one row of squared distances per frontier point. Those rows
-    are `pairwise_sq_dists`' own entries, which are exactly symmetric, so
-    the links are too.
+    are `sq_dists_to`'s, like the gram's kernel rows, and exactly symmetric,
+    so the links are too.
     """
     coords = dataset.coords
     isolated = cfg.kernel(dataset.nearest_sq_dists) == 0.0
@@ -194,11 +205,12 @@ class _Block(NamedTuple):
 
 
 def _hull_descent(
-    G: np.ndarray, tol: float, max_iters: int
-) -> tuple[np.ndarray, int, bool]:
-    """Wolfe's nearest-point algorithm on the convex weights over the gram
-    G, from its first vertex; returns the weights, the major-step count and
-    whether the gap closed to `tol`.
+    row: Callable[[int], np.ndarray], m: int, tol: float, max_iters: int
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Wolfe's nearest-point algorithm on the convex weights over m vertices,
+    from vertex 0, reading the gram only through `row`; returns the last
+    point's weights, renormalized, its scores rescored from scratch, the
+    major-step count and whether the gap closed to `tol`.
 
     The corral S holds affinely independent vertices with positive weights
     `lam`. Each major step adds the vertex fw minimizing p . v; minor cycles
@@ -206,34 +218,48 @@ def _hull_descent(
     to (G_SS + J)^-1 1, stopping at the hull boundary and dropping the
     members that reach zero whenever an affine weight is negative.
 
+    Only the corral's gram rows are kept, as the first |S| rows of one
+    block: a vertex's row is made when it enters and swap-removed when it
+    leaves. The scores p . v are lam @ rows, and G[fw, S] is a column of the
+    rows, as G is exactly symmetric. The final rescoring reads the kept rows
+    and remakes only those of members the last minor cycles dropped.
+
     The inverse of G_SS + J changes by one rank-one term per member that
     enters (a bordered update) or leaves (a Schur downdate of the last row
     and column, after a swap puts it there). It is kept as
     base + U diag(d) U^T, and the terms in U are folded into `base`
     _PENDING at a time, by one matrix product instead of one pass over its
-    |S|^2 entries each. Its row sums `w` are kept current directly.
+    |S|^2 entries each. Its row sums `w` are kept current directly. The row
+    block and the inverse grow by a quarter of |S| at a time, never past m.
 
+    An affine minimizer scores its corral alike, so fw in S is rounding, and
+    so is a Schur complement s <= 0, which puts fw in S's affine hull. On
+    either stall the inverse is rebuilt from the kept rows' G_SS + J, its
+    row sums solved afresh, and the step retried; a second stall before the
+    next step ends the solve.
     A step must lower ||p||^2 and keep it above `tol`, or the solve ends at
     the last point: rounding has stalled the corral, or p has reached the
     rounding level of the origin, where every hull point has margin at most
     sqrt(tol) and min_v (p . v) / ||p|| no longer recomputes stably.
     """
-    m = len(G)
+    size = min(m, 64)
+    rows = np.empty((size, m))
+    rows[0] = row(0)
     corral = np.zeros(1, dtype=np.intp)
     lam = np.ones(1)
-    w = np.array([1.0 / (G[0, 0] + 1.0)])
-    base = np.zeros((min(m, 64), min(m, 64)))
+    w = np.array([1.0 / (rows[0, 0] + 1.0)])
+    base = np.zeros((size, size))
     base[0, 0] = w[0]
-    U = np.empty((len(base), _PENDING))
+    U = np.empty((size, _PENDING))
     d = np.empty(_PENDING)
     r = 0  # terms pending in U and d
     in_corral = np.zeros(m, dtype=bool)
     in_corral[0] = True
-    alpha = np.zeros(m, dtype=np.float64)
-    alpha[0] = 1.0
-    g = G @ alpha
-    norm2 = float(alpha @ g)
+    support, weights = corral.copy(), lam  # the last point p
+    g = lam @ rows[:1]
+    norm2 = float(lam @ g[corral])
     iterations = 0
+    converged = rebuilt = False
 
     def push(v: np.ndarray, coefficient: float) -> None:
         """Add coefficient * v v^T to the inverse's first len(v) rows and
@@ -245,37 +271,58 @@ def _hull_descent(
         U[: len(v), r], d[r] = v, coefficient
         r += 1
 
+    def schur(c: np.ndarray, diagonal: float) -> tuple[np.ndarray, float]:
+        """(G_SS + J)^-1 c and the Schur complement of bordering by c."""
+        k = len(c)
+        u = base[:k, :k] @ c + U[:k, :r] @ (d[:r] * (c @ U[:k, :r]))
+        return u, float(diagonal + 1.0 - c @ u)
+
     while iterations < max_iters:
         iterations += 1
         fw = int(np.argmin(g))
         pnorm = math.sqrt(norm2)
         if pnorm - float(g[fw]) / pnorm <= tol:
-            return alpha, iterations, True
-        # an affine minimizer scores its corral alike, so fw in S is rounding
-        if in_corral[fw]:
+            converged = True
             break
         k = len(corral)
-        # G is exactly symmetric, so its contiguous rows equal its columns
-        c = G[fw, corral] + 1.0
-        u = base[:k, :k] @ c + U[:k, :r] @ (d[:r] * (c @ U[:k, :r]))
-        s = float(G[fw, fw] + 1.0 - c @ u)
+        s = 0.0
+        if not in_corral[fw]:
+            new = row(fw)
+            c = rows[:k, fw] + 1.0
+            u, s = schur(c, new[fw])
         if s <= 0.0:
-            break  # fw lies in S's affine hull to rounding
-        if k == len(base):
-            size = min(m, 2 * k)
-            base = np.pad(base, (0, size - k))
-            U = np.pad(U, ((0, size - k), (0, 0)))
-        # bordered update: the old inverse padded with a zero row and
-        # column, plus [u; -1] [u; -1]^T / s
-        base[k, : k + 1] = base[:k, k] = 0.0
-        U[k, :r] = 0.0
-        push(np.append(u, -1.0), 1.0 / s)
-        su = float(u.sum())
-        w = np.append(w + u * ((su - 1.0) / s), (1.0 - su) / s)
-        corral = np.append(corral, fw)
-        lam = np.append(lam, 0.0)
-        in_corral[fw] = True
-        k += 1
+            if rebuilt:
+                break
+            rebuilt = True
+            # w from a backward-stable solve, so that the corral's scores
+            # agree to rounding, where the inverse's row sums need not
+            gram_j = rows[:k, corral] + 1.0
+            try:
+                base[:k, :k] = np.linalg.inv(gram_j)
+                w = np.linalg.solve(gram_j, np.ones(k))
+            except np.linalg.LinAlgError:
+                break
+            r = 0
+            if not in_corral[fw]:
+                u, s = schur(c, new[fw])
+        if s > 0.0:
+            if k == len(base):
+                grown = min(m, k + k // 4)
+                rows = np.pad(rows, ((0, grown - k), (0, 0)))
+                base = np.pad(base, (0, grown - k))
+                U = np.pad(U, ((0, grown - k), (0, 0)))
+            rows[k] = new
+            # bordered update: the old inverse padded with a zero row and
+            # column, plus [u; -1] [u; -1]^T / s
+            base[k, : k + 1] = base[:k, k] = 0.0
+            U[k, :r] = 0.0
+            push(np.append(u, -1.0), 1.0 / s)
+            su = float(u.sum())
+            w = np.append(w + u * ((su - 1.0) / s), (1.0 - su) / s)
+            corral = np.append(corral, fw)
+            lam = np.append(lam, 0.0)
+            in_corral[fw] = True
+            k += 1
         while True:  # minor cycles
             mu = w / w.sum()
             out = np.flatnonzero(mu < 0.0)
@@ -292,6 +339,7 @@ def _hull_descent(
                 corral[order], lam[order], w[order] = (
                     corral[swap], lam[swap], w[swap]
                 )
+                rows[i] = rows[k]
                 base[order, : k + 1] = base[swap, : k + 1]
                 base[: k + 1, order] = base[: k + 1, swap]
                 U[order, :r] = U[swap, :r]
@@ -302,14 +350,18 @@ def _hull_descent(
                 w = w[:k] - col[:k] * (w[k] / col[k])
                 in_corral[corral[k]] = False
                 corral, lam = corral[:k], lam[:k]
-        step = np.zeros(m, dtype=np.float64)
-        step[corral] = lam
-        g_step = G @ step
-        norm2_step = float(step @ g_step)
+        g_step = lam @ rows[:k]
+        norm2_step = float(lam @ g_step[corral])
         if not tol < norm2_step < norm2:
             break
-        alpha, g, norm2 = step, g_step, norm2_step
-    return alpha, iterations, False
+        support, weights = corral.copy(), lam.copy()
+        g, norm2, rebuilt = g_step, norm2_step, False
+    alpha = np.zeros(m, dtype=np.float64)
+    alpha[support] = weights / weights.sum()
+    g = alpha[corral] @ rows[: len(corral)]
+    for b in support[~in_corral[support]]:  # dropped since p was reached
+        g += alpha[b] * row(int(b))
+    return alpha, g, iterations, converged
 
 
 def _component_block(
@@ -319,12 +371,11 @@ def _component_block(
     tol: float,
     max_iters: int,
 ) -> _Block:
-    """Solve one kernel component of two or more points on its own gram."""
-    G = _pair_gram(dataset, points, cfg)
-    alpha, iterations, converged = _hull_descent(G, tol, max_iters)
-    alpha = alpha / alpha.sum()  # renormalize, then rescore from scratch
-    g = G @ alpha
+    """Solve one kernel component of two or more points from its gram rows."""
     rows = _pair_rows(points, len(dataset.classes) - 1)
+    alpha, g, iterations, converged = _hull_descent(
+        _pair_gram_rows(dataset, points, cfg), len(rows), tol, max_iters
+    )
     return _Block(rows, alpha, g, float(alpha @ g), iterations, converged)
 
 
@@ -368,9 +419,10 @@ def margin(
     the vertex minimizing p . v to a corral of vertices and moves p to the
     point of the corral's hull nearest the origin, until the component's
     duality gap falls to `tol`, `max_iters` major steps run out, or rounding
-    stops the descent. `iterations` counts those major steps. A set that is
-    one component thus builds the dense gram and takes the same steps as a
-    single solve.
+    stops the descent. `iterations` counts those major steps. The solve
+    makes a gram row only when its vertex enters the corral, and keeps only
+    the corral's rows, so no m x m gram is formed; a set that is one
+    component takes the same steps as a single solve.
 
     The certificate weights the blocks' hull points by t_k as above and
     scatters them into the global pair order. That p is a hull point however
@@ -395,9 +447,9 @@ def margin(
     and the bound above that point's exact bound. A component's scores count
     as its solve computed them.
 
-    Raises GramBudgetError, before allocating any gram, when the largest
-    component's gram of 8 m^2 bytes (m of its pairs) exceeds
-    GRAM_BYTE_BUDGET.
+    Raises GramBudgetError, before solving any component, when the largest
+    component's gram of 8 m^2 bytes (m of its pairs), the most its row block
+    can reach, exceeds GRAM_BYTE_BUDGET.
     """
     if len(dataset.classes) < 2:
         raise VacuousBoundError(

@@ -113,10 +113,11 @@ def min_squared_gap(dataset: Dataset) -> float:
     gamma = math.inf
     for block, d2 in _distance_row_blocks(dataset.coords):
         diffs = np.diff(np.sort(d2, axis=1), axis=1)
-        tied = np.flatnonzero(~diffs.all(axis=1))
-        if len(tied):
-            # only a tie needs the permutation, to name the tied points
-            r = int(tied[0])
+        smallest = float(diffs.min())
+        if smallest == 0.0:  # sorted rows have no negative gaps
+            # only a tie needs its row and the permutation, to name the
+            # tied points
+            r = int(np.flatnonzero(~diffs.all(axis=1))[0])
             q = block.start + r
             order = np.argsort(d2[r], kind="stable")
             t = int(np.nonzero(diffs[r] == 0.0)[0][0])
@@ -127,7 +128,7 @@ def min_squared_gap(dataset: Dataset) -> float:
                 int(order[t]),
                 int(order[t + 1]),
             )
-        gamma = min(gamma, float(diffs.min()))
+        gamma = min(gamma, smallest)
     return gamma
 
 

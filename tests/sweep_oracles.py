@@ -4,7 +4,7 @@ perceptron scores every (query, record) entry through its own dense class
 sums, zero ratios included. The incremental sweeps in `protobound` must
 reproduce these bit for bit. So must the blocked all-pairs passes reproduce
 their row-by-row loops, and blocked online condensation its per-item loop,
-kept below.
+kept below. `min_squared_gap` must give what its former block loop gave.
 """
 
 import math
@@ -12,7 +12,12 @@ import math
 import numpy as np
 
 import protobound as pb
-from protobound.dataset import _coord_buffer, _doubled, _RangeGuard
+from protobound.dataset import (
+    _coord_buffer,
+    _distance_row_blocks,
+    _doubled,
+    _RangeGuard,
+)
 from protobound.kernel_machine import DEFAULT_MAX_PASSES
 
 
@@ -229,5 +234,21 @@ def oracle_min_squared_gap(dataset):
             order = np.argsort(d2, kind="stable")
             t = int(np.nonzero(diffs == 0.0)[0][0])
             return q, int(order[t]), int(order[t + 1])
+        gamma = min(gamma, float(diffs.min()))
+    return gamma
+
+
+def blocked_min_squared_gap(dataset):
+    """The gap, or the (query, first, second) a tie raises with, by the former
+    block loop, which tested every row of a block for a tie."""
+    gamma = math.inf
+    for block, d2 in _distance_row_blocks(dataset.coords):
+        diffs = np.diff(np.sort(d2, axis=1), axis=1)
+        tied = np.flatnonzero(~diffs.all(axis=1))
+        if len(tied):
+            r = int(tied[0])
+            order = np.argsort(d2[r], kind="stable")
+            t = int(np.nonzero(diffs[r] == 0.0)[0][0])
+            return block.start + r, int(order[t]), int(order[t + 1])
         gamma = min(gamma, float(diffs.min()))
     return gamma

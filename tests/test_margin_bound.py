@@ -1,5 +1,6 @@
 """Gram-space margin geometry, the hull-distance solver, and size bounds."""
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -22,8 +23,11 @@ def sigma_for_kernel(k, d=2.0):
 
 
 def full_gram(dataset, cfg):
-    """`_pair_gram` over every point: the whole set's pairs in pair order."""
-    return margin_bound._pair_gram(dataset, np.arange(len(dataset)), cfg)
+    """The row producer's rows over every point, stacked: the whole set's
+    pair gram, in pair order, as the solver reads it."""
+    row = margin_bound._pair_gram_rows(dataset, np.arange(len(dataset)), cfg)
+    m = dataset.wrong_codes.size
+    return np.array([row(a) for a in range(m)]).reshape(m, m)
 
 
 def four_mask_gram(dataset, cfg):
@@ -104,6 +108,120 @@ def dense_margin(dataset, cfg, tol=pb.DEFAULT_TOL, max_iters=pb.DEFAULT_MAX_ITER
     )
 
 
+PENDING = 32  # rank-one terms the oracle holds before folding them
+
+
+def dense_hull_descent(G, tol, max_iters):
+    """Wolfe's nearest-point algorithm over a dense m x m gram, scoring every
+    vertex with one `G @ step` per major step and ending at its first stall:
+    `_hull_descent` as it was before the row store, kept as its oracle.
+    Returns the weights, the major-step count and whether the gap closed to
+    `tol`."""
+    m = len(G)
+    corral = np.zeros(1, dtype=np.intp)
+    lam = np.ones(1)
+    w = np.array([1.0 / (G[0, 0] + 1.0)])
+    base = np.zeros((min(m, 64), min(m, 64)))
+    base[0, 0] = w[0]
+    U = np.empty((len(base), PENDING))
+    d = np.empty(PENDING)
+    r = 0  # terms pending in U and d
+    in_corral = np.zeros(m, dtype=bool)
+    in_corral[0] = True
+    alpha = np.zeros(m, dtype=np.float64)
+    alpha[0] = 1.0
+    g = G @ alpha
+    norm2 = float(alpha @ g)
+    iterations = 0
+
+    def push(v: np.ndarray, coefficient: float) -> None:
+        """Add coefficient * v v^T to the inverse's first len(v) rows and
+        columns."""
+        nonlocal r
+        if r == PENDING:
+            base[: len(v), : len(v)] += (U[: len(v)] * d) @ U[: len(v)].T
+            r = 0
+        U[: len(v), r], d[r] = v, coefficient
+        r += 1
+
+    while iterations < max_iters:
+        iterations += 1
+        fw = int(np.argmin(g))
+        pnorm = math.sqrt(norm2)
+        if pnorm - float(g[fw]) / pnorm <= tol:
+            return alpha, iterations, True
+        # an affine minimizer scores its corral alike, so fw in S is rounding
+        if in_corral[fw]:
+            break
+        k = len(corral)
+        # G is exactly symmetric, so its contiguous rows equal its columns
+        c = G[fw, corral] + 1.0
+        u = base[:k, :k] @ c + U[:k, :r] @ (d[:r] * (c @ U[:k, :r]))
+        s = float(G[fw, fw] + 1.0 - c @ u)
+        if s <= 0.0:
+            break  # fw lies in S's affine hull to rounding
+        if k == len(base):
+            size = min(m, 2 * k)
+            base = np.pad(base, (0, size - k))
+            U = np.pad(U, ((0, size - k), (0, 0)))
+        # bordered update: the old inverse padded with a zero row and
+        # column, plus [u; -1] [u; -1]^T / s
+        base[k, : k + 1] = base[:k, k] = 0.0
+        U[k, :r] = 0.0
+        push(np.append(u, -1.0), 1.0 / s)
+        su = float(u.sum())
+        w = np.append(w + u * ((su - 1.0) / s), (1.0 - su) / s)
+        corral = np.append(corral, fw)
+        lam = np.append(lam, 0.0)
+        in_corral[fw] = True
+        k += 1
+        while True:  # minor cycles
+            mu = w / w.sum()
+            out = np.flatnonzero(mu < 0.0)
+            if not len(out):
+                lam = mu
+                break
+            ratio = lam[out] / (lam[out] - mu[out])
+            lam = lam + float(ratio.min()) * (mu - lam)
+            lam[out[np.argmin(ratio)]] = 0.0  # the blocking member, exactly
+            # from the back, so that the swapped-in last member always stays
+            for i in np.flatnonzero(lam <= 0.0)[::-1]:
+                k -= 1
+                order, swap = [i, k], [k, i]
+                corral[order], lam[order], w[order] = (
+                    corral[swap], lam[swap], w[swap]
+                )
+                base[order, : k + 1] = base[swap, : k + 1]
+                base[: k + 1, order] = base[: k + 1, swap]
+                U[order, :r] = U[swap, :r]
+                # Schur downdate: the leading block less b b^T / beta, where
+                # [b; beta] is the inverse's last column
+                col = base[: k + 1, k] + U[: k + 1, :r] @ (d[:r] * U[k, :r])
+                push(col[:k], -1.0 / col[k])
+                w = w[:k] - col[:k] * (w[k] / col[k])
+                in_corral[corral[k]] = False
+                corral, lam = corral[:k], lam[:k]
+        step = np.zeros(m, dtype=np.float64)
+        step[corral] = lam
+        g_step = G @ step
+        norm2_step = float(step @ g_step)
+        if not tol < norm2_step < norm2:
+            break
+        alpha, g, norm2 = step, g_step, norm2_step
+    return alpha, iterations, False
+
+
+def component_grams(cases):
+    """(dataset, cfg, points, the component's four-mask gram) for every
+    kernel component of two or more points in `cases`."""
+    for ds, cfg in cases:
+        G = four_mask_gram(ds, cfg)
+        q = len(ds.classes) - 1
+        for points in margin_bound._kernel_components(ds, cfg)[1]:
+            rows = margin_bound._pair_rows(points, q)
+            yield ds, cfg, points, G[np.ix_(rows, rows)]
+
+
 def assert_kkt(dataset, cfg, cert, tol=pb.DEFAULT_TOL):
     """Optimality of a converged certificate on every kernel component: the
     component's own hull point p scores each of its vertices at least
@@ -168,8 +286,8 @@ def gram_cases():
 
 
 class TestDifferenceVectorSet:
-    """The difference vectors' gram, as `_pair_gram` builds it over every
-    point, against the pair order `margin` reports."""
+    """The difference vectors' gram, as `_pair_gram_rows` makes its rows over
+    every point, against the pair order `margin` reports."""
 
     def test_pairs_enumerate_point_wrong_class(self, line3):
         cert = pb.margin(line3, pb.KernelConfig(1.0))
@@ -481,6 +599,65 @@ class TestKernelComponents:
             pb.margin(line3, cfg)
         # isolated points build no gram, so the budget does not apply
         assert pb.margin(line3, pb.KernelConfig(1e-3)).bound == pytest.approx(3.0)
+
+
+def stall_cases():
+    """Tiny-margin hulls: random sets of 40 points in 1-4 dimensions and 2-4
+    classes, each at three bandwidths up to the diameter."""
+    for seed in range(30):
+        ds = pb.random_dataset(seed, 40, 1 + seed % 4, 2 + seed % 3)
+        diam = ds.diameter()
+        for frac in (0.05, 0.2, 1.0):
+            yield ds, pb.KernelConfig(frac * diam)
+
+
+class TestRowStoreSolver:
+    """`_hull_descent` keeps only its corral's gram rows; the dense solver it
+    replaced is the oracle."""
+
+    def test_converges_wherever_dense_oracle_does(self):
+        tol = pb.DEFAULT_TOL
+        outcomes = set()
+        for ds, cfg, points, G in component_grams(
+            itertools.chain(component_cases(), gram_cases())
+        ):
+            block = margin_bound._component_block(
+                ds, points, cfg, tol, pb.DEFAULT_MAX_ITERS
+            )
+            alpha, _, converged = dense_hull_descent(G, tol, pb.DEFAULT_MAX_ITERS)
+            assert block.converged or not converged
+            if converged:
+                alpha = alpha / alpha.sum()
+                norm = math.sqrt(float(alpha @ G @ alpha))
+                assert abs(math.sqrt(block.norm2) - norm) <= tol
+            # the scores are the hull point's, whether its rows were kept or
+            # remade for members the last minor cycles dropped
+            assert np.abs(block.scores - G @ block.alpha).max() <= 1e-12
+            outcomes.add((converged, block.converged))
+        assert outcomes == {(True, True), (False, False), (False, True)}
+
+    def test_stalls_retry_from_a_rebuilt_inverse(self):
+        # rounding in the corral inverse stalls the dense oracle on some of
+        # these hulls; rebuilding the inverse from the kept rows closes some
+        # of those solves, and no solve the oracle closes is lost
+        tol = pb.DEFAULT_TOL
+        closed = 0
+        for ds, cfg, points, G in component_grams(stall_cases()):
+            block = margin_bound._component_block(
+                ds, points, cfg, tol, pb.DEFAULT_MAX_ITERS
+            )
+            converged = dense_hull_descent(G, tol, pb.DEFAULT_MAX_ITERS)[2]
+            assert block.converged or not converged
+            closed += block.converged and not converged
+        assert closed > 0
+        for seed in (2, 6, 10):  # three of the stalls it closes
+            ds = pb.random_dataset(seed, 40, 1 + seed % 4, 2 + seed % 3)
+            cfg = pb.KernelConfig(ds.diameter())
+            ((*_, G),) = component_grams([(ds, cfg)])
+            assert not dense_hull_descent(G, tol, pb.DEFAULT_MAX_ITERS)[2]
+            cert = pb.margin(ds, cfg)
+            assert cert.converged
+            assert_kkt(ds, cfg, cert)
 
 
 class TestCnnBound:

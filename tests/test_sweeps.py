@@ -18,6 +18,7 @@ from protobound.kernel_machine import (
     _zero_cut,
 )
 from sweep_oracles import (
+    blocked_min_squared_gap,
     dense_class_sums,
     dense_sums,
     loop_run_cnn_online,
@@ -409,3 +410,17 @@ class TestRowBlocks:
                 assert got == oracle_min_squared_gap(ds)
                 ties += isinstance(got, tuple)
         assert ties > 0  # the named tie was compared too
+
+    def test_min_squared_gap_equals_former_block_loop(self, block_cap):
+        # one minimum per block, and the tied row located only on a hit,
+        # give the former per-row tie test's gamma and named tie
+        outcomes = set()
+        sets = fuzz_sets(30) + [lattice_set(s) for s in range(30)]
+        sets += [pb.random_dataset(s, 200, 1 + s % 3, 3) for s in range(4)]
+        for ds in sets:
+            if len(ds) > 1:
+                got = min_squared_gap_outcome(ds)
+                want = blocked_min_squared_gap(ds)
+                assert got == want
+                outcomes.add(type(want))
+        assert outcomes == {float, tuple}
