@@ -10,7 +10,9 @@ verdict, 2 for usage or input errors.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -51,6 +53,7 @@ from .neighborly import (
     DEFAULT_SAMPLED_TRIALS,
     ExhaustiveCapError,
     GammaDegenerateError,
+    SigmaCertificate,
     sufficient_sigma,
     verify_neighborly,
 )
@@ -125,17 +128,21 @@ def _trace_json(trace: UpdateTrace) -> list[dict]:
     ]
 
 
-def _default_sigma(dataset: Dataset) -> float:
+def _certificate(dataset: Dataset, missing: str, hint: str) -> SigmaCertificate:
+    """`sufficient_sigma(dataset)`, or an input error naming `missing` and `hint`."""
     try:
-        return sufficient_sigma(dataset).sigma_star / 2.0
+        return sufficient_sigma(dataset)
     except GammaDegenerateError as exc:
-        _fail_input(
-            f"{exc}; no analytic bandwidth threshold exists. "
-            f"Perturb the data or pass --sigma explicitly."
-        )
+        _fail_input(f"{exc}; no analytic {missing} exists. Perturb the data or "
+                    f"{hint}.")
     except ValueError as exc:  # a single point has no distance gaps
-        _fail_input(f"{exc}; no analytic bandwidth threshold exists. "
-                    f"Pass --sigma explicitly.")
+        _fail_input(f"{exc}; no analytic {missing} exists. "
+                    f"{hint.capitalize()}.")
+
+
+def _default_sigma(dataset: Dataset) -> float:
+    cert = _certificate(dataset, "bandwidth threshold", "pass --sigma explicitly")
+    return cert.sigma_star / 2.0
 
 
 def _parse_generator_spec(text: str) -> tuple[list[tuple[list[float], str]], float]:
@@ -186,10 +193,12 @@ def cnn_cmd(dataset_path, label_column, shuffle_seed, out, out_csv):
     trace = run_cnn(dataset, shuffle_seed=shuffle_seed)
     consistent = is_consistent(trace.prototypes, dataset)
     if out_csv:
-        rows = [["source_index", *dataset.feature_names, dataset.label_name]]
-        rows += [[str(i), *(repr(v) for v in p.coords), p.label]
-                 for i, p in trace.prototypes.members()]
-        _write_text(out_csv, "".join(",".join(r) + "\n" for r in rows))
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["source_index", *dataset.feature_names, dataset.label_name])
+        writer.writerows([i, *(repr(v) for v in p.coords), p.label]
+                         for i, p in trace.prototypes.members())
+        _write_text(out_csv, text.getvalue())
     _emit_report(
         out,
         "cnn",
@@ -413,16 +422,7 @@ def neighborly_cmd(dataset_path, label_column, sigma, mode, seed, trials, out):
     params = {"label_column": label_column, "sigma": sigma, "mode": mode,
               "seed": seed, "trials": trials}
     if sigma is None:
-        try:
-            cert = sufficient_sigma(dataset)
-        except GammaDegenerateError as exc:
-            _fail_input(
-                f"{exc}; no analytic certificate exists. Perturb the data or "
-                f"verify an explicit --sigma."
-            )
-        except ValueError as exc:  # a single point has no distance gaps
-            _fail_input(f"{exc}; no analytic certificate exists. "
-                        f"Verify an explicit --sigma.")
+        cert = _certificate(dataset, "certificate", "verify an explicit --sigma")
         _emit_report(out, "neighborly", params,
                      {"certificate": cert.to_json_dict()}, dataset_path, started)
         click.echo(json.dumps(cert.to_json_dict(), indent=2))

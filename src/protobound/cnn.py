@@ -1,10 +1,9 @@
 """Condensed nearest-neighbor selection, batch and single-pass online.
 
 The batch rule sweeps the dataset repeatedly, adding every point the current
-prototype set misclassifies, and stops after the first clean sweep. A test
-against an empty prototype set counts as a misclassification, so the first
-scanned point is always kept. The result is consistent: the retained subset
-classifies the full training set correctly.
+prototype set misclassifies, and stops after the first clean sweep. The
+result is consistent: the retained subset classifies the full training set
+correctly.
 """
 
 from __future__ import annotations
@@ -22,58 +21,56 @@ from .dataset import (
     _doubled,
     _RangeGuard,
     _stream_block_size,
+    _take_rows,
     sq_dists_to,
 )
-from .nn_rule import PrototypeSet, UpdateEvent, UpdateTrace
+from .nn_rule import UpdateTrace, _sweep
 
 
 def run_cnn(dataset: Dataset, shuffle_seed: int | None = None) -> UpdateTrace:
-    """Condense `dataset` into a consistent prototype set.
+    """Condense `dataset` into a consistent prototype set: `nn_rule._sweep`
+    with `_NearestPrototypes` as its scorer.
 
     Scan order is dataset order; pass `shuffle_seed` to scan a fixed random
     permutation instead (source indices still refer to the original dataset).
     Terminates after at most len(dataset) + 1 sweeps since each sweep before
     the last adds at least one point.
-
-    Every point's nearest prototype (squared distance, source index, class
-    code) is kept current: each addition takes one distance row over the
-    whole set and wins where it is nearer, or as near with a smaller source
-    index, the tie-break of `nearest` (insertion order is not source order
-    under a shuffle). A test is then a lookup, with `nearest`'s answer: the
-    row holds the very floats `sq_dists_to(prototypes.coords, x)` would.
     """
     order = list(range(len(dataset)))
     if shuffle_seed is not None:
         rng = np.random.default_rng(shuffle_seed)
         rng.shuffle(order)
-    coords, codes = dataset.coords, dataset.label_codes
-    near_d2 = np.full(len(dataset), np.inf)
-    near_index = np.zeros(len(dataset), dtype=np.int64)
-    near_code = np.zeros(len(dataset), dtype=np.int64)
-    prototypes = PrototypeSet(dataset)
-    events: list[UpdateEvent] = []
-    pass_no = 0
-    while True:
-        pass_no += 1
-        updated = False
-        for i in order:
-            if len(prototypes) == 0:
-                predicted = None
-            elif near_code[i] == codes[i]:
-                continue
-            else:
-                predicted = dataset.classes[near_code[i]]
-            prototypes.add(i)
-            events.append(UpdateEvent(pass_no, i, dataset[i].label, predicted))
-            updated = True
-            d2 = sq_dists_to(coords, coords[i])
-            won = (d2 < near_d2) | ((d2 == near_d2) & (i < near_index))
-            near_d2[won] = d2[won]
-            near_index[won] = i
-            near_code[won] = codes[i]
-        if not updated:
-            break
-    return UpdateTrace(events, prototypes, pass_no)
+    scores = _NearestPrototypes(dataset, np.array(order))
+    return _sweep(dataset, scores, order, len(dataset) + 1)[0]
+
+
+class _NearestPrototypes:
+    """Every point's nearest prototype (squared distance, source index, class
+    code), in scan order: `nn_rule._sweep`'s scorer for condensation. Each
+    addition takes one distance row over the set, the very floats
+    `sq_dists_to(prototypes.coords, x)` would give, and wins where it is
+    nearer, or as near with a smaller source index: `nearest`'s tie-break,
+    as insertion order is not source order under a shuffle.
+    """
+
+    def __init__(self, dataset: Dataset, order: np.ndarray):
+        self._order = order
+        self._coords = _take_rows(dataset.coords, order)
+        self._codes = dataset.label_codes[order]
+        self._near_d2 = np.full(len(order), np.inf)
+        self._near_index = np.zeros(len(order), dtype=np.int64)
+        self.argmax_codes = np.zeros(len(order), dtype=np.int64)
+        self.mistaken = np.ones(len(order), dtype=bool)  # the empty set errs
+
+    def add(self, t: int) -> None:
+        """Add the point at scan position t as a prototype."""
+        i, code = self._order[t], self._codes[t]
+        d2 = sq_dists_to(self._coords, self._coords[t])
+        won = (d2 < self._near_d2) | ((d2 == self._near_d2) & (i < self._near_index))
+        self._near_d2[won] = d2[won]
+        self._near_index[won] = i
+        self.argmax_codes[won] = code
+        self.mistaken[won] = self._codes[won] != code
 
 
 @dataclass

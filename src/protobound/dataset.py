@@ -391,14 +391,14 @@ class Dataset:
 
 
 def load_csv(path: str | Path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
-    """Load a dataset from a UTF-8, comma-separated file with a header row.
+    """Load a dataset from a comma-separated UTF-8 file, BOM or not, with a header row.
 
     All columns except `label_column` are parsed as float features, in file
     order. Parse failures report the 1-based data row and the column name.
     """
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
+        with path.open("r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -19,14 +19,10 @@ positive factor and leaves the argmax unchanged. This holds for every sigma
 whose 2 sigma^2 is a positive float; `KernelConfig` refuses the smaller ones
 (below about 1.5e-162), where the scale itself underflows to 0.0.
 
-The perceptron sweep does not score per test: it keeps every point's shift
-and per-class sums and updates them once per record. The sums are the same
-floats the per-query bincount gives, because both add each class's ratios
-in record order, and a point whose shift moves is re-derived from scratch.
-The sweep skips every (point, record) entry whose shifted squared distance
-exceeds `_zero_cut`, 2 sigma^2 * 800: its ratio is exactly 0.0, and every
-sum starts at +0.0 and adds non-negative ratios, so no float changes. The
-per-query scoring drops its zero ratios before summing, for the same reason.
+The perceptron does not score per test: its sweep's scorer, `_SweepScores`,
+keeps every point's shift and per-class sums current, the very floats of
+the per-query scoring, and skips the entries past `_zero_cut`, whose ratio
+is exactly 0.0. The per-query scoring drops its zero ratios too.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset, _coord_buffer, _doubled, _query_blocks, sq_dists_to
-from .nn_rule import PrototypeSet, UpdateEvent, UpdateTrace
+from .nn_rule import UpdateTrace, _sweep
 
 
 class PassBudgetError(Exception):
@@ -253,69 +249,26 @@ def run_mp(
     cfg: KernelConfig,
     max_passes: int = DEFAULT_MAX_PASSES,
 ) -> tuple[UpdateTrace, DualWeightVector]:
-    """Multiclass perceptron: sweep until a full pass makes no update.
+    """Multiclass perceptron: `nn_rule._sweep` in dataset order, with
+    `_SweepScores`, which appends each update to the weights, as its scorer.
 
-    A degenerate argmax counts as a mistake, so the first point always
-    triggers an update. When the degenerate resolution happens to name the
-    true class, the update subtracts the earliest other class instead (with a
-    single-class alphabet there is nothing to subtract). Each update is also
-    logged as a prototype addition, so the returned trace has the same shape
-    as the condensation trace.
+    A degenerate argmax counts as a mistake. When the degenerate resolution
+    happens to name the true class, the update subtracts the earliest other
+    class instead (with a single-class alphabet there is nothing to
+    subtract).
 
     Termination is not guaranteed for arbitrary bandwidths; `max_passes`
-    bounds the loop and the raised error carries the partial trace. Fewer
+    bounds the sweep and the raised error carries the partial trace. Fewer
     than one pass could never finish, so it is refused.
-
-    Every point's shift (its smallest squared distance to a record) and its
-    per-class added and subtracted sums are kept current, one distance row
-    per update, so a test is a lookup. The sums are the floats the per-query
-    bincount gives, as both add in record order, and a point whose shift
-    moves is re-derived exactly; so the lookup is `argmax_class`'s answer
-    bit for bit (see `_SweepScores`).
     """
     if max_passes < 1:
         raise ValueError(f"max_passes must be at least 1, got {max_passes}")
-    n = len(dataset)
     w = DualWeightVector(cfg, dataset.classes, dataset.dim)
-    wrong = dataset.wrong_codes
-    state = _SweepScores(dataset, w)
-    prototypes = PrototypeSet(dataset)
-    events: list[UpdateEvent] = []
-    pass_no = 0
-    while True:
-        if pass_no >= max_passes:
-            raise PassBudgetError(
-                f"no stable pass within {max_passes} passes",
-                UpdateTrace(events, prototypes, pass_no),
-                w,
-            )
-        pass_no += 1
-        updated = False
-        i = 0
-        while i < n:
-            # the next mistaken point, read after the last update
-            i += int(state.mistaken[i:].argmax())
-            if not state.mistaken[i]:
-                break
-            point = dataset[i]
-            was_empty = len(w) == 0
-            predicted = w.classes[state.argmax_codes[i]]
-            if predicted != point.label:
-                subtracted = predicted
-            else:  # the first wrong class; a single class has none
-                subtracted = w.classes[wrong[i, 0]] if wrong.size else None
-            w.append(i, point.coords, point.label, subtracted)
-            state.absorb(i)
-            if i not in prototypes:  # set union: repeat updates cannot re-add
-                prototypes.add(i)
-            events.append(
-                UpdateEvent(pass_no, i, point.label, None if was_empty else predicted)
-            )
-            updated = True
-            i += 1
-        if not updated:
-            break
-    return UpdateTrace(events, prototypes, pass_no), w
+    scores = _SweepScores(dataset, w)
+    trace, clean = _sweep(dataset, scores, range(len(dataset)), max_passes)
+    if not clean:
+        raise PassBudgetError(f"no stable pass within {max_passes} passes", trace, w)
+    return trace, w
 
 
 # exp(-t) is exactly 0.0 for t > 1075 ln 2 ~ 745.13, where the true value is
@@ -335,7 +288,8 @@ def _zero_cut(cfg: KernelConfig) -> float:
 
 class _SweepScores:
     """`argmax_class(w, x)` for every point x of a dataset, kept current as
-    records are appended to `w`, one distance row per record.
+    records are appended to `w`, one distance row per record:
+    `nn_rule._sweep`'s scorer for the perceptron.
 
     Per point, it keeps the shift (the smallest squared distance to a record)
     and the per-class sums of added and subtracted shifted ratios, class-major
@@ -359,6 +313,7 @@ class _SweepScores:
         n, k = len(dataset), len(w.classes)
         self._coords = dataset.coords
         self._label_codes = dataset.label_codes
+        self._wrong = dataset.wrong_codes
         self._w = w
         self._cut = _zero_cut(w.kernel)
         self._shift = np.full(n, np.inf)
@@ -367,6 +322,16 @@ class _SweepScores:
         # an empty weight vector's argmax is the first class, degenerately
         self.argmax_codes = np.zeros(n, dtype=np.int64)
         self.mistaken = np.ones(n, dtype=bool)
+
+    def add(self, i: int) -> None:
+        """Append the update at point i to `w`, as `run_mp` sets out, and
+        absorb it."""
+        code, label = self.argmax_codes[i], self._label_codes[i]
+        if code == label:  # a single class has no wrong one to subtract
+            code = self._wrong[i, 0] if self._wrong.size else None
+        y = None if code is None else self._w.classes[code]
+        self._w.append(i, self._coords[i], self._w.classes[label], y)
+        self.absorb(i)
 
     def absorb(self, i: int) -> None:
         """Take in the record just appended to `w`, at point i."""

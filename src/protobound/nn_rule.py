@@ -150,3 +150,39 @@ def is_consistent(prototypes: PrototypeSet, dataset: Dataset) -> bool:
         if (codes[d2.argmin(axis=1)] != dataset.label_codes[block]).any():
             return False
     return True
+
+
+def _sweep(
+    dataset: Dataset, scores, order, max_passes: int
+) -> tuple[UpdateTrace, bool]:
+    """Sweep `dataset` in scan `order` until a pass adds nothing or
+    `max_passes` passes have run; return the trace and whether a pass came
+    clean. Condensation and the perceptron each run it with their own
+    scorer, and at a neighborly bandwidth the two agree: the paper's identity.
+
+    A scorer keeps `mistaken` and `argmax_codes` (the predicted class code)
+    current per scan position and takes in an update at position t with
+    `add(t)`; a pass jumps from one mistaken position to the next. Before
+    any update every test is a mistake, so the first scanned point is added
+    with no prediction. A point joins the prototype set once, however often
+    it is updated, so both runs give a trace of one shape.
+    """
+    prototypes = PrototypeSet(dataset)
+    events: list[UpdateEvent] = []
+    for pass_no in range(1, max_passes + 1):
+        n_before = len(events)
+        t = 0
+        while t < len(order):
+            t += int(scores.mistaken[t:].argmax())
+            if not scores.mistaken[t]:
+                break
+            i = int(order[t])
+            predicted = dataset.classes[scores.argmax_codes[t]] if events else None
+            events.append(UpdateEvent(pass_no, i, dataset[i].label, predicted))
+            scores.add(t)
+            if i not in prototypes:
+                prototypes.add(i)
+            t += 1
+        if len(events) == n_before:
+            return UpdateTrace(events, prototypes, pass_no), True
+    return UpdateTrace(events, prototypes, max_passes), False

@@ -115,6 +115,32 @@ def test_input_errors_exit_2(runner, d20_csv, one_csv, tmp_path, args):
 
 
 @pytest.mark.parametrize(
+    "command, csv_text, message",
+    [
+        ("mp", ONE_CSV, "need at least two points; no analytic bandwidth "
+         "threshold exists. Pass --sigma explicitly."),
+        ("mp", TIE_CSV, "query 1 is equidistant from points 0 and 2; no analytic "
+         "bandwidth threshold exists. Perturb the data or pass --sigma explicitly."),
+        ("equiv", ONE_CSV, "need at least two points; no analytic bandwidth "
+         "threshold exists. Pass --sigma explicitly."),
+        ("neighborly", ONE_CSV, "need at least two points; no analytic "
+         "certificate exists. Verify an explicit --sigma."),
+        ("neighborly", TIE_CSV, "query 1 is equidistant from points 0 and 2; no "
+         "analytic certificate exists. Perturb the data or verify an explicit "
+         "--sigma."),
+    ],
+    ids=["mp-one-point", "mp-tie", "equiv-one-point", "neighborly-one-point",
+         "neighborly-tie"],
+)
+def test_missing_certificate_messages(runner, tmp_path, command, csv_text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(csv_text, encoding="utf-8")
+    result = runner.invoke(main, [command, str(path)])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["cnn", "{data}", "--out", "{missing}/report.json"],
@@ -241,6 +267,22 @@ class TestCnnCommand:
         ds = pb.load_csv(protos, label_column="label")
         assert len(ds) == 2  # source_index parses as a feature column
         assert ds.dim == 2
+
+    def test_prototype_csv_quotes_commas_and_quotes(self, runner, tmp_path):
+        data = tmp_path / "names.csv"
+        data.write_text('"x,1",label\n0.0,"a,b"\n5.0,"say ""hi"""\n',
+                        encoding="utf-8")
+        protos = tmp_path / "protos.csv"
+        result = runner.invoke(main, ["cnn", str(data), "--out-csv", str(protos)])
+        assert result.exit_code == 0, result.output
+        assert protos.read_text(encoding="utf-8") == (
+            'source_index,"x,1",label\n0,0.0,"a,b"\n1,5.0,"say ""hi"""\n'
+        )
+        ds = pb.load_csv(protos)
+        assert ds.feature_names == ("source_index", "x,1")
+        assert [(p.coords, p.label) for p in ds] == [
+            ((0.0, 0.0), "a,b"), ((1.0, 5.0), 'say "hi"'),
+        ]
 
     def test_missing_file(self, runner):
         result = runner.invoke(main, ["cnn", "nowhere.csv"])

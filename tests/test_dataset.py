@@ -217,6 +217,15 @@ class TestLoadCsv:
         with pytest.raises(pb.DatasetError):
             pb.load_csv(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "byte-order-mark"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, mark):
+        # spreadsheet programs save "CSV UTF-8" with a leading U+FEFF
+        path = write(tmp_path, mark + "label,x\nA,0\nB,1\n")
+        assert path.read_bytes().startswith(mark.encode("utf-8") + b"label")
+        ds = pb.load_csv(path)
+        assert ds.label_name == "label" and ds.feature_names == ("x",)
+        assert [(p.coords, p.label) for p in ds] == [((0.0,), "A"), ((1.0,), "B")]
+
 
 class TestRoundTrip:
     def test_write_then_load_is_equal(self, tmp_path):

@@ -11,6 +11,7 @@ import pytest
 
 import protobound as pb
 import protobound.dataset
+from protobound.cnn import _NearestPrototypes
 from protobound.kernel_machine import (
     _class_sums,
     _scores_from_ratios,
@@ -147,6 +148,34 @@ class TestRunMp:
                 assert got == mp_outcome(oracle_run_mp, data, s, max_passes)
                 budget_hits += got[0]
         assert budget_hits == 4
+
+
+class TestScorersAgree:
+    """At a neighborly bandwidth the two scorers of the one sweep loop hold
+    one state: the perceptron's argmax, and so its mistakes, are the 1-NN
+    rule's for every point after every addition, whatever points are added
+    and in whatever order."""
+
+    def test_every_step_at_half_the_certified_sigma(self):
+        rng = np.random.default_rng(5)
+        checked = 0
+        for ds in fuzz_sets(30) + [lattice_set(s) for s in range(100)]:
+            try:
+                sigma = pb.sufficient_sigma(ds).sigma_star / 2.0
+            except pb.GammaDegenerateError:
+                continue
+            w = pb.DualWeightVector(pb.KernelConfig(sigma), ds.classes, ds.dim)
+            nearest = _NearestPrototypes(ds, np.arange(len(ds)))
+            kernel = _SweepScores(ds, w)
+            for i in [None] + rng.permutation(len(ds)).tolist():
+                if i is not None:
+                    nearest.add(i)
+                    kernel.add(i)
+                assert nearest.argmax_codes.tolist() == kernel.argmax_codes.tolist()
+                assert nearest.mistaken.tolist() == kernel.mistaken.tolist()
+            assert len(w) == len(ds)
+            checked += 1
+        assert checked >= 40
 
 
 # shifted exponents (d2 - shift) / (2 sigma^2) on both sides of where exp
