@@ -516,9 +516,9 @@ def gen_cmd(spec, n_per_class, seed, out_path):
     centers, spread = _parse_generator_spec(spec)
     try:
         dataset = generate_blobs(seed, n_per_class, centers, spread)
+        _write_output(out_path, lambda p: write_csv(dataset, p))
     except DatasetError as exc:
         _fail_input(exc)
-    _write_output(out_path, lambda p: write_csv(dataset, p))
     click.echo(
         f"wrote {len(dataset)} points, classes={list(dataset.classes)} "
         f"to {out_path}"

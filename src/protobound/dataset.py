@@ -462,10 +462,23 @@ def load_csv(path: str | Path, label_column: str = DEFAULT_LABEL_COLUMN) -> Data
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset so that `load_csv` round-trips to an equal Dataset."""
+    """Write a dataset so that `load_csv` round-trips to an equal Dataset,
+    one row per line ending in "\n".
+
+    `load_csv` strips every cell, and the writer does not always quote a
+    carriage return, which the reader takes for a row end. So a label with
+    leading or trailing whitespace or a carriage return would come back
+    changed; it is refused with `DatasetError` before the file is opened.
+    """
+    for label in dataset.classes:
+        if label != label.strip() or "\r" in label:
+            raise DatasetError(
+                f"label {label!r} would not load back unchanged: it has "
+                f"leading or trailing whitespace or a carriage return"
+            )
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(dataset.feature_names) + [dataset.label_name])
         for p in dataset:
             writer.writerow([repr(v) for v in p.coords] + [p.label])

@@ -22,7 +22,13 @@ whose 2 sigma^2 is a positive float; `KernelConfig` refuses the smaller ones
 The perceptron does not score per test: its sweep's scorer, `_SweepScores`,
 keeps every point's shift and per-class sums current, the very floats of
 the per-query scoring, and skips the entries past `_zero_cut`, whose ratio
-is exactly 0.0. The per-query scoring drops its zero ratios too.
+is exactly 0.0. A new record meets each point in one of three cases. No
+nearer than the point's shift, it adds its own ratio to the sums. Nearer,
+with the old shift more than the cut above it, it leaves every earlier
+record past the cut too, since float subtraction is monotone: the sums are
+its own ratio, 1.0, alone. Nearer by less, it changes every ratio, and the
+point is re-derived from all records. The per-query scoring drops its zero
+ratios too.
 """
 
 from __future__ import annotations
@@ -295,18 +301,31 @@ class _SweepScores:
     and the per-class sums of added and subtracted shifted ratios, class-major
     (k, n). The record's distance row over the points holds the floats each
     point's own query would, as (a - b)^2 and (b - a)^2 are equal. A new
-    record that is no nearer than a point's shift leaves the shift, and so
-    every earlier ratio, as it was; its own ratio is added to the two sums.
-    That is the float `_class_sums`' bincount gives, since it adds each
-    bin's ratios in record order. Where the new record is nearer, every
-    ratio changes: those points are re-derived from all records exactly as
-    `shifted_class_scores` derives them, batched in query blocks.
+    record at squared distance d2 from a point whose shift is `old` meets it
+    in one of three cases:
 
-    Both steps skip the (point, record) entries whose shifted squared
-    distance exceeds `_zero_cut`: their ratio is exactly 0.0, and adding 0.0
-    to a sum that starts at +0.0 and grows by non-negative ratios changes no
-    float. Only the row's kept points get a ratio, and a re-derivation sums
-    only its kept entries, in record order.
+    - d2 >= old: the shift, and so every earlier ratio, stays as it was; the
+      record's own ratio is added to the two sums. That is the float
+      `_class_sums`' bincount gives, since it adds each bin's ratios in
+      record order.
+    - old - d2 > cut: the point moves, and every earlier record lies past
+      the cut. Each earlier record's squared distance D is at least `old`,
+      the float minimum of them all, and float subtraction is monotone, so
+      fl(D - d2) >= fl(old - d2) > cut. A re-derivation would skip them all
+      and keep only the new record, at fl(d2 - d2) = 0.0, whose ratio is
+      kernel(0.0) = 1.0; its bincount gives 0.0 + 1.0 on the record's two
+      channels and +0.0 on the others. Zeroing the point's sums and adding
+      the ratio gives those floats in closed form. A point that no record
+      reached yet (old = inf) is here too, unless the cut itself is inf.
+    - otherwise, a near tie: every ratio changes, and the point is
+      re-derived from all records exactly as `shifted_class_scores` derives
+      them, batched in query blocks.
+
+    The row and the re-derivations skip the (point, record) entries whose
+    shifted squared distance exceeds `_zero_cut`: their ratio is exactly
+    0.0, and adding 0.0 to a sum that starts at +0.0 and grows by
+    non-negative ratios changes no float. Only the row's kept points get a
+    ratio, and a re-derivation sums only its kept entries, in record order.
     """
 
     def __init__(self, dataset: Dataset, w: DualWeightVector):
@@ -341,7 +360,11 @@ class _SweepScores:
         keep = np.flatnonzero(d2 - self._shift <= self._cut)
         d2 = d2[keep]
         shift = self._shift[keep]
-        nearer = keep[d2 < shift]
+        # the old shift, and so every earlier record, lies past the cut
+        alone = shift - d2 > self._cut
+        nearer = keep[(d2 < shift) & ~alone]
+        self._added[:, keep[alone]] = 0.0
+        self._subtracted[:, keep[alone]] = 0.0
         np.minimum(shift, d2, out=shift)
         self._shift[keep] = shift
         ratios = w.kernel.kernel(d2 - shift)
@@ -360,7 +383,7 @@ class _SweepScores:
             )
             self._added[:, q] = sums[:, 0].T
             self._subtracted[:, q] = sums[:, 1].T
-        # a zero ratio changes no sum, and every re-derived point's is 1
+        # a zero ratio changes no sum, and every moved point's is 1
         changed = keep[np.flatnonzero(ratios)]
         scores = self._added[:, changed] - self._subtracted[:, changed]
         codes, degenerate = _argmax_codes(scores.T)

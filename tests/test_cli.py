@@ -620,3 +620,13 @@ class TestGenCommand:
                  "--out", str(path)],
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_label_that_would_load_changed_exits_2(self, runner, tmp_path):
+        out = tmp_path / "blobs.csv"
+        spec = SPEC.replace('"label": "B"', '"label": " B"')
+        result = runner.invoke(
+            main, ["gen", "--spec", spec, "--n-per-class", "3", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "would not load back unchanged" in result.stderr
+        assert not out.exists()

@@ -236,6 +236,26 @@ class TestRoundTrip:
         pb.write_csv(ds, out)
         assert pb.load_csv(out) == ds
 
+    def test_quoted_labels_round_trip_with_newline_row_ends(self, tmp_path):
+        labels = ["a,b", 'say "hi"', "two\nlines", "", "x"]
+        ds = pb.Dataset([((float(i),), lab) for i, lab in enumerate(labels)])
+        out = tmp_path / "out.csv"
+        pb.write_csv(ds, out)
+        assert out.read_bytes() == (
+            b'x0,label\n0.0,"a,b"\n1.0,"say ""hi"""\n2.0,"two\nlines"\n3.0,\n'
+            b"4.0,x\n"
+        )
+        back = pb.load_csv(out)
+        assert back == ds and back.classes == ds.classes
+
+    @pytest.mark.parametrize("label", [" A", "A ", "\tA", "A\n", "a\rb"])
+    def test_labels_that_would_load_changed_are_refused(self, tmp_path, label):
+        ds = pb.Dataset([((0.0,), "B"), ((1.0,), label)])
+        out = tmp_path / "out.csv"
+        with pytest.raises(pb.DatasetError, match="would not load back unchanged"):
+            pb.write_csv(ds, out)
+        assert not out.exists()
+
     @settings(
         max_examples=50,
         derandomize=True,

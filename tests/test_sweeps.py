@@ -11,6 +11,7 @@ import pytest
 
 import protobound as pb
 import protobound.dataset
+import protobound.kernel_machine
 from protobound.cnn import _NearestPrototypes
 from protobound.kernel_machine import (
     _class_sums,
@@ -255,6 +256,85 @@ class TestSkippedEntries:
                 added, subtracted = dense_sums(replay, ds.coords)
                 assert state._added.T.tobytes() == added.tobytes(), sigma
                 assert state._subtracted.T.tobytes() == subtracted.tobytes(), sigma
+
+
+def boundary_set():
+    """Pairs of points, 100 apart along y, whose squared distance is one ulp
+    below the cut of CUT_SIGMA (400), on it, and one ulp above it. Labels
+    and the side of the second point alternate, so every point is a record
+    by the end of the first pass, and no move across pairs lands near the
+    cut. Each pair's second point is first moved by its partner's record,
+    from far, then by its own record, from the pair's distance: so
+    fl(old - new) is that distance, and `old - new > cut` decides, at the
+    boundary, whether its sums are re-derived or set in closed form."""
+    # fl((20 - ulp)^2) = 400 - 2^-43, and tiny^2 = 2^-44 is one ulp of 400
+    ulp, tiny = 2.0**-48, 2.0**-22
+    steps = ((20.0 - ulp, tiny), (-20.0, 0.0), (20.0, tiny))
+    points = []
+    for k, (dx, dy) in enumerate(steps):
+        first, second = "AB" if k % 2 == 0 else "BA"
+        points += [((0.0, 100.0 * k), first), ((dx, 100.0 * k + dy), second)]
+    return pb.Dataset(points)
+
+
+@pytest.fixture
+def rederived(monkeypatch):
+    """A list whose one entry counts the points the sweep re-derives from
+    all its records, read off `_class_sums`' query counts."""
+    count = [0]
+
+    def counted(ratios, queries, codes, n_queries, n_classes):
+        count[0] += n_queries
+        return _class_sums(ratios, queries, codes, n_queries, n_classes)
+
+    monkeypatch.setattr(protobound.kernel_machine, "_class_sums", counted)
+    return count
+
+
+def blob_set(n_per_class):
+    centers = [((0.0, 0.0), "A"), ((2.0, 0.0), "B"), ((1.0, 1.5), "C")]
+    return pb.generate_blobs(0, n_per_class, centers, 0.8)
+
+
+class TestClosedForm:
+    """A moved point whose old shift lies past `_zero_cut` from the new
+    record takes its sums in closed form; the near ties are re-derived."""
+
+    def test_boundary_set_lands_on_the_cut(self):
+        ds = boundary_set()
+        cut = _zero_cut(pb.KernelConfig(CUT_SIGMA))
+        d2 = [pb.sq_dists_to(ds.coords[i: i + 1], ds.coords[i + 1])[0]
+              for i in range(0, len(ds), 2)]
+        assert cut == 400.0
+        assert d2 == [np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)]
+
+    def test_run_mp_equals_oracle_on_boundary_set(self, block_cap, rederived):
+        ds = boundary_set()
+        got = mp_outcome(pb.run_mp, ds, CUT_SIGMA)
+        # the second points at and below the cut; every other move is closed
+        assert rederived == [2]
+        assert got == mp_outcome(oracle_run_mp, ds, CUT_SIGMA)
+        assert not got[0] and len(got[1][2]) == len(ds)  # every point a record
+
+    def test_sweep_sums_equal_dense_sums_on_boundary_set(self, block_cap):
+        ds = boundary_set()
+        _, w = pb.run_mp(ds, pb.KernelConfig(CUT_SIGMA), MAX_PASSES)
+        for replay, state in replayed_sweep(ds, w):
+            added, subtracted = dense_sums(replay, ds.coords)
+            assert state._added.T.tobytes() == added.tobytes()
+            assert state._subtracted.T.tobytes() == subtracted.tobytes()
+
+    def test_every_move_is_closed_at_half_the_certified_sigma(self, rederived):
+        ds = blob_set(200)
+        sigma = pb.sufficient_sigma(ds).sigma_star / 2.0
+        trace, _ = pb.run_mp(ds, pb.KernelConfig(sigma))
+        assert len(trace.events) > 100 and rederived == [0]
+
+    def test_near_ties_are_rederived_at_a_wide_sigma(self, rederived):
+        ds = blob_set(200)
+        with pytest.raises(pb.PassBudgetError):
+            pb.run_mp(ds, pb.KernelConfig(ds.diameter() / 3.0), max_passes=2)
+        assert rederived[0] > 0
 
 
 class TestClassSums:
