@@ -28,6 +28,7 @@ from .dataset import (
     DEFAULT_LABEL_COLUMN,
     Dataset,
     DatasetError,
+    _check_reloadable,
     blob_stream,
     fuzz_dataset,
     generate_blobs,
@@ -190,6 +191,12 @@ def cnn_cmd(dataset_path, label_column, shuffle_seed, out, out_csv):
     """Condense a dataset into a consistent prototype set."""
     started = time.perf_counter()
     dataset = _load(dataset_path, label_column)
+    if out_csv:
+        # every class has a prototype, so every label reaches the CSV
+        try:
+            _check_reloadable(dataset.classes)
+        except DatasetError as exc:
+            _fail_input(exc)
     trace = run_cnn(dataset, shuffle_seed=shuffle_seed)
     consistent = is_consistent(trace.prototypes, dataset)
     if out_csv:

@@ -297,7 +297,10 @@ class Dataset:
         wrong = others + (others >= codes[:, None])
         wrong.flags.writeable = False
         self._wrong_codes = wrong
+        # the all-pairs pass's results (`_all_pairs`)
         self._nearest_sq_dists: np.ndarray | None = None
+        self._max_sq_dist: float | None = None
+        self._gap: float | tuple[int, int, int] | None = None
 
     @property
     def points(self) -> tuple[LabeledPoint, ...]:
@@ -336,18 +339,65 @@ class Dataset:
     @property
     def nearest_sq_dists(self) -> np.ndarray:
         """Read-only (n,) squared distance from each point to its nearest
-        other point (inf for a one-point set). Found on the first read, one
-        query block of `pairwise_sq_dists` rows at a time so no n x n array
-        is held, and kept: the dataset is immutable."""
+        other point (inf for a one-point set). Found by the dataset's
+        all-pairs pass (`_all_pairs`), without sorting unless `_squared_gap`
+        ran first, and kept: the dataset is immutable."""
         if self._nearest_sq_dists is None:
-            nearest = np.empty(len(self._coords))
-            for block, rows in _distance_row_blocks(self._coords):
+            self._all_pairs(sort=False)
+        return self._nearest_sq_dists
+
+    def _squared_gap(self) -> float | tuple[int, int, int]:
+        """The smallest gap between two consecutive sorted squared distances
+        in any point's row, or the first row's first exact tie as (query,
+        first, second), the tied points in stable-argsort order of the row;
+        `neighborly.min_squared_gap` reads it. Needs two points. Found by the
+        sorting all-pairs pass, which also gives `nearest_sq_dists` and
+        `diameter`, and kept."""
+        if self._gap is None:
+            self._all_pairs(sort=True)
+        return self._gap
+
+    def _all_pairs(self, sort: bool) -> None:
+        """The dataset's one loop over all n^2 squared distances, one query
+        block of `pairwise_sq_dists` rows at a time, so no n x n array is
+        held. It keeps each point's nearest other distance and the largest
+        distance. With `sort` it sorts each row, reads the nearest distance
+        at position 1, behind the query's exact 0.0 self-distance, and the
+        largest at the end, and keeps the gap or first tie `_squared_gap`
+        returns. Rows past a tie are still read, unsorted, so the distances
+        are whole. A nearest array already handed out is kept, not replaced:
+        every row gives the same floats sorted or not."""
+        coords = self._coords
+        nearest = np.empty(len(coords))
+        largest = 0.0
+        gap: float | tuple[int, int, int] = math.inf
+        for block, rows in _distance_row_blocks(coords):
+            if not sort or isinstance(gap, tuple):
+                largest = max(largest, float(rows.max()))
                 queries = np.arange(block.start, block.stop)
                 rows[queries - block.start, queries] = np.inf
                 nearest[block] = rows.min(axis=1)
+                continue
+            rows.sort(axis=1)
+            nearest[block] = rows[:, 1]
+            largest = max(largest, float(rows[:, -1].max()))
+            diffs = np.diff(rows, axis=1)
+            smallest = float(diffs.min())
+            if smallest == 0.0:  # sorted rows have no negative gaps
+                # only a tie needs its row unsorted, to name the tied points
+                r = int(np.flatnonzero(~diffs.all(axis=1))[0])
+                t = int(np.flatnonzero(diffs[r] == 0.0)[0])
+                q = block.start + r
+                order = np.argsort(sq_dists_to(coords, coords[q]), kind="stable")
+                gap = (q, int(order[t]), int(order[t + 1]))
+            else:
+                gap = min(gap, smallest)
+        if self._nearest_sq_dists is None:
             nearest.flags.writeable = False
             self._nearest_sq_dists = nearest
-        return self._nearest_sq_dists
+        self._max_sq_dist = largest
+        if sort:
+            self._gap = gap
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -361,10 +411,12 @@ class Dataset:
         return self._class_code[label]
 
     def diameter(self) -> float:
-        """Largest pairwise Euclidean distance."""
-        return math.sqrt(
-            max(float(rows.max()) for _, rows in _distance_row_blocks(self._coords))
-        )
+        """Largest pairwise Euclidean distance (0.0 for a one-point set),
+        from the dataset's all-pairs pass (`_all_pairs`): free once
+        `nearest_sq_dists` or `_squared_gap` has been read."""
+        if self._max_sq_dist is None:
+            self._all_pairs(sort=False)
+        return math.sqrt(self._max_sq_dist)
 
     def __len__(self) -> int:
         return len(self._points)
@@ -461,21 +513,31 @@ def load_csv(path: str | Path, label_column: str = DEFAULT_LABEL_COLUMN) -> Data
         raise DatasetError(f"{path}: {exc}") from None
 
 
-def write_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset so that `load_csv` round-trips to an equal Dataset,
-    one row per line ending in "\n".
+def _check_reloadable(labels: Iterable[str]) -> None:
+    """Refuse, with `DatasetError`, a label that `load_csv` would read back
+    changed from a file written by `csv.writer` with "\n" row ends.
 
-    `load_csv` strips every cell, and the writer does not always quote a
-    carriage return, which the reader takes for a row end. So a label with
-    leading or trailing whitespace or a carriage return would come back
-    changed; it is refused with `DatasetError` before the file is opened.
+    `load_csv` strips every cell, and before Python 3.13 that writer leaves
+    a carriage return unquoted, which the reader takes for a row end. So a
+    label with leading or trailing whitespace or a carriage return would
+    come back changed, or split its row.
     """
-    for label in dataset.classes:
+    for label in labels:
         if label != label.strip() or "\r" in label:
             raise DatasetError(
                 f"label {label!r} would not load back unchanged: it has "
                 f"leading or trailing whitespace or a carriage return"
             )
+
+
+def write_csv(dataset: Dataset, path: str | Path) -> None:
+    """Write a dataset so that `load_csv` round-trips to an equal Dataset,
+    one row per line ending in "\n".
+
+    A label that would come back changed (`_check_reloadable`) is refused
+    with `DatasetError` before the file is opened.
+    """
+    _check_reloadable(dataset.classes)
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -23,7 +23,8 @@ quantifies the remaining slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -164,11 +165,22 @@ class MarginCertificate:
     bound: float
     duality_gap: float
     coefficients: np.ndarray
-    pairs: list[tuple[int, str]]
     converged: bool
     iterations: int
     components: int
     largest_component: int
+    _dataset: Dataset = field(repr=False, compare=False)
+
+    @cached_property
+    def pairs(self) -> list[tuple[int, str]]:
+        """(point index, wrong class) of each coefficient: point by point,
+        each point's wrong classes in alphabet order. Made on first read,
+        as a grid search never reads it, and kept; each certificate has its
+        own list."""
+        wrong = self._dataset.wrong_codes
+        points = np.repeat(np.arange(len(wrong)), wrong.shape[1])
+        names = np.array(self._dataset.classes, dtype=object)[wrong]
+        return list(zip(points.tolist(), names.ravel().tolist()))
 
     @property
     def separable(self) -> bool:
@@ -502,12 +514,11 @@ def margin(
         bound,
         gap,
         alpha,
-        [(i, dataset.classes[y])
-         for i, row in enumerate(wrong.tolist()) for y in row],
         converged,
         sum(b.iterations for b in blocks),
         len(components) + len(isolated),
         largest,
+        dataset,
     )
 
 
@@ -664,9 +675,10 @@ def bound_infimum(
     other points are kept only if exhaustive verification fits its row
     budget and passes. The true optimum is an infimum
     over all neighborly bandwidths; a finite grid can only approach it, which
-    is the scope of this search. Each point's nearest squared distance is
-    found once per dataset (`Dataset.nearest_sq_dists`) and shared by every
-    grid point's margin.
+    is the scope of this search. The analytic threshold's sorting pass over
+    all pairs also finds each point's nearest squared distance
+    (`Dataset.nearest_sq_dists`), which every grid point's margin shares, so
+    the search runs one all-pairs pass.
     """
     if len(dataset.classes) < 2:
         report = cnn_bound(dataset, KernelConfig(1.0))

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _distance_row_blocks, _take_rows, sq_dists_to
+from .dataset import Dataset, _take_rows, sq_dists_to
 from .kernel_machine import (
     DualWeightVector,
     KernelConfig,
@@ -105,31 +105,22 @@ def min_squared_gap(dataset: Dataset) -> float:
     set to any two of its points (the query's zero self-distance included).
 
     Raises GammaDegenerateError on an exact tie, naming the first tied
-    query. Queries are taken in blocks of `pairwise_sq_dists` rows.
+    query and the two points a stable argsort of its row puts side by side.
+    The gap is read from the dataset's sorting all-pairs pass, which runs
+    once per dataset and leaves `nearest_sq_dists` and `diameter` free.
     """
-    n = len(dataset)
-    if n < 2:
+    if len(dataset) < 2:
         raise ValueError("need at least two points")
-    gamma = math.inf
-    for block, d2 in _distance_row_blocks(dataset.coords):
-        diffs = np.diff(np.sort(d2, axis=1), axis=1)
-        smallest = float(diffs.min())
-        if smallest == 0.0:  # sorted rows have no negative gaps
-            # only a tie needs its row and the permutation, to name the
-            # tied points
-            r = int(np.flatnonzero(~diffs.all(axis=1))[0])
-            q = block.start + r
-            order = np.argsort(d2[r], kind="stable")
-            t = int(np.nonzero(diffs[r] == 0.0)[0][0])
-            raise GammaDegenerateError(
-                f"query {q} is equidistant from points {int(order[t])} "
-                f"and {int(order[t + 1])}",
-                q,
-                int(order[t]),
-                int(order[t + 1]),
-            )
-        gamma = min(gamma, smallest)
-    return gamma
+    gap = dataset._squared_gap()
+    if isinstance(gap, tuple):
+        q, first, second = gap
+        raise GammaDegenerateError(
+            f"query {q} is equidistant from points {first} and {second}",
+            q,
+            first,
+            second,
+        )
+    return gap
 
 
 def sufficient_sigma(dataset: Dataset) -> SigmaCertificate:

@@ -284,6 +284,23 @@ class TestCnnCommand:
             ((0.0, 0.0), "a,b"), ((1.0, 5.0), 'say "hi"'),
         ]
 
+    @pytest.mark.parametrize("label", ["two\nlines", "a\rb"])
+    def test_prototype_csv_round_trips_or_exits_2(self, runner, tmp_path, label):
+        # a carriage return is left unquoted under the "\n" row end, and
+        # load_csv would split its row, so such a label is refused
+        data = tmp_path / "labels.csv"
+        data.write_text(f'x,label\n0.0,"{label}"\n5.0,B\n', encoding="utf-8")
+        protos = tmp_path / "protos.csv"
+        result = runner.invoke(main, ["cnn", str(data), "--out-csv", str(protos)])
+        if "\r" in label:
+            assert result.exit_code == 2
+            assert "would not load back unchanged" in result.stderr
+            assert not protos.exists()
+        else:
+            assert result.exit_code == 0, result.output
+            assert pb.load_csv(protos).classes == (label, "B")
+        assert runner.invoke(main, ["cnn", str(data)]).exit_code == 0
+
     def test_missing_file(self, runner):
         result = runner.invoke(main, ["cnn", "nowhere.csv"])
         assert result.exit_code == 2

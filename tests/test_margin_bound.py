@@ -294,6 +294,25 @@ class TestDifferenceVectorSet:
         assert cert.pairs == [(0, "B"), (1, "A"), (2, "A")]
         assert len(full_gram(line3, pb.KernelConfig(1.0))) == 3
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_pairs_equal_the_per_pair_listing(self, k):
+        # the alphabet runs in first-appearance order, here not sorted
+        names = "EDCBA"[-k:]
+        ds = pb.Dataset(
+            [((float(i), float(i % 3)), names[(k - 1) * i % k]) for i in range(12)]
+        )
+        assert list(ds.classes) != sorted(ds.classes)
+        cfg = pb.KernelConfig(0.8)
+        cert = pb.margin(ds, cfg)
+        want = [(i, ds.classes[y])
+                for i, row in enumerate(ds.wrong_codes.tolist()) for y in row]
+        assert cert.pairs == want
+        assert {(type(i), type(y)) for i, y in cert.pairs} == {(int, str)}
+        # each certificate owns its list
+        other = pb.margin(ds, cfg)
+        cert.pairs.clear()
+        assert other.pairs == want
+
     def test_gram_matches_indicator_formula(self):
         cfg = pb.KernelConfig(1.3)
         for seed in range(5):

@@ -1,10 +1,11 @@
 """The incremental sweeps against their per-query oracles: `run_cnn`,
 `run_mp` and `is_consistent` must give the same traces, weights and verdicts
 bit for bit, whatever the block cap of their batched passes; and so must the
-blocked all-pairs passes against their row-by-row loops, and blocked online
-condensation against its per-item loop."""
+blocked all-pairs passes against their row-by-row loops, whatever their read
+order, and blocked online condensation against its per-item loop."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -533,3 +534,89 @@ class TestRowBlocks:
                 assert got == want
                 outcomes.add(type(want))
         assert outcomes == {float, tuple}
+
+
+def tied_sets():
+    return [
+        # point 1 sits exactly between points 0 and 2
+        pb.Dataset([((-1.0,), "A"), ((0.0,), "B"), ((1.0,), "A")]),
+        # same-label duplicates: a zero distance besides the self-distance
+        pb.Dataset([((0.0, 1.0), "A"), ((2.0, 0.0), "B"), ((0.0, 1.0), "A")]),
+    ]
+
+
+# The reads of the dataset's all-pairs pass. The gap's sorting pass and the
+# unsorted one each give the nearest and largest distances; whichever runs
+# first, every later read must give the row-by-row oracle's floats.
+PASS_READS = {
+    "gap": min_squared_gap_outcome,
+    "nearest": lambda ds: ds.nearest_sq_dists.tobytes(),
+    "diameter": lambda ds: ds.diameter(),
+}
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The all-pairs passes run: one entry per `_distance_row_blocks` call."""
+    calls = []
+    blocks = protobound.dataset._distance_row_blocks
+
+    def counted(coords):
+        calls.append(len(coords))
+        return blocks(coords)
+
+    monkeypatch.setattr(protobound.dataset, "_distance_row_blocks", counted)
+    return calls
+
+
+class TestAllPairsPass:
+    @pytest.mark.parametrize("first", list(PASS_READS))
+    def test_every_read_order_equals_row_by_row_oracles(self, block_cap, first):
+        order = [first] + [name for name in PASS_READS if name != first]
+        ties = 0
+        for ds in fuzz_sets(30) + [lattice_set(s) for s in range(30)] + tied_sets():
+            want = {
+                "gap": oracle_min_squared_gap(ds),
+                "nearest": oracle_nearest_sq_dists(ds).tobytes(),
+                "diameter": oracle_diameter(ds),
+            }
+            for name in order + order:  # then again, from the kept results
+                assert PASS_READS[name](ds) == want[name], name
+            ties += isinstance(want["gap"], tuple)
+        assert ties > len(tied_sets())  # lattices tie as well
+
+    def test_one_point(self, block_cap):
+        ds = pb.Dataset([((1.0, 2.0), "A")])
+        assert (ds.nearest_sq_dists.tolist(), ds.diameter()) == ([math.inf], 0.0)
+        ds = pb.Dataset([((1.0, 2.0), "A")])
+        assert (ds.diameter(), ds.nearest_sq_dists.tolist()) == (0.0, [math.inf])
+        with pytest.raises(ValueError):
+            pb.min_squared_gap(ds)
+
+    def test_bound_infimum_runs_one_pass(self, passes):
+        ds = blob_set(60)
+        pb.bound_infimum(ds)
+        ds.nearest_sq_dists, ds.diameter()
+        assert passes == [len(ds)]
+
+    def test_margin_runs_one_pass_without_the_gap(self, passes):
+        ds = blob_set(60)
+        pb.margin(ds, pb.KernelConfig(0.05))
+        ds.diameter()
+        assert passes == [len(ds)]
+        # the gap was not found: its sorting pass runs now, and only once
+        pb.min_squared_gap(ds)
+        pb.sufficient_sigma(ds)
+        assert passes == [len(ds)] * 2
+
+    def test_tie_is_raised_on_every_read_from_one_pass(self, passes):
+        ds = tied_sets()[0]
+        for _ in range(2):
+            with pytest.raises(pb.GammaDegenerateError) as exc:
+                pb.min_squared_gap(ds)
+            assert (exc.value.query_index, exc.value.first, exc.value.second) == (
+                1, 0, 2
+            )
+        assert str(exc.value) == "query 1 is equidistant from points 0 and 2"
+        assert ds.nearest_sq_dists.tolist() == [1.0, 1.0, 1.0]
+        assert passes == [3]
