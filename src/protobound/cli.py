@@ -192,9 +192,9 @@ def cnn_cmd(dataset_path, label_column, shuffle_seed, out, out_csv):
     started = time.perf_counter()
     dataset = _load(dataset_path, label_column)
     if out_csv:
-        # every class has a prototype, so every label reaches the CSV
+        # the header and every label reach the CSV: each class has a prototype
         try:
-            _check_reloadable(dataset.classes)
+            _check_reloadable(dataset)
         except DatasetError as exc:
             _fail_input(exc)
     trace = run_cnn(dataset, shuffle_seed=shuffle_seed)

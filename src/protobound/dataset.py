@@ -513,31 +513,35 @@ def load_csv(path: str | Path, label_column: str = DEFAULT_LABEL_COLUMN) -> Data
         raise DatasetError(f"{path}: {exc}") from None
 
 
-def _check_reloadable(labels: Iterable[str]) -> None:
-    """Refuse, with `DatasetError`, a label that `load_csv` would read back
-    changed from a file written by `csv.writer` with "\n" row ends.
+def _check_reloadable(dataset: Dataset) -> None:
+    """Refuse, with `DatasetError`, a header cell (feature or label column
+    name) or a label of `dataset` that `load_csv` would read back changed
+    from a file written by `csv.writer` with "\n" row ends.
 
     `load_csv` strips every cell, and before Python 3.13 that writer leaves
     a carriage return unquoted, which the reader takes for a row end. So a
-    label with leading or trailing whitespace or a carriage return would
+    cell with leading or trailing whitespace or a carriage return would
     come back changed, or split its row.
     """
-    for label in labels:
-        if label != label.strip() or "\r" in label:
-            raise DatasetError(
-                f"label {label!r} would not load back unchanged: it has "
-                f"leading or trailing whitespace or a carriage return"
-            )
+    names = (*dataset.feature_names, dataset.label_name)
+    for kind, cells in (("column name", names), ("label", dataset.classes)):
+        for cell in cells:
+            if cell != cell.strip() or "\r" in cell:
+                raise DatasetError(
+                    f"{kind} {cell!r} would not load back unchanged: it has "
+                    f"leading or trailing whitespace or a carriage return"
+                )
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset so that `load_csv` round-trips to an equal Dataset,
     one row per line ending in "\n".
 
-    A label that would come back changed (`_check_reloadable`) is refused
-    with `DatasetError` before the file is opened.
+    A header cell or label that would come back changed
+    (`_check_reloadable`) is refused with `DatasetError` before the file is
+    opened.
     """
-    _check_reloadable(dataset.classes)
+    _check_reloadable(dataset)
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

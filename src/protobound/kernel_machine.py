@@ -27,8 +27,9 @@ nearer than the point's shift, it adds its own ratio to the sums. Nearer,
 with the old shift more than the cut above it, it leaves every earlier
 record past the cut too, since float subtraction is monotone: the sums are
 its own ratio, 1.0, alone. Nearer by less, it changes every ratio, and the
-point is re-derived from all records. The per-query scoring drops its zero
-ratios too.
+point is re-derived from all records. The per-query scores, the
+re-derivations and the neighborly violation search all sum through one
+function, `_shifted_class_sums`, which skips the same entries.
 """
 
 from __future__ import annotations
@@ -73,16 +74,6 @@ class KernelConfig:
         near 1e-155, the value is 0.0, without a warning."""
         with np.errstate(over="ignore"):
             return np.exp(-d2 / (2.0 * self.sigma * self.sigma))
-
-
-def _shifted_kernel(d2: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """Kernel values over squared distances `d2`, each divided by the largest
-    in its row (last axis): exp(-(d2 - min d2) / (2 sigma^2)).
-
-    The shift is taken on the distances, so the nearest record's ratio is
-    exactly 1 even where every -d2 / (2 sigma^2) overflows to -inf; the
-    other ratios then underflow to 0.0."""
-    return cfg.kernel(d2 - d2.min(axis=-1, keepdims=True))
 
 
 class DualWeightVector:
@@ -169,49 +160,49 @@ class DualWeightVector:
         }
 
 
-def _class_sums(
-    ratios: np.ndarray, queries: np.ndarray, codes: np.ndarray, n_queries: int,
-    n_classes: int,
-) -> np.ndarray:
-    """Per-class sums of shifted kernel ratios, shape (q, R, k), over kernel
-    entries: entry t is the ratio of one (query, record) pair, `ratios[t]`
-    for query `queries[t]`, and row r of `codes` (R, entries) holds the class
-    it goes to in that query's row r (-1 for none).
+# exp(-t) is exactly 0.0 for t > 1075 ln 2 ~ 745.13, where the true value is
+# below half the smallest subnormal, 2^-1075. Scoring skips an entry whose
+# shifted squared distance x exceeds cut = fl(s * 800), with s = fl(2 sigma^2)
+# the kernel's own scale. That product is exact while subnormal and within a
+# relative 2^-53 otherwise, and the kernel's quotient fl(x / s) rounds once
+# more, so the exponent it is fed is at least 800 (1 - 2^-52) > 799.99, or
+# inf. Its exp is then a factor e^-54 below 2^-1075, far past any libm's
+# error. The margin costs only the entries in (745.13, 800], which are
+# evaluated and are 0.0. Where cut overflows to inf (sigma above ~3.35e152),
+# no finite x exceeds it and nothing is skipped.
+def _zero_cut(cfg: KernelConfig) -> float:
+    """Shifted squared distance above which `cfg.kernel` is exactly 0.0."""
+    return 2.0 * cfg.sigma * cfg.sigma * 800.0
 
-    All rows of all queries go through one flat bincount, which sums each bin
-    in entry order, so entries given in (query, record) order, as np.nonzero
-    yields them, are summed in record order. Each row's column 0 collects its
-    -1 codes and is dropped; a query with no entries sums to +0.0.
+
+def _shifted_class_sums(
+    d2: np.ndarray, codes: np.ndarray, cfg: KernelConfig, n_classes: int
+) -> np.ndarray:
+    """Per-class sums of shifted kernel ratios, shape (q, R, k): `d2` (q, P)
+    holds the squared distances from q queries to P records, and row r of
+    `codes` (R, P) the class each record goes to in every query's row r (-1
+    for none). The package's one scoring path.
+
+    Each row of `d2` is shifted by its minimum, so the nearest record's
+    ratio is exactly 1 even where every -d2 / (2 sigma^2) overflows to -inf.
+    Only the entries whose shifted squared distance is within `_zero_cut`
+    get a ratio: the others' is exactly 0.0, and a sum that starts at +0.0
+    and adds non-negative ratios is not changed by a 0.0 term. The kept
+    entries, in (query, record) order as np.nonzero yields them, go through
+    one flat bincount, which sums each bin in entry order, so in record
+    order; each row's column 0 collects its -1 codes and is dropped.
     """
+    shifted = d2 - d2.min(axis=1, keepdims=True)
+    queries, records = np.nonzero(shifted <= _zero_cut(cfg))
+    ratios = cfg.kernel(shifted[queries, records])
     n_rows = len(codes)
     width = n_classes + 1
     offsets = (queries * n_rows + np.arange(n_rows)[:, None]) * width + 1
     return np.bincount(
-        (codes + offsets).ravel(),
+        (codes[:, records] + offsets).ravel(),
         weights=ratios[None].repeat(n_rows, axis=0).ravel(),
-        minlength=n_queries * n_rows * width,
-    ).reshape(n_queries, n_rows, width)[..., 1:]
-
-
-def _scores_from_ratios(
-    ratios: np.ndarray,
-    c_codes: np.ndarray,
-    y_rows: np.ndarray,
-    n_classes: int,
-) -> np.ndarray:
-    """Per-class signed sums of shifted kernel ratios, shape (q, A, k): one
-    row of ratios (q, P) per query, one row of subtracted-channel codes
-    (A, P) per assignment (-1 for no subtraction). Record j adds
-    ratios[i, j] to class c_codes[j] and subtracts it from class y_rows[r, j]
-    in row r; the added channels ride along in `_class_sums` as row 0.
-
-    Only the nonzero ratios are summed: every sum starts at +0.0 and adds
-    non-negative ratios, so a 0.0 term changes no float.
-    """
-    queries, records = np.nonzero(ratios)
-    codes = np.concatenate((c_codes[None], y_rows))[:, records]
-    sums = _class_sums(ratios[queries, records], queries, codes, len(ratios), n_classes)
-    return sums[:, :1] - sums[:, 1:]
+        minlength=len(d2) * n_rows * width,
+    ).reshape(len(d2), n_rows, width)[..., 1:]
 
 
 def _argmax_codes(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,10 +218,10 @@ def shifted_class_scores(w: DualWeightVector, x) -> np.ndarray:
     accepts, that is down to where 2 sigma^2 would underflow to 0.0."""
     if len(w) == 0:
         return np.zeros(len(w.classes), dtype=np.float64)
-    q = np.asarray(x, dtype=np.float64)
-    ratios = _shifted_kernel(sq_dists_to(w.coords, q[None]), w.kernel)
-    scores = _scores_from_ratios(ratios, w.c_codes, w.y_codes[None], len(w.classes))
-    return scores[0, 0]
+    d2 = sq_dists_to(w.coords, np.asarray(x, dtype=np.float64)[None])
+    codes = np.stack((w.c_codes, w.y_codes))
+    sums = _shifted_class_sums(d2, codes, w.kernel, len(w.classes))
+    return sums[0, 0] - sums[0, 1]
 
 
 def argmax_class(w: DualWeightVector, x) -> tuple[str, bool]:
@@ -277,21 +268,6 @@ def run_mp(
     return trace, w
 
 
-# exp(-t) is exactly 0.0 for t > 1075 ln 2 ~ 745.13, where the true value is
-# below half the smallest subnormal, 2^-1075. The sweep skips an entry whose
-# shifted squared distance x exceeds cut = fl(s * 800), with s = fl(2 sigma^2)
-# the kernel's own scale. That product is exact while subnormal and within a
-# relative 2^-53 otherwise, and the kernel's quotient fl(x / s) rounds once
-# more, so the exponent it is fed is at least 800 (1 - 2^-52) > 799.99, or
-# inf. Its exp is then a factor e^-54 below 2^-1075, far past any libm's
-# error. The margin costs only the entries in (745.13, 800], which are
-# evaluated and are 0.0. Where cut overflows to inf (sigma above ~3.35e152),
-# no finite x exceeds it and nothing is skipped.
-def _zero_cut(cfg: KernelConfig) -> float:
-    """Shifted squared distance above which `cfg.kernel` is exactly 0.0."""
-    return 2.0 * cfg.sigma * cfg.sigma * 800.0
-
-
 class _SweepScores:
     """`argmax_class(w, x)` for every point x of a dataset, kept current as
     records are appended to `w`, one distance row per record:
@@ -306,8 +282,8 @@ class _SweepScores:
 
     - d2 >= old: the shift, and so every earlier ratio, stays as it was; the
       record's own ratio is added to the two sums. That is the float
-      `_class_sums`' bincount gives, since it adds each bin's ratios in
-      record order.
+      `_shifted_class_sums`' bincount gives, since it adds each bin's
+      ratios in record order.
     - old - d2 > cut: the point moves, and every earlier record lies past
       the cut. Each earlier record's squared distance D is at least `old`,
       the float minimum of them all, and float subtraction is monotone, so
@@ -321,11 +297,10 @@ class _SweepScores:
       re-derived from all records exactly as `shifted_class_scores` derives
       them, batched in query blocks.
 
-    The row and the re-derivations skip the (point, record) entries whose
-    shifted squared distance exceeds `_zero_cut`: their ratio is exactly
-    0.0, and adding 0.0 to a sum that starts at +0.0 and grows by
-    non-negative ratios changes no float. Only the row's kept points get a
-    ratio, and a re-derivation sums only its kept entries, in record order.
+    The row skips the points whose shifted squared distance to the record
+    exceeds `_zero_cut`, as `_shifted_class_sums` skips such entries in the
+    re-derivations: their ratio is exactly 0.0, and adding 0.0 to a sum that
+    starts at +0.0 and grows by non-negative ratios changes no float.
     """
 
     def __init__(self, dataset: Dataset, w: DualWeightVector):
@@ -373,13 +348,9 @@ class _SweepScores:
             self._subtracted[w.y_codes[-1], keep] += ratios
         for block in _query_blocks(len(nearer), w.coords.size):
             q = nearer[block]
-            shifted = sq_dists_to(w.coords, self._coords[q])
-            shifted -= shifted.min(axis=1, keepdims=True)
-            queries, records = np.nonzero(shifted <= self._cut)
-            codes = np.stack((w.c_codes[records], w.y_codes[records]))
-            sums = _class_sums(
-                w.kernel.kernel(shifted[queries, records]), queries, codes,
-                len(q), len(w.classes),
+            sums = _shifted_class_sums(
+                sq_dists_to(w.coords, self._coords[q]),
+                np.stack((w.c_codes, w.y_codes)), w.kernel, len(w.classes),
             )
             self._added[:, q] = sums[:, 0].T
             self._subtracted[:, q] = sums[:, 1].T

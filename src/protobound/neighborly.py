@@ -43,8 +43,7 @@ from .kernel_machine import (
     DualWeightVector,
     KernelConfig,
     _argmax_codes,
-    _scores_from_ratios,
-    _shifted_kernel,
+    _shifted_class_sums,
     argmax_class,
 )
 from .nn_rule import PrototypeSet, classify
@@ -86,7 +85,6 @@ class SigmaCertificate:
     sigma_star: float
     gamma: float
     method: str
-    verified: bool
 
     def covers(self, sigma: float) -> bool:
         return self.method == "analytic-sufficient" and 0.0 < sigma < self.sigma_star
@@ -96,7 +94,6 @@ class SigmaCertificate:
             "sigma_star": self.sigma_star,
             "gamma": self.gamma,
             "method": self.method,
-            "verified": self.verified,
         }
 
 
@@ -132,7 +129,7 @@ def sufficient_sigma(dataset: Dataset) -> SigmaCertificate:
     gamma = min_squared_gap(dataset)
     n = len(dataset)
     sigma_star = math.sqrt(gamma / (2.0 * math.log(2.0 * (n - 1))))
-    return SigmaCertificate(sigma_star, gamma, "analytic-sufficient", False)
+    return SigmaCertificate(sigma_star, gamma, "analytic-sufficient")
 
 
 @dataclass(frozen=True)
@@ -190,9 +187,9 @@ def _first_violation(dataset: Dataset, cfg: KernelConfig, cases) -> Violation | 
     for members, assignments, queries in cases:
         member_codes = label_codes[members]
         d2 = sq_dists_to(_take_rows(coords, members), coords[queries])
-        ratios = _shifted_kernel(d2, cfg)
-        scores = _scores_from_ratios(ratios, member_codes, assignments, n_classes)
-        argmaxes, degenerate = _argmax_codes(scores)
+        codes = np.concatenate((member_codes[None], assignments))
+        sums = _shifted_class_sums(d2, codes, cfg, n_classes)
+        argmaxes, degenerate = _argmax_codes(sums[:, :1] - sums[:, 1:])
         nn_codes = member_codes[d2.argmin(axis=1)]
         bad = degenerate | (argmaxes != nn_codes[:, None])
         if bad.any():

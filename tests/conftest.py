@@ -80,6 +80,22 @@ OVERFLOWING_POINTS = [
     ((2.6e200,), "B"),
 ]
 UNDERFLOWING_POINTS = [((0.0,), "A"), ((1e-200,), "B")]
+# shifted exponents (d2 - shift) / (2 sigma^2) on both sides of where exp
+# underflows to 0.0 (~745.13) and of the scoring cut (800)
+CUT_EXPONENTS = (745.0, 745.2, 799.9, 800.1)
+CUT_SIGMA = 0.5  # 2 sigma^2 = 0.5 exactly
+
+
+def cut_set():
+    """Pairs of an A and a B point whose squared distance is 0.5 t for each
+    t of CUT_EXPONENTS, 100 apart along x; each is a record once the sweep
+    is stable, so the pair's entries come up in rows and in re-derivations,
+    and every entry across pairs is skipped."""
+    points = []
+    for k, t in enumerate(CUT_EXPONENTS):
+        x = 100.0 * k
+        points += [((x, 0.0), "A"), ((x + math.sqrt(0.5 * t), 0.0), "B")]
+    return pb.Dataset(points)
 
 
 @pytest.fixture

@@ -301,6 +301,25 @@ class TestCnnCommand:
             assert pb.load_csv(protos).classes == (label, "B")
         assert runner.invoke(main, ["cnn", str(data)]).exit_code == 0
 
+    @pytest.mark.parametrize(
+        "header, label_column", [('"x\r1",label', "label"), ('x,"a\rb"', "a\rb")]
+    )
+    def test_prototype_csv_refuses_header_cells_with_exit_2(
+        self, runner, tmp_path, header, label_column
+    ):
+        # a column name with a carriage return would be written unquoted, and
+        # load_csv would split the header row
+        data = tmp_path / "names.csv"
+        data.write_text(f"{header}\n0.0,A\n5.0,B\n", encoding="utf-8")
+        protos = tmp_path / "protos.csv"
+        args = ["cnn", str(data), "--label-column", label_column]
+        result = runner.invoke(main, [*args, "--out-csv", str(protos)])
+        assert result.exit_code == 2
+        assert "column name" in result.stderr
+        assert "would not load back unchanged" in result.stderr
+        assert not protos.exists()
+        assert runner.invoke(main, args).exit_code == 0
+
     def test_missing_file(self, runner):
         result = runner.invoke(main, ["cnn", "nowhere.csv"])
         assert result.exit_code == 2

@@ -256,6 +256,18 @@ class TestRoundTrip:
             pb.write_csv(ds, out)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "names", [(["x\r1"], "label"), ([" x"], "label"), (["x"], "label "),
+                  (["x"], "a\rb")],
+    )
+    def test_header_cells_that_would_load_changed_are_refused(self, tmp_path, names):
+        features, label_name = names
+        ds = pb.Dataset([((0.0,), "A")], feature_names=features, label_name=label_name)
+        out = tmp_path / "out.csv"
+        with pytest.raises(pb.DatasetError, match="column name .* would not load back"):
+            pb.write_csv(ds, out)
+        assert not out.exists()
+
     @settings(
         max_examples=50,
         derandomize=True,

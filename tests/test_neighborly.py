@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import protobound as pb
-from conftest import TINY_SIGMAS
+from conftest import CUT_SIGMA, TINY_SIGMAS, cut_set
 from protobound.neighborly import _sampled_cases
 
 
@@ -91,7 +91,6 @@ class TestSufficientSigma:
         assert cert.gamma == 1.0
         assert cert.sigma_star == pytest.approx(0.6005612043932249, abs=1e-15)
         assert cert.method == "analytic-sufficient"
-        assert not cert.verified
 
     def test_threshold_solves_the_half_equation(self):
         for seed in range(10):
@@ -111,12 +110,12 @@ class TestSufficientSigma:
         assert not cert.covers(0.0)
 
     def test_other_methods_cover_nothing(self):
-        cert = pb.SigmaCertificate(0.5, 0.0, "empirical", True)
+        cert = pb.SigmaCertificate(0.5, 0.0, "empirical")
         assert not any(cert.covers(s) for s in (0.25, 0.5, 1.0))
 
     def test_json_dict(self, line3):
         d = pb.sufficient_sigma(line3).to_json_dict()
-        assert set(d) == {"sigma_star", "gamma", "method", "verified"}
+        assert set(d) == {"sigma_star", "gamma", "method"}
 
     def test_interference_chain_below_threshold(self):
         # the certificate rests on: for every query and subset, the summed
@@ -246,6 +245,18 @@ class TestVerifyNeighborly:
             assert got == loop_verify_exhaustive(ds, cfg)
             sampled = pb.verify_neighborly(ds, cfg, mode="sampled", trials=50)
             assert sampled is None or got is not None
+
+    def test_cut_set_matches_loop(self):
+        # the search skips the entries past the scoring cut, here on both
+        # sides of it and of where the kernel underflows to 0.0
+        ds = cut_set()
+        outcomes = []
+        for sigma in (CUT_SIGMA, ds.diameter() / 3.0):
+            cfg = pb.KernelConfig(sigma)
+            got = pb.verify_neighborly(ds, cfg, mode="exhaustive")
+            assert got == loop_verify_exhaustive(ds, cfg), sigma
+            outcomes.append(got is None)
+        assert outcomes == [True, False]
 
     def test_work_budget_refuses_before_enumerating(self):
         # 30 points in 2 classes would score 30 * (2^30 - 1) rows

@@ -14,9 +14,9 @@ import protobound as pb
 import protobound.dataset
 import protobound.kernel_machine
 from protobound.cnn import _NearestPrototypes
+from conftest import CUT_EXPONENTS, CUT_SIGMA, cut_set
 from protobound.kernel_machine import (
-    _class_sums,
-    _scores_from_ratios,
+    _shifted_class_sums,
     _SweepScores,
     _zero_cut,
 )
@@ -180,23 +180,6 @@ class TestScorersAgree:
         assert checked >= 40
 
 
-# shifted exponents (d2 - shift) / (2 sigma^2) on both sides of where exp
-# underflows to 0.0 (~745.13) and of the sweep's cut (800)
-CUT_EXPONENTS = (745.0, 745.2, 799.9, 800.1)
-CUT_SIGMA = 0.5  # 2 sigma^2 = 0.5 exactly
-
-
-def cut_set():
-    """Pairs of an A and a B point whose squared distance is 0.5 t for each
-    t of CUT_EXPONENTS, 100 apart along x; each is a record once the sweep
-    is stable, so the pair's entries come up in rows and in re-derivations,
-    and every entry across pairs is skipped."""
-    points = []
-    for k, t in enumerate(CUT_EXPONENTS):
-        points += [((100.0 * k, 0.0), "A"), ((100.0 * k + np.sqrt(0.5 * t), 0.0), "B")]
-    return pb.Dataset(points)
-
-
 def replayed_sweep(dataset, w):
     """A fresh sweep state that absorbs the records of `w` one by one;
     yields (weights so far, state) after each."""
@@ -281,14 +264,14 @@ def boundary_set():
 @pytest.fixture
 def rederived(monkeypatch):
     """A list whose one entry counts the points the sweep re-derives from
-    all its records, read off `_class_sums`' query counts."""
+    all its records, read off `_shifted_class_sums`' query counts."""
     count = [0]
 
-    def counted(ratios, queries, codes, n_queries, n_classes):
-        count[0] += n_queries
-        return _class_sums(ratios, queries, codes, n_queries, n_classes)
+    def counted(d2, codes, cfg, n_classes):
+        count[0] += len(d2)
+        return _shifted_class_sums(d2, codes, cfg, n_classes)
 
-    monkeypatch.setattr(protobound.kernel_machine, "_class_sums", counted)
+    monkeypatch.setattr(protobound.kernel_machine, "_shifted_class_sums", counted)
     return count
 
 
@@ -338,24 +321,54 @@ class TestClosedForm:
         assert rederived[0] > 0
 
 
-class TestClassSums:
-    def test_nonzero_entries_sum_as_dense(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            q, p, a, k = (int(v) for v in rng.integers(1, [6, 30, 5, 5]))
-            ratios = rng.random((q, p)) * (rng.random((q, p)) < 0.5)
-            c_codes = rng.integers(0, k, size=p)
-            y_rows = rng.integers(-1, k, size=(a, p))
-            sums = dense_class_sums(ratios, np.concatenate((c_codes[None], y_rows)), k)
-            want = sums[:, :1] - sums[:, 1:]
-            got = _scores_from_ratios(ratios, c_codes, y_rows, k)
-            assert got.tobytes() == want.tobytes()
+class TestShiftedClassSums:
+    """The one scoring path skips the entries past `_zero_cut` and sums the
+    rest; every score must be the dense sum over all entries, zeros
+    included, bit for bit."""
 
-    def test_query_without_entries_sums_to_zero(self):
-        sums = _class_sums(np.array([0.5]), np.array([1]), np.array([[1], [-1]]), 3, 2)
-        assert sums.shape == (3, 2, 2)
-        assert sums.tolist() == [[[0.0, 0.0]] * 2, [[0.0, 0.5], [0.0, 0.0]],
-                                 [[0.0, 0.0]] * 2]
+    def test_equals_dense_sums(self):
+        rng = np.random.default_rng(3)
+        # kept entries with a positive ratio, kept zeros, skipped entries
+        sides = np.zeros(3, dtype=np.int64)
+        for sigma in (1e-155, 0.5, 30.0):
+            cfg = pb.KernelConfig(sigma)
+            scale = 2.0 * sigma * sigma
+            for _ in range(40):
+                q, p, r, k = (int(v) for v in rng.integers(1, [6, 30, 6, 5]))
+                # shifted exponents run 0...1000, across 745.13 and 800
+                exponents = rng.uniform(0.0, 1000.0, (q, p))
+                d2 = (exponents + rng.uniform(0.0, 1000.0, (q, 1))) * scale
+                codes = rng.integers(-1, k, size=(r, p))
+                shifted = d2 - d2.min(axis=1, keepdims=True)
+                want = dense_class_sums(cfg.kernel(shifted), codes, k)
+                got = _shifted_class_sums(d2, codes, cfg, k)
+                assert got.shape == (q, r, k)
+                assert got.tobytes() == want.tobytes(), sigma
+                kept = shifted <= _zero_cut(cfg)
+                positive = cfg.kernel(shifted) > 0.0
+                sides += [np.count_nonzero(positive),
+                          np.count_nonzero(kept & ~positive),
+                          np.count_nonzero(~kept)]
+        assert sides.min() > 0
+
+    def test_per_query_scores_equal_dense_sums(self):
+        checked = 0
+        for ds in [cut_set(), boundary_set()] + fuzz_sets(8):
+            sigmas = [CUT_SIGMA, ds.diameter() / 3.0]
+            try:
+                sigmas.append(pb.sufficient_sigma(ds).sigma_star / 2.0)
+            except pb.GammaDegenerateError:
+                pass
+            for sigma in [s for s in sigmas if s > 0.0]:
+                try:
+                    _, w = pb.run_mp(ds, pb.KernelConfig(sigma), MAX_PASSES)
+                except pb.PassBudgetError as exc:
+                    w = exc.weights
+                added, subtracted = dense_sums(w, ds.coords)
+                for x, want in zip(ds.coords, added - subtracted):
+                    assert pb.shifted_class_scores(w, x).tobytes() == want.tobytes()
+                    checked += 1
+        assert checked > 100
 
 
 class TestIsConsistent:
