@@ -10,9 +10,7 @@ verdict, 2 for usage or input errors.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 import sys
@@ -29,6 +27,7 @@ from .dataset import (
     Dataset,
     DatasetError,
     _check_reloadable,
+    _write_points,
     blob_stream,
     fuzz_dataset,
     generate_blobs,
@@ -47,7 +46,6 @@ from .margin_bound import (
     GramBudgetError,
     NoCertifiedSigmaError,
     NotSeparableError,
-    UncertifiedSigmaError,
     bound_infimum,
 )
 from .neighborly import (
@@ -95,22 +93,19 @@ def _fingerprint(path: str | None) -> dict | None:
 
 
 def _emit_report(
-    out: str | None,
-    command: str,
-    parameters: dict,
-    results: dict,
-    input_path: str | None,
-    started: float,
+    out: str | None, parameters: dict, results: dict, input_path: str | None
 ) -> dict:
+    """The running command's report, also written to `out` if given."""
+    ctx = click.get_current_context()
     report = {
         "tool": "protobound",
         "version": __version__,
-        "command": command,
+        "command": ctx.command.name,
         "argv": sys.argv[1:],
         "input": _fingerprint(input_path),
         "parameters": parameters,
         "results": results,
-        "wall_clock_s": round(time.perf_counter() - started, 6),
+        "wall_clock_s": round(time.perf_counter() - ctx.obj, 6),
     }
     if out:
         _write_text(out, json.dumps(report, indent=2) + "\n")
@@ -141,6 +136,14 @@ def _certificate(dataset: Dataset, missing: str, hint: str) -> SigmaCertificate:
                     f"{hint.capitalize()}.")
 
 
+def _check_sigma(sigma: float, prefix: str = "") -> None:
+    """Exit 2 unless `KernelConfig` accepts `sigma`; `prefix` names the option."""
+    try:
+        KernelConfig(sigma)
+    except ValueError as exc:
+        _fail_input(f"{prefix}{exc}")
+
+
 def _default_sigma(dataset: Dataset) -> float:
     cert = _certificate(dataset, "bandwidth threshold", "pass --sigma explicitly")
     return cert.sigma_star / 2.0
@@ -166,17 +169,12 @@ def _parse_generator_spec(text: str) -> tuple[list[tuple[list[float], str]], flo
     return centers, spread
 
 
-def _traces_match(a: UpdateTrace, b: UpdateTrace) -> bool:
-    return (
-        a.events == b.events
-        and a.prototypes.indices == b.prototypes.indices
-    )
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="protobound")
-def main() -> None:
+@click.pass_context
+def main(ctx: click.Context) -> None:
     """Prototype condensation with certified size bounds."""
+    ctx.obj = time.perf_counter()  # every report's wall_clock_s starts here
 
 
 @main.command("cnn")
@@ -189,26 +187,20 @@ def main() -> None:
               help="Write the prototypes as CSV rows.")
 def cnn_cmd(dataset_path, label_column, shuffle_seed, out, out_csv):
     """Condense a dataset into a consistent prototype set."""
-    started = time.perf_counter()
     dataset = _load(dataset_path, label_column)
     if out_csv:
-        # the header and every label reach the CSV: each class has a prototype
+        # refused before the run: each class has a prototype in the CSV
         try:
-            _check_reloadable(dataset)
+            _check_reloadable(dataset, source_index=True)
         except DatasetError as exc:
             _fail_input(exc)
     trace = run_cnn(dataset, shuffle_seed=shuffle_seed)
     consistent = is_consistent(trace.prototypes, dataset)
     if out_csv:
-        text = io.StringIO()
-        writer = csv.writer(text, lineterminator="\n")
-        writer.writerow(["source_index", *dataset.feature_names, dataset.label_name])
-        writer.writerows([i, *(repr(v) for v in p.coords), p.label]
-                         for i, p in trace.prototypes.members())
-        _write_text(out_csv, text.getvalue())
+        indices = trace.prototypes.indices
+        _write_output(out_csv, lambda p: _write_points(dataset, p, indices))
     _emit_report(
         out,
-        "cnn",
         {"label_column": label_column, "shuffle_seed": shuffle_seed},
         {
             "n": len(dataset),
@@ -219,7 +211,6 @@ def cnn_cmd(dataset_path, label_column, shuffle_seed, out, out_csv):
             "trace": _trace_json(trace),
         },
         dataset_path,
-        started,
     )
     click.echo(
         f"n={len(dataset)} prototypes={len(trace.prototypes)} "
@@ -239,7 +230,6 @@ def cnn_cmd(dataset_path, label_column, shuffle_seed, out, out_csv):
 @click.option("--out", type=click.Path(), default=None, help="JSON report path.")
 def mp_cmd(dataset_path, label_column, sigma, max_passes, out):
     """Train the kernel multiclass perceptron and dump its trace and weights."""
-    started = time.perf_counter()
     dataset = _load(dataset_path, label_column)
     if sigma is None:
         sigma = _default_sigma(dataset)
@@ -252,7 +242,6 @@ def mp_cmd(dataset_path, label_column, sigma, max_passes, out):
         sys.exit(1)
     _emit_report(
         out,
-        "mp",
         {"label_column": label_column, "sigma": sigma, "max_passes": max_passes},
         {
             "n": len(dataset),
@@ -262,7 +251,6 @@ def mp_cmd(dataset_path, label_column, sigma, max_passes, out):
             "weights": weights.to_json_dict(),
         },
         dataset_path,
-        started,
     )
     click.echo(
         f"n={len(dataset)} sigma={sigma} updates={len(trace.events)} "
@@ -271,18 +259,17 @@ def mp_cmd(dataset_path, label_column, sigma, max_passes, out):
 
 
 def _equiv_one(dataset: Dataset, sigma: float) -> tuple[bool, dict]:
+    """Whether condensation's and the perceptron's events are equal (equal
+    events add equal prototypes), and the run's detail, with `sigma` and `n`."""
+    detail = {"sigma": sigma, "n": len(dataset)}
     cnn_trace = run_cnn(dataset)
     try:
         mp_trace, _ = run_mp(dataset, KernelConfig(sigma))
     except PassBudgetError:
-        return False, {"reason": "perceptron pass budget exhausted"}
-    ok = _traces_match(cnn_trace, mp_trace)
-    detail = {
-        "sigma": sigma,
-        "n": len(dataset),
-        "prototype_count": len(cnn_trace.prototypes),
-        "passes": cnn_trace.n_passes,
-    }
+        return False, {**detail, "reason": "perceptron pass budget exhausted"}
+    ok = cnn_trace.events == mp_trace.events
+    detail["prototype_count"] = len(cnn_trace.prototypes)
+    detail["passes"] = cnn_trace.n_passes
     if not ok:
         detail["cnn_events"] = len(cnn_trace.events)
         detail["mp_events"] = len(mp_trace.events)
@@ -304,7 +291,6 @@ def _equiv_one(dataset: Dataset, sigma: float) -> tuple[bool, dict]:
 @click.option("--out", type=click.Path(), default=None, help="JSON report path.")
 def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
     """Verify that condensation and the perceptron produce identical traces."""
-    started = time.perf_counter()
     if (dataset_path is None) == (fuzz is None):
         _fail_input("pass a dataset file or --fuzz N (exactly one)")
     if fuzz is not None and fuzz < 1:
@@ -312,41 +298,36 @@ def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
     if fuzz is not None and max_n < 2:
         _fail_input(f"--max-n must be at least 2, got {max_n}")
     if sigma is not None:
-        try:
-            KernelConfig(sigma)
-        except ValueError as exc:
-            _fail_input(exc)
-    runs = []
-    all_ok = True
+        _check_sigma(sigma)
     if fuzz is None:
-        dataset = _load(dataset_path, label_column)
+        cases = [(None, _load(dataset_path, label_column))]
+    else:
+        cases = ((s, fuzz_dataset(s, max_n=max_n)) for s in range(seed, seed + fuzz))
+    runs = []
+    for case_seed, dataset in cases:
         run_sigma = sigma if sigma is not None else _default_sigma(dataset)
         ok, detail = _equiv_one(dataset, run_sigma)
-        runs.append({"verdict": "PASS" if ok else "FAIL", **detail})
-        all_ok = ok
-        click.echo(f"{'PASS' if ok else 'FAIL'}: {detail}")
-    else:
-        for s in range(seed, seed + fuzz):
-            dataset = fuzz_dataset(s, max_n=max_n)
-            run_sigma = sigma if sigma is not None else _default_sigma(dataset)
-            ok, detail = _equiv_one(dataset, run_sigma)
-            runs.append({"seed": s, "verdict": "PASS" if ok else "FAIL", **detail})
-            all_ok = all_ok and ok
+        verdict = "PASS" if ok else "FAIL"
+        if case_seed is None:
+            runs.append({"verdict": verdict, **detail})
+            click.echo(f"{verdict}: {detail}")
+        else:
+            runs.append({"seed": case_seed, "verdict": verdict, **detail})
             click.echo(
-                f"seed {s}: {'PASS' if ok else 'FAIL'} "
+                f"seed {case_seed}: {verdict} "
                 f"(n={detail['n']}, prototypes={detail.get('prototype_count', '?')})"
             )
-        click.echo(f"{sum(r['verdict'] == 'PASS' for r in runs)}/{fuzz} PASS")
+    passed = sum(r["verdict"] == "PASS" for r in runs)
+    if fuzz is not None:
+        click.echo(f"{passed}/{fuzz} PASS")
     _emit_report(
         out,
-        "equiv",
         {"label_column": label_column, "sigma": sigma, "fuzz": fuzz,
          "seed": seed, "max_n": max_n},
-        {"runs": runs, "all_pass": all_ok},
+        {"runs": runs, "all_pass": passed == len(runs)},
         dataset_path,
-        started,
     )
-    if not all_ok:
+    if passed < len(runs):
         sys.exit(1)
 
 
@@ -363,7 +344,6 @@ def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
 @click.option("--out", type=click.Path(), default=None, help="JSON report path.")
 def bound_cmd(dataset_path, label_column, sigma_grid, tol, max_iters, out):
     """Best certified size bound for the condensed set over a bandwidth grid."""
-    started = time.perf_counter()
     if not (tol >= 0 and math.isfinite(tol)):
         _fail_input(f"--tol must be nonnegative and finite, got {tol}")
     dataset = _load(dataset_path, label_column)
@@ -376,10 +356,7 @@ def bound_cmd(dataset_path, label_column, sigma_grid, tol, max_iters, out):
         if not grid:
             _fail_input("--sigma-grid needs at least one bandwidth")
         for v in grid:
-            try:
-                KernelConfig(v)
-            except ValueError as exc:
-                _fail_input(f"--sigma-grid: {exc}")
+            _check_sigma(v, "--sigma-grid: ")
     try:
         report = bound_infimum(dataset, grid, tol=tol, max_iters=max_iters)
     except (NoCertifiedSigmaError, GramBudgetError) as exc:
@@ -390,12 +367,10 @@ def bound_cmd(dataset_path, label_column, sigma_grid, tol, max_iters, out):
     best = report.best
     _emit_report(
         out,
-        "bound",
         {"label_column": label_column, "sigma_grid": grid,
          "tol": tol, "max_iters": max_iters},
         report.to_json_dict(),
         dataset_path,
-        started,
     )
     if best.vacuous:
         click.echo(
@@ -424,14 +399,12 @@ def bound_cmd(dataset_path, label_column, sigma_grid, tol, max_iters, out):
 @click.option("--out", type=click.Path(), default=None, help="JSON report path.")
 def neighborly_cmd(dataset_path, label_column, sigma, mode, seed, trials, out):
     """Certify or verify that kernel scoring reproduces the 1-NN rule."""
-    started = time.perf_counter()
     dataset = _load(dataset_path, label_column)
     params = {"label_column": label_column, "sigma": sigma, "mode": mode,
               "seed": seed, "trials": trials}
     if sigma is None:
         cert = _certificate(dataset, "certificate", "verify an explicit --sigma")
-        _emit_report(out, "neighborly", params,
-                     {"certificate": cert.to_json_dict()}, dataset_path, started)
+        _emit_report(out, params, {"certificate": cert.to_json_dict()}, dataset_path)
         click.echo(json.dumps(cert.to_json_dict(), indent=2))
         return
     try:
@@ -454,7 +427,7 @@ def neighborly_cmd(dataset_path, label_column, sigma, mode, seed, trials, out):
             "degenerate": violation.degenerate,
         },
     }
-    _emit_report(out, "neighborly", params, results, dataset_path, started)
+    _emit_report(out, params, results, dataset_path)
     if violation is None:
         click.echo(f"PASS: sigma={sigma} is neighborly ({mode})")
     else:
@@ -475,7 +448,6 @@ def neighborly_cmd(dataset_path, label_column, sigma, mode, seed, trials, out):
 @click.option("--out", type=click.Path(), default=None, help="JSON report path.")
 def online_cmd(spec, items, checkpoints, seed, out_csv, out):
     """Single-pass condensation over a seeded synthetic stream."""
-    started = time.perf_counter()
     if items < 0:
         _fail_input("--items must be nonnegative")
     centers, spread = _parse_generator_spec(spec)
@@ -492,7 +464,6 @@ def online_cmd(spec, items, checkpoints, seed, out_csv, out):
         ))
     _emit_report(
         out,
-        "online",
         {"spec": spec, "items": items, "checkpoints": checkpoints, "seed": seed},
         {
             "curve": result.curve,
@@ -501,7 +472,6 @@ def online_cmd(spec, items, checkpoints, seed, out_csv, out):
             "conflicts_skipped": result.conflicts_skipped,
         },
         None,
-        started,
     )
     click.echo(
         f"items={result.items_seen} prototypes={result.prototype_count} "

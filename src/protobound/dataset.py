@@ -461,6 +461,11 @@ def load_csv(path: str | Path, label_column: str = DEFAULT_LABEL_COLUMN) -> Data
                 raise DatasetError(
                     f"{path}: no {label_column!r} column in header {header!r}"
                 )
+            if header.count(label_column) > 1:
+                raise DatasetError(
+                    f"{path}: header {header!r} names the label column "
+                    f"{label_column!r} more than once"
+                )
             label_pos = header.index(label_column)
             feature_cols = [
                 (j, name) for j, name in enumerate(header) if j != label_pos
@@ -513,17 +518,20 @@ def load_csv(path: str | Path, label_column: str = DEFAULT_LABEL_COLUMN) -> Data
         raise DatasetError(f"{path}: {exc}") from None
 
 
-def _check_reloadable(dataset: Dataset) -> None:
+def _check_reloadable(dataset: Dataset, source_index: bool = False) -> None:
     """Refuse, with `DatasetError`, a header cell (feature or label column
     name) or a label of `dataset` that `load_csv` would read back changed
-    from a file written by `csv.writer` with "\n" row ends.
+    from a file written by `_write_points`, with a leading `source_index`
+    column if `source_index` is set.
 
-    `load_csv` strips every cell, and before Python 3.13 that writer leaves
+    `load_csv` strips every cell, and before Python 3.13 `csv.writer` leaves
     a carriage return unquoted, which the reader takes for a row end. So a
     cell with leading or trailing whitespace or a carriage return would
-    come back changed, or split its row.
+    come back changed, or split its row. A feature column named like the
+    label column would make `load_csv` refuse the header.
     """
-    names = (*dataset.feature_names, dataset.label_name)
+    features = (("source_index",) if source_index else ()) + dataset.feature_names
+    names = (*features, dataset.label_name)
     for kind, cells in (("column name", names), ("label", dataset.classes)):
         for cell in cells:
             if cell != cell.strip() or "\r" in cell:
@@ -531,6 +539,32 @@ def _check_reloadable(dataset: Dataset) -> None:
                     f"{kind} {cell!r} would not load back unchanged: it has "
                     f"leading or trailing whitespace or a carriage return"
                 )
+    if dataset.label_name in features:
+        raise DatasetError(
+            f"column name {dataset.label_name!r} would not load back "
+            f"unchanged: it names both a feature and the label column"
+        )
+
+
+def _write_points(
+    dataset: Dataset, path: str | Path, indices: Sequence[int] | None = None
+) -> None:
+    """Write the points of `dataset` as CSV that `load_csv` reads back, one
+    row per line ending in "\n": every point, or with `indices` those points
+    in that order, each row led by its `source_index`. A header cell or
+    label that would come back changed (`_check_reloadable`) is refused
+    with `DatasetError` before the file is opened."""
+    _check_reloadable(dataset, source_index=indices is not None)
+    header = [*dataset.feature_names, dataset.label_name]
+    picked = range(len(dataset)) if indices is None else indices
+    rows = ([*map(repr, dataset[i].coords), dataset[i].label] for i in picked)
+    if indices is not None:
+        header = ["source_index", *header]
+        rows = ([i, *row] for i, row in zip(indices, rows))
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
@@ -541,13 +575,7 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
     (`_check_reloadable`) is refused with `DatasetError` before the file is
     opened.
     """
-    _check_reloadable(dataset)
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(dataset.feature_names) + [dataset.label_name])
-        for p in dataset:
-            writer.writerow([repr(v) for v in p.coords] + [p.label])
+    _write_points(dataset, path)
 
 
 def _validated_centers(
@@ -577,9 +605,10 @@ def generate_blobs(
 ) -> Dataset:
     """Sample isotropic Gaussian blobs around labeled centers.
 
-    Deterministic for a fixed seed. In the measure-zero event that two blobs
-    emit the exact same coordinates with different labels, the later point is
-    resampled so the result is always a valid Dataset.
+    Deterministic for a fixed seed: each class is `center + spread * z` for
+    one (n_per_class, d) standard-normal draw, centers in order. In the
+    measure-zero event that two blobs emit the exact same coordinates with
+    different labels, `Dataset` raises `ConflictingDuplicateError`.
     """
     if n_per_class < 1:
         raise DatasetError("n_per_class must be at least 1")
@@ -588,19 +617,9 @@ def generate_blobs(
     centers = _validated_centers(centers)
     rng = np.random.default_rng(seed)
     points: list[LabeledPoint] = []
-    taken: dict[tuple[float, ...], str] = {}
     for center, label in centers:
-        for _ in range(n_per_class):
-            for _attempt in range(100):
-                coords = tuple(
-                    float(v) for v in center + spread * rng.standard_normal(center.size)
-                )
-                if taken.get(coords, label) == label:
-                    break
-            else:  # pragma: no cover - needs 100 exact collisions in a row
-                raise DatasetError("could not resample a conflicting duplicate")
-            taken[coords] = label
-            points.append(LabeledPoint(coords, label))
+        draws = center + spread * rng.standard_normal((n_per_class, center.size))
+        points.extend(LabeledPoint(tuple(row), label) for row in draws.tolist())
     return Dataset(points)
 
 

@@ -252,3 +252,18 @@ def blocked_min_squared_gap(dataset):
             return block.start + r, int(order[t]), int(order[t + 1])
         gamma = min(gamma, float(diffs.min()))
     return gamma
+
+
+def loop_generate_blobs(seed, n_per_class, centers, spread):
+    """The points of `generate_blobs` as its former loop drew them: one
+    `standard_normal(d)` call per point, centers in order, as (coords,
+    label) pairs. (Its resample of an exact cross-label collision never
+    ran.)"""
+    rng = np.random.default_rng(seed)
+    points = []
+    for c, label in centers:
+        center = np.asarray(c, dtype=np.float64)
+        for _ in range(n_per_class):
+            coords = center + spread * rng.standard_normal(center.size)
+            points.append((tuple(float(v) for v in coords), str(label)))
+    return points

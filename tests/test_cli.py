@@ -230,6 +230,26 @@ class TestEnvelope:
         assert len(report["input"]["sha256"]) == 64
         assert report["version"] == pb.__version__
 
+    @pytest.mark.parametrize(
+        "args",
+        [["cnn", "{data}"], ["mp", "{data}"], ["equiv", "{data}"],
+         ["bound", "{data}"], ["neighborly", "{data}"],
+         ["neighborly", "{data}", "--sigma", "0.3"],
+         ["online", "--spec", SPEC, "--items", "20"]],
+        ids=["cnn", "mp", "equiv", "bound", "neighborly-certificate",
+             "neighborly-verify", "online"],
+    )
+    def test_every_report_names_its_command_and_time(
+        self, runner, line3_csv, tmp_path, args
+    ):
+        out = tmp_path / "report.json"
+        argv = [a.replace("{data}", line3_csv) for a in args]
+        result = runner.invoke(main, [*argv, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = read_report(out)
+        assert report["command"] == args[0]
+        assert report["wall_clock_s"] >= 0
+
     def test_same_input_same_fingerprint(self, runner, line3_csv, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):
@@ -320,6 +340,27 @@ class TestCnnCommand:
         assert not protos.exists()
         assert runner.invoke(main, args).exit_code == 0
 
+    def test_label_column_named_twice_exits_2(self, runner, tmp_path):
+        # read as labels plus a feature named "label", the prototype CSV
+        # would not load back
+        data = tmp_path / "dup.csv"
+        data.write_text("label,x,label\nA,0.0,1.0\nB,5.0,2.0\n", encoding="utf-8")
+        result = runner.invoke(main, ["cnn", str(data)])
+        assert result.exit_code == 2
+        assert "names the label column 'label' more than once" in result.stderr
+
+    def test_prototype_csv_refuses_a_source_index_label_column(self, runner, tmp_path):
+        # the prototype CSV leads with a source_index column
+        data = tmp_path / "data.csv"
+        data.write_text("x,source_index\n0.0,A\n5.0,B\n", encoding="utf-8")
+        protos = tmp_path / "protos.csv"
+        args = ["cnn", str(data), "--label-column", "source_index"]
+        result = runner.invoke(main, [*args, "--out-csv", str(protos)])
+        assert result.exit_code == 2
+        assert "names both a feature and the label column" in result.stderr
+        assert not protos.exists()
+        assert runner.invoke(main, args).exit_code == 0
+
     def test_missing_file(self, runner):
         result = runner.invoke(main, ["cnn", "nowhere.csv"])
         assert result.exit_code == 2
@@ -390,6 +431,40 @@ class TestEquivCommand:
         report = read_report(out)
         assert report["results"]["all_pass"] is True
         assert [r["seed"] for r in report["results"]["runs"]] == [5, 6, 7]
+
+    def test_fuzz_reports_runs_that_exhaust_the_pass_budget(self, runner, tmp_path):
+        # far above sigma*, seeds 0 and 2 run out the perceptron's passes
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            main, ["equiv", "--fuzz", "3", "--seed", "0", "--sigma", "50",
+                   "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.output == (
+            "seed 0: FAIL (n=26, prototypes=?)\n"
+            "seed 1: FAIL (n=15, prototypes=4)\n"
+            "seed 2: FAIL (n=26, prototypes=?)\n"
+            "0/3 PASS\n"
+        )
+        runs = read_report(out)["results"]["runs"]
+        assert [r["seed"] for r in runs] == [0, 1, 2]
+        for run in runs:
+            assert run["verdict"] == "FAIL"
+            assert run["sigma"] == 50.0
+            assert run["n"] == len(pb.fuzz_dataset(run["seed"]))
+            assert ("reason" in run) == ("prototype_count" not in run)
+        assert [r["seed"] for r in runs if "reason" in r] == [0, 2]
+
+    def test_file_mode_pass_budget_failure_names_sigma_and_n(self, runner, tmp_path):
+        path = tmp_path / "fuzz0.csv"
+        pb.write_csv(pb.fuzz_dataset(0), path)
+        result = runner.invoke(main, ["equiv", str(path), "--sigma", "50"])
+        assert result.exit_code == 1
+        assert result.output == (
+            "FAIL: {'sigma': 50.0, 'n': 26, "
+            "'reason': 'perceptron pass budget exhausted'}\n"
+        )
 
     def test_fuzz_refuses_checking_nothing(self, runner):
         for fuzz in ("0", "-3"):

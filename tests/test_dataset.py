@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import protobound as pb
 from conftest import OVERFLOWING_POINTS, UNDERFLOWING_POINTS
 from protobound.dataset import MIN_COORD_MAGNITUDE
+from sweep_oracles import loop_generate_blobs
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -217,6 +218,17 @@ class TestLoadCsv:
         with pytest.raises(pb.DatasetError):
             pb.load_csv(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize(
+        "text, label_column",
+        [("label,x,label\nA,0,1\nB,1,2\n", "label"),
+         ("y,x, y\nA,0,1\nB,1,2\n", "y")],
+    )
+    def test_label_column_named_twice_is_refused(self, tmp_path, text, label_column):
+        # the second column would be read as a feature named like the labels
+        path = write(tmp_path, text)
+        with pytest.raises(pb.DatasetError, match="more than once"):
+            pb.load_csv(path, label_column)
+
     @pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "byte-order-mark"])
     def test_byte_order_mark_is_skipped(self, tmp_path, mark):
         # spreadsheet programs save "CSV UTF-8" with a leading U+FEFF
@@ -268,6 +280,16 @@ class TestRoundTrip:
             pb.write_csv(ds, out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("label_name", ["label", "y"])
+    def test_feature_named_like_the_label_column_is_refused(self, tmp_path, label_name):
+        # written as `label,y,label`, which load_csv refuses
+        ds = pb.Dataset([((0.0, 1.0), "A")], feature_names=[label_name, "z"],
+                        label_name=label_name)
+        out = tmp_path / "out.csv"
+        with pytest.raises(pb.DatasetError, match="names both a feature and the label"):
+            pb.write_csv(ds, out)
+        assert not out.exists()
+
     @settings(
         max_examples=50,
         derandomize=True,
@@ -314,6 +336,33 @@ class TestGenerators:
         a = pb.generate_blobs(7, 4, self.CENTERS, 0.5)
         b = pb.generate_blobs(8, 4, self.CENTERS, 0.5)
         assert a != b
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 123])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 16])
+    def test_blobs_equal_the_former_per_point_loop(self, seed, dim):
+        rng = np.random.default_rng(1000 + dim)
+        centers = [(rng.uniform(-5, 5, size=dim).tolist(), label) for label in "ABC"]
+        ds = pb.generate_blobs(seed, 7, centers, 0.9)
+        assert [(p.coords, p.label) for p in ds] == loop_generate_blobs(
+            seed, 7, centers, 0.9
+        )
+
+    def test_fuzz_blobs_equal_the_former_per_point_loop(self, monkeypatch):
+        # every blob set fuzz_dataset builds for seeds 0-199, float for float
+        generate, calls = pb.dataset.generate_blobs, []
+
+        def checked(seed, n_per_class, centers, spread):
+            ds = generate(seed, n_per_class, centers, spread)
+            expected = loop_generate_blobs(seed, n_per_class, centers, spread)
+            assert np.array_equal(ds.coords, [c for c, _ in expected])
+            assert [p.label for p in ds] == [label for _, label in expected]
+            calls.append(seed)
+            return ds
+
+        monkeypatch.setattr(pb.dataset, "generate_blobs", checked)
+        for seed in range(200):
+            pb.fuzz_dataset(seed)
+        assert len(calls) > 50
 
     def test_blobs_validation(self):
         with pytest.raises(pb.DatasetError):
