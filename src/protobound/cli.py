@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable
 
@@ -93,9 +94,12 @@ def _fingerprint(path: str | None) -> dict | None:
 
 
 def _emit_report(
-    out: str | None, parameters: dict, results: dict, input_path: str | None
+    out: str | None, results: dict, input_path: str | None, **resolved
 ) -> dict:
-    """The running command's report, also written to `out` if given."""
+    """The running command's report, also written to `out` if given. Its
+    parameters are the command's, in declaration order, with `resolved`'s
+    values where the command resolved them; paths are left out, as the input
+    is fingerprinted and an output is only a destination."""
     ctx = click.get_current_context()
     report = {
         "tool": "protobound",
@@ -103,7 +107,11 @@ def _emit_report(
         "command": ctx.command.name,
         "argv": sys.argv[1:],
         "input": _fingerprint(input_path),
-        "parameters": parameters,
+        "parameters": {
+            p.name: resolved.get(p.name, ctx.params[p.name])
+            for p in ctx.command.params
+            if not isinstance(p.type, click.Path)
+        },
         "results": results,
         "wall_clock_s": round(time.perf_counter() - ctx.obj, 6),
     }
@@ -154,7 +162,7 @@ def _parse_generator_spec(text: str) -> tuple[list[tuple[list[float], str]], flo
     if not raw.startswith("{"):
         try:
             raw = Path(raw).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             _fail_input(f"cannot read generator spec: {exc}")
     try:
         spec = json.loads(raw)
@@ -201,7 +209,6 @@ def cnn_cmd(dataset_path, label_column, shuffle_seed, out, out_csv):
         _write_output(out_csv, lambda p: _write_points(dataset, p, indices))
     _emit_report(
         out,
-        {"label_column": label_column, "shuffle_seed": shuffle_seed},
         {
             "n": len(dataset),
             "prototype_count": len(trace.prototypes),
@@ -242,7 +249,6 @@ def mp_cmd(dataset_path, label_column, sigma, max_passes, out):
         sys.exit(1)
     _emit_report(
         out,
-        {"label_column": label_column, "sigma": sigma, "max_passes": max_passes},
         {
             "n": len(dataset),
             "updates": len(trace.events),
@@ -251,6 +257,7 @@ def mp_cmd(dataset_path, label_column, sigma, max_passes, out):
             "weights": weights.to_json_dict(),
         },
         dataset_path,
+        sigma=sigma,
     )
     click.echo(
         f"n={len(dataset)} sigma={sigma} updates={len(trace.events)} "
@@ -321,11 +328,7 @@ def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
     if fuzz is not None:
         click.echo(f"{passed}/{fuzz} PASS")
     _emit_report(
-        out,
-        {"label_column": label_column, "sigma": sigma, "fuzz": fuzz,
-         "seed": seed, "max_n": max_n},
-        {"runs": runs, "all_pass": passed == len(runs)},
-        dataset_path,
+        out, {"runs": runs, "all_pass": passed == len(runs)}, dataset_path
     )
     if passed < len(runs):
         sys.exit(1)
@@ -365,13 +368,7 @@ def bound_cmd(dataset_path, label_column, sigma_grid, tol, max_iters, out):
         click.echo(f"FAIL: {exc} within --max-iters {max_iters}", err=True)
         sys.exit(1)
     best = report.best
-    _emit_report(
-        out,
-        {"label_column": label_column, "sigma_grid": grid,
-         "tol": tol, "max_iters": max_iters},
-        report.to_json_dict(),
-        dataset_path,
-    )
+    _emit_report(out, report.to_json_dict(), dataset_path, sigma_grid=grid)
     if best.vacuous:
         click.echo(
             f"single-class data: vacuous bound, prototypes={best.prototype_count}"
@@ -400,11 +397,9 @@ def bound_cmd(dataset_path, label_column, sigma_grid, tol, max_iters, out):
 def neighborly_cmd(dataset_path, label_column, sigma, mode, seed, trials, out):
     """Certify or verify that kernel scoring reproduces the 1-NN rule."""
     dataset = _load(dataset_path, label_column)
-    params = {"label_column": label_column, "sigma": sigma, "mode": mode,
-              "seed": seed, "trials": trials}
     if sigma is None:
         cert = _certificate(dataset, "certificate", "verify an explicit --sigma")
-        _emit_report(out, params, {"certificate": cert.to_json_dict()}, dataset_path)
+        _emit_report(out, {"certificate": cert.to_json_dict()}, dataset_path)
         click.echo(json.dumps(cert.to_json_dict(), indent=2))
         return
     try:
@@ -427,7 +422,7 @@ def neighborly_cmd(dataset_path, label_column, sigma, mode, seed, trials, out):
             "degenerate": violation.degenerate,
         },
     }
-    _emit_report(out, params, results, dataset_path)
+    _emit_report(out, results, dataset_path)
     if violation is None:
         click.echo(f"PASS: sigma={sigma} is neighborly ({mode})")
     else:
@@ -462,17 +457,7 @@ def online_cmd(spec, items, checkpoints, seed, out_csv, out):
         _write_text(out_csv, "items_seen,prototypes\n" + "".join(
             f"{seen},{size}\n" for seen, size in result.curve
         ))
-    _emit_report(
-        out,
-        {"spec": spec, "items": items, "checkpoints": checkpoints, "seed": seed},
-        {
-            "curve": result.curve,
-            "prototype_count": result.prototype_count,
-            "items_seen": result.items_seen,
-            "conflicts_skipped": result.conflicts_skipped,
-        },
-        None,
-    )
+    _emit_report(out, asdict(result), None)
     click.echo(
         f"items={result.items_seen} prototypes={result.prototype_count} "
         f"conflicts_skipped={result.conflicts_skipped}"

@@ -446,7 +446,9 @@ def load_csv(path: str | Path, label_column: str = DEFAULT_LABEL_COLUMN) -> Data
     """Load a dataset from a comma-separated UTF-8 file, BOM or not, with a header row.
 
     All columns except `label_column` are parsed as float features, in file
-    order. Parse failures report the 1-based data row and the column name.
+    order. Parse failures report the 1-based data row and the column name, a
+    cell the CSV reader refuses its file line. A byte that is not UTF-8 is
+    named without a line, as the file is decoded in chunks.
     """
     path = Path(path)
     try:
@@ -498,6 +500,13 @@ def load_csv(path: str | Path, label_column: str = DEFAULT_LABEL_COLUMN) -> Data
                 points.append(LabeledPoint(tuple(coords), row[label_pos].strip()))
     except OSError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(
+            f"{path}: not UTF-8 text: {exc.reason} "
+            f"(byte {exc.object[exc.start]:#04x})"
+        ) from None
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
     if not points:
         raise DatasetError(f"{path}: no data rows")
     try:
@@ -527,11 +536,18 @@ def _check_reloadable(dataset: Dataset, source_index: bool = False) -> None:
     `load_csv` strips every cell, and before Python 3.13 `csv.writer` leaves
     a carriage return unquoted, which the reader takes for a row end. So a
     cell with leading or trailing whitespace or a carriage return would
-    come back changed, or split its row. A feature column named like the
-    label column would make `load_csv` refuse the header.
+    come back changed, or split its row. `load_csv` also drops a byte-order
+    mark, U+FEFF, that begins the file, and so the first header cell's. A
+    feature column named like the label column would make `load_csv`
+    refuse the header.
     """
     features = (("source_index",) if source_index else ()) + dataset.feature_names
     names = (*features, dataset.label_name)
+    if names[0].startswith("\ufeff"):
+        raise DatasetError(
+            f"column name {names[0]!r} would not load back unchanged: it "
+            f"begins the file with a byte-order mark"
+        )
     for kind, cells in (("column name", names), ("label", dataset.classes)):
         for cell in cells:
             if cell != cell.strip() or "\r" in cell:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -159,9 +159,9 @@ class MarginCertificate:
     point count of the largest.
     """
 
+    radius: ClassVar[float] = RADIUS
     sigma: float
     delta_hat: float
-    radius: float
     bound: float
     duality_gap: float
     coefficients: np.ndarray
@@ -510,7 +510,6 @@ def margin(
     return MarginCertificate(
         cfg.sigma,
         delta_hat,
-        RADIUS,
         bound,
         gap,
         alpha,
@@ -524,50 +523,63 @@ def margin(
 
 @dataclass
 class BoundReport:
-    """A certified (or vacuous) size bound for the condensed prototype set.
+    """A certified (or vacuous) size bound for the condensed prototype set:
+    the margin certificate at `sigma` and the prototype count it bounds.
 
-    `trivial` says whether the bound is no better than |P| <= n; it and
-    `bound_over_n` are None for a vacuous report, as are the solver fields.
+    `trivial` says whether the bound is no better than |P| <= n. A vacuous
+    report, for single-class data, has no certificate: what it reads from
+    one is None, and its one prototype satisfies it.
     """
 
     sigma: float
     sigma_certified: bool
-    radius: float | None
-    delta_hat: float | None
-    duality_gap: float | None
-    bound: float | None
     prototype_count: int
-    satisfied: bool
     n_points: int
-    vacuous: bool = False
-    iterations: int | None = None
-    converged: bool | None = None
-    components: int | None = None
-    largest_component: int | None = None
+    certificate: MarginCertificate | None
+
+    def _read(self, name: str):
+        """The certificate's `name`, or None for a vacuous report."""
+        return None if self.certificate is None else getattr(self.certificate, name)
+
+    @property
+    def vacuous(self) -> bool:
+        return self.certificate is None
+
+    @property
+    def bound(self) -> float | None:
+        return self._read("bound")
+
+    @property
+    def delta_hat(self) -> float | None:
+        return self._read("delta_hat")
+
+    @property
+    def satisfied(self) -> bool:
+        return self.vacuous or self.prototype_count <= self.bound
 
     @property
     def bound_over_n(self) -> float | None:
-        return None if self.bound is None else self.bound / self.n_points
+        return None if self.vacuous else self.bound / self.n_points
 
     @property
     def trivial(self) -> bool | None:
-        return None if self.bound is None else self.bound >= self.n_points
+        return None if self.vacuous else self.bound >= self.n_points
 
     def to_json_dict(self) -> dict:
         return {
             "sigma": self.sigma,
             "sigma_certified": self.sigma_certified,
-            "R": self.radius,
+            "R": self._read("radius"),
             "delta_hat": self.delta_hat,
-            "duality_gap": self.duality_gap,
+            "duality_gap": self._read("duality_gap"),
             "bound": self.bound,
             "prototype_count": self.prototype_count,
             "satisfied": self.satisfied,
             "vacuous": self.vacuous,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "components": self.components,
-            "largest_component": self.largest_component,
+            "iterations": self._read("iterations"),
+            "converged": self._read("converged"),
+            "components": self._read("components"),
+            "largest_component": self._read("largest_component"),
             "bound_over_n": self.bound_over_n,
             "trivial": self.trivial,
         }
@@ -594,10 +606,7 @@ def cnn_bound(
         trace = run_cnn(dataset)
     count = len(trace.prototypes)
     if len(dataset.classes) < 2:
-        return BoundReport(
-            cfg.sigma, False, None, None, None, None, count, True, len(dataset),
-            vacuous=True,
-        )
+        return BoundReport(cfg.sigma, False, count, len(dataset), None)
     certified = certificate is not None and certificate.covers(cfg.sigma)
     if not certified and not override:
         raise UncertifiedSigmaError(
@@ -620,21 +629,7 @@ def _bound_report(
         raise NotSeparableError(
             f"no positive margin certified at sigma={cfg.sigma}"
         )
-    return BoundReport(
-        cfg.sigma,
-        certified,
-        cert.radius,
-        cert.delta_hat,
-        cert.duality_gap,
-        cert.bound,
-        count,
-        count <= cert.bound,
-        len(dataset),
-        iterations=cert.iterations,
-        converged=cert.converged,
-        components=cert.components,
-        largest_component=cert.largest_component,
-    )
+    return BoundReport(cfg.sigma, certified, count, len(dataset), cert)
 
 
 def default_sigma_grid(sigma_star: float) -> list[float]:
@@ -649,11 +644,16 @@ def default_sigma_grid(sigma_star: float) -> list[float]:
 
 @dataclass
 class GridSearchReport:
-    """Per-bandwidth bound reports and the best (smallest) certified bound."""
+    """Per-bandwidth bound reports, and the bandwidths skipped uncertified."""
 
-    best: BoundReport
     evaluated: list[BoundReport]
     skipped_sigmas: list[float]
+
+    @property
+    def best(self) -> BoundReport:
+        """The smallest bound, the first of equals. A vacuous report, whose
+        bound is None, is only evaluated alone, so it is never compared."""
+        return min(self.evaluated, key=lambda r: r.bound)
 
     def to_json_dict(self) -> dict:
         return {
@@ -681,8 +681,7 @@ def bound_infimum(
     the search runs one all-pairs pass.
     """
     if len(dataset.classes) < 2:
-        report = cnn_bound(dataset, KernelConfig(1.0))
-        return GridSearchReport(report, [report], [])
+        return GridSearchReport([cnn_bound(dataset, KernelConfig(1.0))], [])
     analytic: SigmaCertificate | None
     try:
         analytic = sufficient_sigma(dataset)
@@ -715,5 +714,4 @@ def bound_infimum(
         raise NoCertifiedSigmaError(
             f"none of the {len(sigma_grid)} grid bandwidths could be certified"
         )
-    best = min(evaluated, key=lambda r: r.bound)
-    return GridSearchReport(best, evaluated, skipped)
+    return GridSearchReport(evaluated, skipped)

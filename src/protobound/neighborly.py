@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -90,11 +90,7 @@ class SigmaCertificate:
         return self.method == "analytic-sufficient" and 0.0 < sigma < self.sigma_star
 
     def to_json_dict(self) -> dict:
-        return {
-            "sigma_star": self.sigma_star,
-            "gamma": self.gamma,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def min_squared_gap(dataset: Dataset) -> float:

@@ -99,7 +99,7 @@ def test_5_bound_holds_at_certified_bandwidths():
         )
         ok = (
             report.sigma_certified
-            and report.radius == math.sqrt(2)  # machine-exact
+            and report.certificate.radius == math.sqrt(2)  # machine-exact
             and report.prototype_count <= report.bound
             and report.satisfied
         )

@@ -14,6 +14,7 @@ from conftest import (
     UNDERFLOWING_SIGMA,
 )
 from protobound.cli import main
+from protobound.kernel_machine import DEFAULT_MAX_PASSES
 
 LINE3_CSV = "x0,label\n0.0,A\n10.0,B\n11.0,B\n"
 TIE_CSV = "x0,label\n-1.0,A\n0.0,B\n1.0,A\n"
@@ -96,6 +97,8 @@ def chain12_csv(tmp_path):
         ["mp", "{one}"],
         ["equiv", "{one}"],
         ["neighborly", "{one}"],
+        ["cnn", "{latin1}"],
+        ["cnn", "{long_cell}"],
     ],
     ids=[
         "equiv-negative-sigma", "equiv-zero-sigma", "fuzz-zero-sigma",
@@ -104,11 +107,17 @@ def chain12_csv(tmp_path):
         "bound-inf-grid", "online-negative-checkpoints", "bound-zero-iters",
         "bound-negative-tol", "bound-nan-tol", "neighborly-no-cap-option",
         "mp-one-point", "equiv-one-point", "neighborly-one-point",
+        "cnn-not-utf8", "cnn-cell-past-field-limit",
     ],
 )
 def test_input_errors_exit_2(runner, d20_csv, one_csv, tmp_path, args):
+    # one Latin-1 byte, and a cell past the CSV reader's field size limit
+    (tmp_path / "latin1.csv").write_bytes(b"x,label\n0,caf\xe9\n")
+    (tmp_path / "long_cell.csv").write_text("x,label\n0," + "a" * 200_000 + "\n")
     argv = [a.replace("{data}", d20_csv).replace("{one}", one_csv)
             .replace("{tmp}", str(tmp_path)) for a in args]
+    argv = [a.replace("{latin1}", str(tmp_path / "latin1.csv"))
+            .replace("{long_cell}", str(tmp_path / "long_cell.csv")) for a in argv]
     result = runner.invoke(main, argv)
     assert result.exit_code == 2, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -249,6 +258,50 @@ class TestEnvelope:
         report = read_report(out)
         assert report["command"] == args[0]
         assert report["wall_clock_s"] >= 0
+
+    @pytest.mark.parametrize(
+        "args, parameters",
+        [
+            (["cnn", "{data}", "--out-csv", "{tmp}/p.csv", "--shuffle-seed", "3"],
+             {"label_column": "label", "shuffle_seed": 3}),
+            (["mp", "{data}"],
+             {"label_column": "label", "sigma": "{default}",
+              "max_passes": DEFAULT_MAX_PASSES}),
+            (["mp", "{data}", "--max-passes", "20", "--sigma", "0.25"],
+             {"label_column": "label", "sigma": 0.25, "max_passes": 20}),
+            (["equiv", "--max-n", "5", "--seed", "2", "--fuzz", "1"],
+             {"label_column": "label", "sigma": None, "fuzz": 1, "seed": 2,
+              "max_n": 5}),
+            (["bound", "{data}", "--max-iters", "500", "--tol", "1e-9",
+              "--sigma-grid", " 0.3, 0.1,"],
+             {"label_column": "label", "sigma_grid": [0.3, 0.1], "tol": 1e-9,
+              "max_iters": 500}),
+            (["neighborly", "{data}", "--trials", "7", "--seed", "4",
+              "--mode", "sampled", "--sigma", "0.3"],
+             {"label_column": "label", "sigma": 0.3, "mode": "sampled",
+              "seed": 4, "trials": 7}),
+            (["online", "--seed", "1", "--checkpoints", "2", "--out-csv",
+              "{tmp}/c.csv", "--items", "6", "--spec", SPEC],
+             {"spec": SPEC, "items": 6, "checkpoints": 2, "seed": 1}),
+        ],
+        ids=["cnn", "mp-default-sigma", "mp", "equiv", "bound", "neighborly",
+             "online"],
+    )
+    def test_parameters_are_the_options_in_declaration_order(
+        self, runner, line3_csv, tmp_path, args, parameters
+    ):
+        # options given out of order; paths are left out, a default sigma
+        # is reported resolved and a sigma grid parsed
+        out = tmp_path / "report.json"
+        argv = [a.replace("{data}", line3_csv).replace("{tmp}", str(tmp_path))
+                for a in args]
+        result = runner.invoke(main, [*argv, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        if parameters.get("sigma") == "{default}":
+            star = pb.sufficient_sigma(pb.load_csv(line3_csv)).sigma_star
+            parameters = {**parameters, "sigma": star / 2}
+        reported = read_report(out)["parameters"]
+        assert list(reported.items()) == list(parameters.items())
 
     def test_same_input_same_fingerprint(self, runner, line3_csv, tmp_path):
         outs = []
@@ -668,6 +721,16 @@ class TestOnlineCommand:
             main, ["online", "--spec", str(spec_path), "--items", "10"]
         )
         assert result.exit_code == 0
+
+    def test_spec_file_that_is_not_utf8_exits_2(self, runner, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_bytes(SPEC.replace("A", "\xe9").encode("latin-1"))
+        result = runner.invoke(
+            main, ["online", "--spec", str(spec_path), "--items", "10"]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: cannot read generator spec: ")
 
     def test_seed_reproducibility(self, runner):
         a = runner.invoke(main, ["online", "--spec", SPEC, "--items", "40"])

@@ -602,7 +602,7 @@ class TestKernelComponents:
                      for i in range(n)]
                 )
                 report = pb.cnn_bound(ds, cfg, override=True)
-                assert report.largest_component == 1
+                assert report.certificate.largest_component == 1
                 assert Fraction(report.delta_hat) ** 2 <= Fraction(q + 1, n * q)
                 exact = Fraction(2 * n * q, q + 1)
                 assert exact <= Fraction(report.bound) <= exact * (1 + 1e-12)
@@ -685,7 +685,7 @@ class TestCnnBound:
         cfg = pb.KernelConfig(analytic.sigma_star / 2)
         report = pb.cnn_bound(line3, cfg, analytic)
         assert report.sigma_certified
-        assert report.radius == math.sqrt(2)
+        assert report.certificate.radius == math.sqrt(2)
         assert report.prototype_count == 2
         assert report.satisfied
         assert report.prototype_count <= report.bound
@@ -725,7 +725,7 @@ class TestCnnBound:
         report = pb.cnn_bound(ds, pb.KernelConfig(1.0))
         assert report.vacuous and report.satisfied
         assert report.prototype_count == 1
-        assert report.bound is None and report.radius is None
+        assert report.bound is None and report.certificate is None
 
     def test_reuses_supplied_trace(self, line3):
         analytic = pb.sufficient_sigma(line3)
