@@ -157,11 +157,13 @@ def _default_sigma(dataset: Dataset) -> float:
     return cert.sigma_star / 2.0
 
 
-def _parse_generator_spec(text: str) -> tuple[list[tuple[list[float], str]], float]:
+def _parse_generator_spec(text: str) -> tuple[list, float, str | None]:
+    """Centers, spread, and the spec file's path (None for inline JSON)."""
     raw = text.strip()
-    if not raw.startswith("{"):
+    path = None if raw.startswith("{") else raw
+    if path is not None:
         try:
-            raw = Path(raw).read_text(encoding="utf-8")
+            raw = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             _fail_input(f"cannot read generator spec: {exc}")
     try:
@@ -174,7 +176,7 @@ def _parse_generator_spec(text: str) -> tuple[list[tuple[list[float], str]], flo
             f"bad generator spec ({exc}); expected "
             f'{{"centers": [{{"coords": [...], "label": "A"}}, ...], "spread": s}}'
         )
-    return centers, spread
+    return centers, spread, path
 
 
 @click.group()
@@ -339,7 +341,8 @@ def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
 @click.option("--label-column", default=DEFAULT_LABEL_COLUMN, show_default=True)
 @click.option("--sigma-grid", default=None,
               help="Comma-separated bandwidths; defaults to a geometric grid "
-                   "under the certified threshold.")
+                   "under the certified threshold. A bandwidth at or above it "
+                   "is kept where the perceptron replays condensation's trace.")
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
 @click.option("--max-iters", type=click.IntRange(min=1), default=DEFAULT_MAX_ITERS,
               show_default=True,
@@ -445,7 +448,7 @@ def online_cmd(spec, items, checkpoints, seed, out_csv, out):
     """Single-pass condensation over a seeded synthetic stream."""
     if items < 0:
         _fail_input("--items must be nonnegative")
-    centers, spread = _parse_generator_spec(spec)
+    centers, spread, spec_path = _parse_generator_spec(spec)
     try:
         stream = blob_stream(seed, centers, spread)
         result = run_cnn_online(
@@ -457,7 +460,7 @@ def online_cmd(spec, items, checkpoints, seed, out_csv, out):
         _write_text(out_csv, "items_seen,prototypes\n" + "".join(
             f"{seen},{size}\n" for seen, size in result.curve
         ))
-    _emit_report(out, asdict(result), None)
+    _emit_report(out, asdict(result), spec_path)
     click.echo(
         f"items={result.items_seen} prototypes={result.prototype_count} "
         f"conflicts_skipped={result.conflicts_skipped}"
@@ -475,7 +478,7 @@ def online_cmd(spec, items, checkpoints, seed, out_csv, out):
               help="CSV destination.")
 def gen_cmd(spec, n_per_class, seed, out_path):
     """Generate a labeled Gaussian-blob dataset as CSV."""
-    centers, spread = _parse_generator_spec(spec)
+    centers, spread, _ = _parse_generator_spec(spec)
     try:
         dataset = generate_blobs(seed, n_per_class, centers, spread)
         _write_output(out_path, lambda p: write_csv(dataset, p))

@@ -31,14 +31,8 @@ import numpy as np
 
 from .cnn import run_cnn
 from .dataset import Dataset, _take_rows, sq_dists_to
-from .kernel_machine import KernelConfig
-from .neighborly import (
-    ExhaustiveCapError,
-    GammaDegenerateError,
-    SigmaCertificate,
-    sufficient_sigma,
-    verify_neighborly,
-)
+from .kernel_machine import KernelConfig, PassBudgetError, run_mp
+from .neighborly import GammaDegenerateError, SigmaCertificate, sufficient_sigma
 from .nn_rule import UpdateTrace
 
 DEFAULT_TOL = 1e-8
@@ -63,7 +57,7 @@ class VacuousBoundError(Exception):
 
 
 class UncertifiedSigmaError(Exception):
-    """The requested bandwidth carries no neighborliness certificate."""
+    """No certificate covers the bandwidth, and no trace replay verifies it."""
 
 
 class NoCertifiedSigmaError(Exception):
@@ -585,6 +579,17 @@ class BoundReport:
         }
 
 
+def _traces_agree(dataset: Dataset, cfg: KernelConfig, trace: UpdateTrace) -> bool:
+    """Whether the perceptron at `cfg` replays condensation's `trace` event
+    for event. Equal events end in the same clean pass, so a perceptron that
+    needs more than `trace.n_passes` passes has already diverged."""
+    try:
+        mp_trace, _ = run_mp(dataset, cfg, max_passes=trace.n_passes)
+    except PassBudgetError:
+        return False
+    return mp_trace.events == trace.events
+
+
 def cnn_bound(
     dataset: Dataset,
     cfg: KernelConfig,
@@ -596,34 +601,28 @@ def cnn_bound(
 ) -> BoundReport:
     """Bound the condensed set size by 2 / delta_hat^2 and check it.
 
-    The bound is only meaningful at a neighborly bandwidth, where the
-    condensation run coincides with a perceptron run; the operation therefore
-    refuses a sigma not covered by `certificate` unless `override` is set.
-    A single-class dataset yields the vacuous report (one prototype, no
-    geometry).
+    The bound counts perceptron updates (Novikoff), so it holds for the
+    condensed set where condensation's run is a perceptron run: where
+    `certificate` covers sigma, or else where the perceptron replays
+    condensation's `trace` (trace verification; a neighborly sigma always
+    passes). Either way the updates counted are the float perceptron's; one
+    made where the true class's exact score led by less than rounding is
+    not accounted for. An uncertified sigma is refused unless `override` is
+    set, which skips the trace check. A single-class dataset yields the
+    vacuous report (one prototype).
     """
     if trace is None:
         trace = run_cnn(dataset)
     count = len(trace.prototypes)
     if len(dataset.classes) < 2:
         return BoundReport(cfg.sigma, False, count, len(dataset), None)
-    certified = certificate is not None and certificate.covers(cfg.sigma)
-    if not certified and not override:
+    covered = certificate is not None and certificate.covers(cfg.sigma)
+    certified = covered or (not override and _traces_agree(dataset, cfg, trace))
+    if not (certified or override):
         raise UncertifiedSigmaError(
-            f"sigma={cfg.sigma} carries no neighborliness certificate; "
-            f"pass override=True to compute an uncertified bound"
+            f"sigma={cfg.sigma} is neither analytically certified nor "
+            f"trace-verified; pass override=True to compute an uncertified bound"
         )
-    return _bound_report(dataset, cfg, certified, count, tol, max_iters)
-
-
-def _bound_report(
-    dataset: Dataset,
-    cfg: KernelConfig,
-    certified: bool,
-    count: int,
-    tol: float,
-    max_iters: int,
-) -> BoundReport:
     cert = margin(dataset, cfg, tol, max_iters)
     if not cert.separable:
         raise NotSeparableError(
@@ -671,10 +670,10 @@ def bound_infimum(
 ) -> GridSearchReport:
     """Smallest certified bound over a bandwidth grid.
 
-    Grid points strictly below the analytic threshold are certified by it;
-    other points are kept only if exhaustive verification fits its row
-    budget and passes. The true optimum is an infimum
-    over all neighborly bandwidths; a finite grid can only approach it, which
+    Each grid point is certified as `cnn_bound` certifies it: by the
+    analytic threshold, or else by the perceptron replaying condensation's
+    trace; the points it refuses are skipped. The true optimum is an infimum
+    over all certified bandwidths; a finite grid can only approach it, which
     is the scope of this search. The analytic threshold's sorting pass over
     all pairs also finds each point's nearest squared distance
     (`Dataset.nearest_sq_dists`), which every grid point's margin shares, so
@@ -694,22 +693,17 @@ def bound_infimum(
                 "supply an explicit sigma grid"
             )
         sigma_grid = default_sigma_grid(analytic.sigma_star)
-    count = len(run_cnn(dataset).prototypes)
+    cnn = run_cnn(dataset)
     evaluated: list[BoundReport] = []
     skipped: list[float] = []
     for sigma in sigma_grid:
         cfg = KernelConfig(sigma)
-        if analytic is None or not analytic.covers(sigma):
-            try:
-                verified = verify_neighborly(dataset, cfg) is None
-            except ExhaustiveCapError:
-                verified = False  # too large to enumerate
-            if not verified:
-                skipped.append(sigma)
-                continue
-        evaluated.append(
-            _bound_report(dataset, cfg, True, count, tol, max_iters)
-        )
+        try:
+            evaluated.append(
+                cnn_bound(dataset, cfg, analytic, tol, max_iters, trace=cnn)
+            )
+        except UncertifiedSigmaError:
+            skipped.append(sigma)
     if not evaluated:
         raise NoCertifiedSigmaError(
             f"none of the {len(sigma_grid)} grid bandwidths could be certified"

@@ -24,10 +24,10 @@ simultaneously, and solving for sigma gives the threshold
 
 Every sigma strictly below sigma* is certified. If some query is exactly
 equidistant from two points (gamma = 0) the construction collapses and no
-analytic certificate exists. Tied data still reaches a verified bound through
+analytic certificate exists. Tied data still reaches a certified bound through
 an explicit grid: `bound_infimum(ds, sigma_grid=[...])`, or `protobound bound
---sigma-grid`, verifies each grid point exhaustively when the set fits the
-exhaustive row budget.
+--sigma-grid`, keeps each point where the perceptron replays condensation's
+trace, at any set size and with no enumeration.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class GammaDegenerateError(Exception):
 
     No analytic certificate exists: the domination argument needs a positive
     gap. Perturb the data, or give `bound_infimum` (`protobound bound
-    --sigma-grid`) an explicit grid, whose points it verifies exhaustively.
+    --sigma-grid`) an explicit grid, whose points it trace-verifies.
     """
 
     def __init__(self, message: str, query_index: int, first: int, second: int):
@@ -77,9 +77,9 @@ class SigmaCertificate:
     """A certified-neighborly bandwidth statement.
 
     Analytic certificates cover every sigma strictly below `sigma_star`; a
-    certificate of any other method covers nothing. Tied data has no
-    analytic certificate: an explicit grid for `bound_infimum` (`protobound
-    bound --sigma-grid`) verifies its points one by one instead.
+    certificate of any other method covers nothing. `cnn_bound` certifies
+    any other bandwidth, tied data's too, where the perceptron replays
+    condensation's trace.
     """
 
     sigma_star: float

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: verdicts, exit codes, and report reproducibility."""
 
+import hashlib
 import json
 
 import pytest
@@ -557,9 +558,23 @@ class TestBoundCommand:
         result = runner.invoke(main, ["bound", line3_csv, "--sigma-grid", "0.1,0.2"])
         assert result.exit_code == 0
 
-    def test_uncertifiable_grid(self, runner, line3_csv):
-        result = runner.invoke(main, ["bound", line3_csv, "--sigma-grid", "15"])
+    def test_uncertifiable_grid(self, runner, gap3_csv):
+        # gap3's perceptron leaves condensation's trace from sigma = 2 on
+        result = runner.invoke(main, ["bound", gap3_csv, "--sigma-grid", "2,5"])
         assert result.exit_code == 2
+        assert "could be certified" in result.stderr
+
+    def test_trace_verified_grid(self, runner, line3_csv, tmp_path):
+        # sigma = 15 is far above line3's sigma*, but the perceptron there
+        # replays condensation's trace
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            main, ["bound", line3_csv, "--sigma-grid", "15", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        best = read_report(out)["results"]["best"]
+        assert best["sigma"] == 15.0 and best["sigma_certified"]
+        assert best["prototype_count"] == 2 and best["satisfied"]
 
     def test_bad_grids(self, runner, line3_csv):
         assert (
@@ -721,6 +736,19 @@ class TestOnlineCommand:
             main, ["online", "--spec", str(spec_path), "--items", "10"]
         )
         assert result.exit_code == 0
+
+    def test_spec_file_is_fingerprinted(self, runner, tmp_path):
+        # the report pins the spec file's content, as it pins a dataset's;
+        # an inline spec is in the parameters already
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(SPEC, encoding="utf-8")
+        out = tmp_path / "report.json"
+        argv = ["online", "--items", "10", "--out", str(out), "--spec"]
+        assert runner.invoke(main, argv + [str(spec_path)]).exit_code == 0
+        digest = hashlib.sha256(SPEC.encode("utf-8")).hexdigest()
+        assert read_report(out)["input"] == {"path": str(spec_path), "sha256": digest}
+        assert runner.invoke(main, argv + [SPEC]).exit_code == 0
+        assert read_report(out)["input"] is None
 
     def test_spec_file_that_is_not_utf8_exits_2(self, runner, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -22,6 +22,16 @@ def sigma_for_kernel(k, d=2.0):
     return d / math.sqrt(2.0 * math.log(1.0 / k))
 
 
+def full_run_agrees(dataset, sigma):
+    """Whether a full perceptron run at sigma, up to its default 1,000
+    passes, replays condensation's events: trace verification's oracle."""
+    try:
+        mp_trace, _ = pb.run_mp(dataset, pb.KernelConfig(sigma))
+    except pb.PassBudgetError:
+        return False
+    return mp_trace.events == pb.run_cnn(dataset).events
+
+
 def full_gram(dataset, cfg):
     """The row producer's rows over every point, stacked: the whole set's
     pair gram, in pair order, as the solver reads it."""
@@ -700,12 +710,28 @@ class TestCnnBound:
         assert d["bound_over_n"] == report.bound / 3
         assert d["trivial"] == (report.bound >= 3)
 
-    def test_refuses_uncertified_sigma(self, line3):
-        analytic = pb.sufficient_sigma(line3)
+    def test_refuses_uncertified_sigma(self, gap3):
+        # gap3's perceptron leaves condensation's trace from sigma = 2 on,
+        # far above what the analytic certificate covers
+        analytic = pb.sufficient_sigma(gap3)
+        assert not full_run_agrees(gap3, 2.0)
         with pytest.raises(pb.UncertifiedSigmaError, match="override"):
-            pb.cnn_bound(line3, pb.KernelConfig(15.0), analytic)
+            pb.cnn_bound(gap3, pb.KernelConfig(2.0), analytic)
         with pytest.raises(pb.UncertifiedSigmaError):
-            pb.cnn_bound(line3, pb.KernelConfig(15.0))  # no certificate at all
+            pb.cnn_bound(gap3, pb.KernelConfig(2.0))  # no certificate at all
+
+    @pytest.mark.parametrize("sigma, bound", [(15.0, 10.04), (20.0, 17.02)])
+    def test_trace_verified_line(self, line3, sigma, bound):
+        # far above sigma*, line3's perceptron still replays condensation
+        analytic = pb.sufficient_sigma(line3)
+        assert not analytic.covers(sigma) and full_run_agrees(line3, sigma)
+        report = pb.cnn_bound(line3, pb.KernelConfig(sigma), analytic)
+        assert report.sigma_certified
+        assert report.prototype_count == 2
+        assert report.bound == pytest.approx(bound, abs=0.005)
+        # override skips the check: the same bound, uncertified
+        forced = pb.cnn_bound(line3, pb.KernelConfig(sigma), override=True)
+        assert not forced.sigma_certified and forced.bound == report.bound
 
     def test_override_computes_anyway(self, line3):
         report = pb.cnn_bound(line3, pb.KernelConfig(15.0), override=True)
@@ -763,31 +789,30 @@ class TestBoundInfimum:
             assert grid[:-1] == [lo * (star / lo) ** (i / 15) for i in range(15)]
             assert all(a < b for a, b in zip(grid, grid[1:]))
 
-    def test_uncertifiable_points_are_skipped(self, line3):
-        star = pb.sufficient_sigma(line3).sigma_star
-        gs = pb.bound_infimum(line3, sigma_grid=[star / 2, 15.0])
-        assert gs.skipped_sigmas == [15.0]
+    def test_uncertifiable_points_are_skipped(self, gap3):
+        star = pb.sufficient_sigma(gap3).sigma_star
+        gs = pb.bound_infimum(gap3, sigma_grid=[star / 2, 2.0])
+        assert gs.skipped_sigmas == [2.0]
         assert [r.sigma for r in gs.evaluated] == [star / 2]
+        assert all(r.sigma_certified for r in gs.evaluated)
 
-    def test_points_too_large_to_verify_are_skipped(self):
-        # past the work budget, a grid point the analytic certificate misses
-        # cannot be verified
+    def test_points_past_the_exhaustive_budget_are_trace_verified(self):
+        # n = 16 is past the exhaustive budget, yet a grid point the analytic
+        # certificate misses is evaluated exactly when the traces agree
         ds = pb.random_dataset(0, n_points=16, dim=2, n_classes=2)
-        star = pb.sufficient_sigma(ds).sigma_star
-        gs = pb.bound_infimum(ds, sigma_grid=[star / 2, 10 * star])
-        assert gs.skipped_sigmas == [10 * star]
-        assert [r.sigma for r in gs.evaluated] == [star / 2]
-        # within it, that point is kept exactly when exhaustive mode passes
-        ds = pb.random_dataset(0, n_points=9, dim=2, n_classes=2)
-        star = pb.sufficient_sigma(ds).sigma_star
-        gs = pb.bound_infimum(ds, sigma_grid=[star / 2, 10 * star])
-        passes = pb.verify_neighborly(ds, pb.KernelConfig(10 * star)) is None
-        assert gs.skipped_sigmas == ([] if passes else [10 * star])
-        assert len(gs.evaluated) == (2 if passes else 1)
+        with pytest.raises(pb.ExhaustiveCapError):
+            pb.verify_neighborly(ds, pb.KernelConfig(1.0))
+        analytic = pb.sufficient_sigma(ds)
+        grid = [analytic.sigma_star * k for k in (0.5, 2.0, 10.0, 100.0, 1000.0)]
+        gs = pb.bound_infimum(ds, sigma_grid=grid)
+        agree = [s for s in grid if analytic.covers(s) or full_run_agrees(ds, s)]
+        assert [r.sigma for r in gs.evaluated] == agree == grid[:3]
+        assert gs.skipped_sigmas == grid[3:]
+        assert all(r.sigma_certified and r.satisfied for r in gs.evaluated)
 
-    def test_no_certifiable_grid_raises(self, line3):
+    def test_no_certifiable_grid_raises(self, gap3):
         with pytest.raises(pb.NoCertifiedSigmaError):
-            pb.bound_infimum(line3, sigma_grid=[15.0, 20.0])
+            pb.bound_infimum(gap3, sigma_grid=[2.0, 5.0])
 
     def test_tied_data_needs_explicit_grid(self):
         ds = pb.Dataset([((-1.0,), "A"), ((0.0,), "B"), ((1.0,), "A")])
@@ -796,14 +821,91 @@ class TestBoundInfimum:
         gs = pb.bound_infimum(ds, sigma_grid=[0.05])
         assert gs.best.sigma == 0.05
         assert gs.best.sigma_certified
-        # a cross-class tie: queries between the two classes can never be
-        # resolved consistently, so no bandwidth verifies
+        # a cross-class tie: C's point is equidistant from A's and B's. At
+        # small sigma its degenerate argmax resolves to A, the earliest
+        # class, as the 1-NN rule's tie-break picks A's smaller index, so
+        # the traces agree; at sigma = 1 and 10 they diverge
         ds = pb.Dataset([((0.0,), "A"), ((2.0,), "B"), ((1.0,), "C")])
-        for grid in ([0.05], [1e-3, 0.01, 0.1, 1.0, 10.0]):
-            with pytest.raises(pb.NoCertifiedSigmaError):
-                pb.bound_infimum(ds, sigma_grid=grid)
+        gs = pb.bound_infimum(ds, sigma_grid=[1e-3, 0.01, 0.1, 1.0, 10.0])
+        assert [r.sigma for r in gs.evaluated] == [1e-3, 0.01, 0.1]
+        assert gs.skipped_sigmas == [1.0, 10.0]
+        assert all(r.sigma_certified for r in gs.evaluated)
+        with pytest.raises(pb.NoCertifiedSigmaError):
+            pb.bound_infimum(ds, sigma_grid=[1.0, 10.0])
 
     def test_single_class_short_circuit(self):
         ds = pb.Dataset([((0.0,), "A"), ((9.0,), "A")])
         gs = pb.bound_infimum(ds)
         assert gs.best.vacuous and gs.best.satisfied
+
+
+def criterion3_cases():
+    """The acceptance suite's criterion 3 corpora at bandwidths below,
+    around and far above sigma*, in units of sigma* and of the diameter."""
+    for seed in range(30):
+        ds = pb.fuzz_dataset(seed, max_n=8, max_dim=3, max_classes=3)
+        star = pb.sufficient_sigma(ds).sigma_star
+        diam = ds.diameter()
+        for sigma in (star / 2, 0.99 * star, 2 * star, 10 * star,
+                      0.05 * diam, 0.2 * diam, diam, 5 * diam):
+            yield ds, sigma
+
+
+def uniform_disks(n, seed=0):
+    """n // 2 points uniform in each of two unit disks, centres 2.5 apart."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for cx, label in ((0.0, "A"), (2.5, "B")):
+        r = np.sqrt(rng.uniform(size=n // 2))
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=n // 2)
+        points += [((float(x), float(y)), label)
+                   for x, y in zip(cx + r * np.cos(theta), r * np.sin(theta))]
+    return pb.Dataset(points)
+
+
+class TestTraceVerification:
+    def test_every_neighborly_sigma_is_trace_verified(self):
+        # a neighborly sigma makes every perceptron decision the 1-NN
+        # rule's, so exhaustive verification never accepts a sigma that
+        # trace verification refuses
+        passed = verified = 0
+        for ds, sigma in criterion3_cases():
+            cfg = pb.KernelConfig(sigma)
+            agree = margin_bound._traces_agree(ds, cfg, pb.run_cnn(ds))
+            verified += agree
+            if pb.verify_neighborly(ds, cfg) is None:
+                passed += 1
+                assert agree, (ds, sigma)
+        assert 0 < passed < verified
+
+    def test_condensation_pass_budget_gives_the_full_verdict(self):
+        for ds, sigma in criterion3_cases():
+            got = margin_bound._traces_agree(
+                ds, pb.KernelConfig(sigma), pb.run_cnn(ds)
+            )
+            assert got == full_run_agrees(ds, sigma), (ds, sigma)
+
+    def test_bound_holds_at_every_trace_verified_sigma(self):
+        verified = 0
+        for seed in range(60):
+            ds = pb.fuzz_dataset(seed, max_n=30)
+            cnn = pb.run_cnn(ds)
+            diam = ds.diameter()
+            for sigma in np.geomspace(1e-3 * diam, 2.0 * diam, 12):
+                cfg = pb.KernelConfig(float(sigma))
+                if not margin_bound._traces_agree(ds, cfg, cnn):
+                    continue
+                verified += 1
+                cert = pb.margin(ds, cfg)
+                assert cert.separable, (seed, sigma)
+                assert len(cnn.prototypes) <= cert.bound, (seed, sigma)
+        assert verified > 0
+
+    @pytest.mark.parametrize("n", [600, 1500, 3000])
+    def test_disk_bound_does_not_grow_with_n(self, n):
+        # the paper's claim: at a fixed trace-verified sigma the bound
+        # depends on the margin, not on the training set's size
+        gs = pb.bound_infimum(uniform_disks(n), sigma_grid=[0.5])
+        assert gs.skipped_sigmas == []
+        assert gs.best.sigma_certified and gs.best.satisfied
+        assert gs.best.bound < 20
