@@ -23,7 +23,6 @@ from .dataset import (
     fuzz_dataset,
     generate_blobs,
     load_csv,
-    pairwise_sq_dists,
     random_dataset,
     sq_dists_to,
     write_csv,
@@ -119,7 +118,6 @@ __all__ = [
     "margin",
     "min_squared_gap",
     "nearest",
-    "pairwise_sq_dists",
     "random_dataset",
     "replay_violation",
     "run_cnn",

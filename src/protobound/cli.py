@@ -39,6 +39,7 @@ from .kernel_machine import (
     DEFAULT_MAX_PASSES,
     KernelConfig,
     PassBudgetError,
+    _replay,
     run_mp,
 )
 from .margin_bound import (
@@ -268,14 +269,12 @@ def mp_cmd(dataset_path, label_column, sigma, max_passes, out):
 
 
 def _equiv_one(dataset: Dataset, sigma: float) -> tuple[bool, dict]:
-    """Whether condensation's and the perceptron's events are equal (equal
-    events add equal prototypes), and the run's detail, with `sigma` and `n`."""
+    """Whether the perceptron replays condensation's events (equal events add
+    equal prototypes), and the run's detail, with `sigma`, `n`, and
+    condensation's prototype count and passes."""
     detail = {"sigma": sigma, "n": len(dataset)}
     cnn_trace = run_cnn(dataset)
-    try:
-        mp_trace, _ = run_mp(dataset, KernelConfig(sigma))
-    except PassBudgetError:
-        return False, {**detail, "reason": "perceptron pass budget exhausted"}
+    mp_trace = _replay(dataset, KernelConfig(sigma), cnn_trace)
     ok = cnn_trace.events == mp_trace.events
     detail["prototype_count"] = len(cnn_trace.prototypes)
     detail["passes"] = cnn_trace.n_passes
@@ -291,21 +290,20 @@ def _equiv_one(dataset: Dataset, sigma: float) -> tuple[bool, dict]:
 @click.option("--label-column", default=DEFAULT_LABEL_COLUMN, show_default=True)
 @click.option("--sigma", type=float, default=None,
               help="Kernel bandwidth; defaults to half the certified threshold.")
-@click.option("--fuzz", type=int, default=None, metavar="N",
+@click.option("--fuzz", type=click.IntRange(min=1), default=None, metavar="N",
               help="Check N seeded random datasets instead of a file.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="First seed for --fuzz.")
-@click.option("--max-n", type=int, default=30, show_default=True,
+@click.option("--max-n", type=click.IntRange(min=2), default=30, show_default=True,
               help="Largest fuzz dataset size.")
 @click.option("--out", type=click.Path(), default=None, help="JSON report path.")
 def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
-    """Verify that condensation and the perceptron produce identical traces."""
+    """Verify that condensation and the perceptron produce identical traces.
+
+    The perceptron stops at condensation's pass count, past which it has
+    diverged. Every run reports condensation's prototype count and passes."""
     if (dataset_path is None) == (fuzz is None):
         _fail_input("pass a dataset file or --fuzz N (exactly one)")
-    if fuzz is not None and fuzz < 1:
-        _fail_input(f"--fuzz needs at least one dataset, got {fuzz}")
-    if fuzz is not None and max_n < 2:
-        _fail_input(f"--max-n must be at least 2, got {max_n}")
     if sigma is not None:
         _check_sigma(sigma)
     if fuzz is None:
@@ -324,7 +322,7 @@ def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
             runs.append({"seed": case_seed, "verdict": verdict, **detail})
             click.echo(
                 f"seed {case_seed}: {verdict} "
-                f"(n={detail['n']}, prototypes={detail.get('prototype_count', '?')})"
+                f"(n={detail['n']}, prototypes={detail['prototype_count']})"
             )
     passed = sum(r["verdict"] == "PASS" for r in runs)
     if fuzz is not None:
@@ -436,7 +434,8 @@ def neighborly_cmd(dataset_path, label_column, sigma, mode, seed, trials, out):
 @main.command("online")
 @click.option("--spec", required=True,
               help="Generator spec: inline JSON or a path to a JSON file.")
-@click.option("--items", type=int, required=True, help="Stream length to consume.")
+@click.option("--items", type=click.IntRange(min=0), required=True,
+              help="Stream length to consume.")
 @click.option("--checkpoints", type=click.IntRange(min=0), default=10,
               show_default=True,
               help="Number of evenly spaced growth samples.")
@@ -446,8 +445,6 @@ def neighborly_cmd(dataset_path, label_column, sigma, mode, seed, trials, out):
 @click.option("--out", type=click.Path(), default=None, help="JSON report path.")
 def online_cmd(spec, items, checkpoints, seed, out_csv, out):
     """Single-pass condensation over a seeded synthetic stream."""
-    if items < 0:
-        _fail_input("--items must be nonnegative")
     centers, spread, spec_path = _parse_generator_spec(spec)
     try:
         stream = blob_stream(seed, centers, spread)

@@ -119,14 +119,6 @@ def _distance_row_blocks(coords: np.ndarray) -> Iterator[tuple[slice, np.ndarray
         yield block, sq_dists_to(coords, coords[block])
 
 
-def pairwise_sq_dists(coords: np.ndarray) -> np.ndarray:
-    """The n x n matrix whose row q is `sq_dists_to(coords, coords[q])`."""
-    out = np.empty((len(coords), len(coords)), dtype=np.float64)
-    for block, rows in _distance_row_blocks(coords):
-        out[block] = rows
-    return out
-
-
 class DatasetError(Exception):
     """Invalid training data or an unreadable input file."""
 
@@ -358,15 +350,15 @@ class Dataset:
         return self._gap
 
     def _all_pairs(self, sort: bool) -> None:
-        """The dataset's one loop over all n^2 squared distances, one query
-        block of `pairwise_sq_dists` rows at a time, so no n x n array is
-        held. It keeps each point's nearest other distance and the largest
-        distance. With `sort` it sorts each row, reads the nearest distance
-        at position 1, behind the query's exact 0.0 self-distance, and the
-        largest at the end, and keeps the gap or first tie `_squared_gap`
-        returns. Rows past a tie are still read, unsorted, so the distances
-        are whole. A nearest array already handed out is kept, not replaced:
-        every row gives the same floats sorted or not."""
+        """The package's one loop over all n^2 squared distances, one query
+        block of `sq_dists_to` rows (`_distance_row_blocks`) at a time, so no
+        n x n array is held. It keeps each point's nearest other distance and
+        the largest distance. With `sort` it sorts each row, reads the
+        nearest distance at position 1, behind the query's exact 0.0
+        self-distance, and the largest at the end, and keeps the gap or first
+        tie `_squared_gap` returns. Rows past a tie are still read, unsorted,
+        so the distances are whole. A nearest array already handed out is
+        kept, not replaced: every row gives the same floats sorted or not."""
         coords = self._coords
         nearest = np.empty(len(coords))
         largest = 0.0

@@ -268,6 +268,20 @@ def run_mp(
     return trace, w
 
 
+def _replay(dataset: Dataset, cfg: KernelConfig, trace: UpdateTrace) -> UpdateTrace:
+    """The perceptron's trace at `cfg`, stopped after condensation's
+    `trace.n_passes` passes: the package's one check of the paper's
+    identity. The runs agree exactly when the events are equal: equal events
+    end in the same clean pass, and a run out of passes has an update in its
+    last pass, where condensation's is clean. The perceptron scans in dataset
+    order, so a shuffled `trace` is replayed only where that scan happens to
+    log the same events."""
+    try:
+        return run_mp(dataset, cfg, max_passes=trace.n_passes)[0]
+    except PassBudgetError as exc:
+        return exc.trace
+
+
 class _SweepScores:
     """`argmax_class(w, x)` for every point x of a dataset, kept current as
     records are appended to `w`, one distance row per record:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .cnn import run_cnn
 from .dataset import Dataset, _take_rows, sq_dists_to
-from .kernel_machine import KernelConfig, PassBudgetError, run_mp
+from .kernel_machine import KernelConfig, _replay
 from .neighborly import GammaDegenerateError, SigmaCertificate, sufficient_sigma
 from .nn_rule import UpdateTrace
 
@@ -579,17 +579,6 @@ class BoundReport:
         }
 
 
-def _traces_agree(dataset: Dataset, cfg: KernelConfig, trace: UpdateTrace) -> bool:
-    """Whether the perceptron at `cfg` replays condensation's `trace` event
-    for event. Equal events end in the same clean pass, so a perceptron that
-    needs more than `trace.n_passes` passes has already diverged."""
-    try:
-        mp_trace, _ = run_mp(dataset, cfg, max_passes=trace.n_passes)
-    except PassBudgetError:
-        return False
-    return mp_trace.events == trace.events
-
-
 def cnn_bound(
     dataset: Dataset,
     cfg: KernelConfig,
@@ -604,8 +593,11 @@ def cnn_bound(
     The bound counts perceptron updates (Novikoff), so it holds for the
     condensed set where condensation's run is a perceptron run: where
     `certificate` covers sigma, or else where the perceptron replays
-    condensation's `trace` (trace verification; a neighborly sigma always
-    passes). Either way the updates counted are the float perceptron's; one
+    condensation's `trace` (trace verification, `kernel_machine._replay`; a
+    neighborly sigma always passes). The perceptron scans in dataset order,
+    so above the certificate a `trace` of a shuffled scan is certified only
+    where the dataset-order perceptron happens to log the same events.
+    Either way the updates counted are the float perceptron's; one
     made where the true class's exact score led by less than rounding is
     not accounted for. An uncertified sigma is refused unless `override` is
     set, which skips the trace check. A single-class dataset yields the
@@ -617,7 +609,9 @@ def cnn_bound(
     if len(dataset.classes) < 2:
         return BoundReport(cfg.sigma, False, count, len(dataset), None)
     covered = certificate is not None and certificate.covers(cfg.sigma)
-    certified = covered or (not override and _traces_agree(dataset, cfg, trace))
+    certified = covered or (
+        not override and _replay(dataset, cfg, trace).events == trace.events
+    )
     if not (certified or override):
         raise UncertifiedSigmaError(
             f"sigma={cfg.sigma} is neither analytically certified nor "

@@ -487,7 +487,8 @@ class TestEquivCommand:
         assert [r["seed"] for r in report["results"]["runs"]] == [5, 6, 7]
 
     def test_fuzz_reports_runs_that_exhaust_the_pass_budget(self, runner, tmp_path):
-        # far above sigma*, seeds 0 and 2 run out the perceptron's passes
+        # far above sigma*, seeds 0 and 2 run out condensation's pass count;
+        # every run still reports condensation's prototypes and passes
         out = tmp_path / "report.json"
         result = runner.invoke(
             main, ["equiv", "--fuzz", "3", "--seed", "0", "--sigma", "50",
@@ -496,9 +497,9 @@ class TestEquivCommand:
         assert result.exit_code == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert result.output == (
-            "seed 0: FAIL (n=26, prototypes=?)\n"
+            "seed 0: FAIL (n=26, prototypes=24)\n"
             "seed 1: FAIL (n=15, prototypes=4)\n"
-            "seed 2: FAIL (n=26, prototypes=?)\n"
+            "seed 2: FAIL (n=26, prototypes=14)\n"
             "0/3 PASS\n"
         )
         runs = read_report(out)["results"]["runs"]
@@ -507,8 +508,9 @@ class TestEquivCommand:
             assert run["verdict"] == "FAIL"
             assert run["sigma"] == 50.0
             assert run["n"] == len(pb.fuzz_dataset(run["seed"]))
-            assert ("reason" in run) == ("prototype_count" not in run)
-        assert [r["seed"] for r in runs if "reason" in r] == [0, 2]
+            assert "reason" not in run
+        assert [r["prototype_count"] for r in runs] == [24, 4, 14]
+        assert [r["passes"] for r in runs] == [3, 3, 3]
 
     def test_file_mode_pass_budget_failure_names_sigma_and_n(self, runner, tmp_path):
         path = tmp_path / "fuzz0.csv"
@@ -516,8 +518,8 @@ class TestEquivCommand:
         result = runner.invoke(main, ["equiv", str(path), "--sigma", "50"])
         assert result.exit_code == 1
         assert result.output == (
-            "FAIL: {'sigma': 50.0, 'n': 26, "
-            "'reason': 'perceptron pass budget exhausted'}\n"
+            "FAIL: {'sigma': 50.0, 'n': 26, 'prototype_count': 24, 'passes': 3, "
+            "'cnn_events': 24, 'mp_events': 47}\n"
         )
 
     def test_fuzz_refuses_checking_nothing(self, runner):
@@ -527,10 +529,11 @@ class TestEquivCommand:
             assert "PASS" not in result.output
             assert "--fuzz" in result.stderr
 
-    def test_fuzz_refuses_max_n_below_two(self, runner):
-        result = runner.invoke(main, ["equiv", "--fuzz", "2", "--max-n", "1"])
-        assert result.exit_code == 2
-        assert "--max-n" in result.stderr
+    def test_fuzz_refuses_max_n_below_two(self, runner, line3_csv):
+        for args in (["--fuzz", "2"], [line3_csv]):
+            result = runner.invoke(main, ["equiv", *args, "--max-n", "1"])
+            assert result.exit_code == 2
+            assert "--max-n" in result.stderr
         result = runner.invoke(main, ["equiv", "--fuzz", "2", "--max-n", "2"])
         assert result.exit_code == 0
 
@@ -782,6 +785,7 @@ class TestOnlineCommand:
     def test_negative_items(self, runner):
         result = runner.invoke(main, ["online", "--spec", SPEC, "--items", "-1"])
         assert result.exit_code == 2
+        assert "--items" in result.stderr
 
     @pytest.mark.parametrize(
         "spec, message",

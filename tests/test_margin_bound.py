@@ -10,7 +10,9 @@ import pytest
 
 import protobound as pb
 from conftest import TINY_SIGMAS
+from sweep_oracles import oracle_pairwise_sq_dists
 from protobound import margin_bound
+from protobound.kernel_machine import _replay
 
 
 def two_point(d=2.0):
@@ -48,7 +50,7 @@ def four_mask_gram(dataset, cfg):
     pt = np.repeat(np.arange(len(dataset)), wrong.shape[1])
     wc = wrong.ravel()
     lc = dataset.label_codes[pt]
-    d2 = pb.pairwise_sq_dists(dataset.coords)
+    d2 = oracle_pairwise_sq_dists(dataset.coords)
     kernel = np.exp(-d2 / (2.0 * cfg.sigma * cfg.sigma))
     signs = (
         (lc[:, None] == lc[None, :]).astype(np.float64)
@@ -248,7 +250,7 @@ def assert_kkt(dataset, cfg, cert, tol=pb.DEFAULT_TOL):
 
 def union_find_components(dataset, sigma):
     """The kernel components by union-find over every off-diagonal pair."""
-    d2 = pb.pairwise_sq_dists(dataset.coords)
+    d2 = oracle_pairwise_sq_dists(dataset.coords)
     linked = np.exp(-d2 / (2.0 * sigma * sigma)) > 0.0
     n = len(dataset)
     parent = list(range(n))
@@ -576,7 +578,7 @@ class TestKernelComponents:
             ds = pb.fuzz_dataset(seed, max_n=16, max_classes=4)
             if len(ds.classes) < 2 or len(ds) < 2:
                 continue
-            d2 = pb.pairwise_sq_dists(ds.coords)
+            d2 = oracle_pairwise_sq_dists(ds.coords)
             nearest = d2[~np.eye(len(ds), dtype=bool)].min()
             cfg = pb.KernelConfig(math.sqrt(nearest / 2000.0))  # exp(-1000)
             cert = pb.margin(ds, cfg)
@@ -589,7 +591,7 @@ class TestKernelComponents:
 
     def test_nearest_sq_dists_are_row_minima(self):
         for ds, _ in gram_cases():
-            d2 = pb.pairwise_sq_dists(ds.coords)
+            d2 = oracle_pairwise_sq_dists(ds.coords)
             np.fill_diagonal(d2, np.inf)
             got = ds.nearest_sq_dists
             assert got.tobytes() == d2.min(axis=1).tobytes()
@@ -733,6 +735,24 @@ class TestCnnBound:
         forced = pb.cnn_bound(line3, pb.KernelConfig(sigma), override=True)
         assert not forced.sigma_certified and forced.bound == report.bound
 
+    def test_shuffled_trace_is_replayed_in_dataset_order(self, line3):
+        # the replay scans in dataset order: above sigma*, a shuffled
+        # condensation is certified only where that scan logs its events
+        analytic = pb.sufficient_sigma(line3)
+        for seed in range(4):
+            trace = pb.run_cnn(line3, shuffle_seed=seed)
+            if seed == 1:
+                report = pb.cnn_bound(
+                    line3, pb.KernelConfig(15.0), analytic, trace=trace
+                )
+                assert report.sigma_certified
+            else:
+                with pytest.raises(pb.UncertifiedSigmaError):
+                    pb.cnn_bound(line3, pb.KernelConfig(15.0), analytic, trace=trace)
+            cfg = pb.KernelConfig(analytic.sigma_star / 2)
+            report = pb.cnn_bound(line3, cfg, analytic, trace=trace)
+            assert report.sigma_certified and report.prototype_count == 2
+
     def test_override_computes_anyway(self, line3):
         report = pb.cnn_bound(line3, pb.KernelConfig(15.0), override=True)
         assert not report.sigma_certified
@@ -871,7 +891,8 @@ class TestTraceVerification:
         passed = verified = 0
         for ds, sigma in criterion3_cases():
             cfg = pb.KernelConfig(sigma)
-            agree = margin_bound._traces_agree(ds, cfg, pb.run_cnn(ds))
+            cnn = pb.run_cnn(ds)
+            agree = _replay(ds, cfg, cnn).events == cnn.events
             verified += agree
             if pb.verify_neighborly(ds, cfg) is None:
                 passed += 1
@@ -880,10 +901,28 @@ class TestTraceVerification:
 
     def test_condensation_pass_budget_gives_the_full_verdict(self):
         for ds, sigma in criterion3_cases():
-            got = margin_bound._traces_agree(
-                ds, pb.KernelConfig(sigma), pb.run_cnn(ds)
-            )
+            cnn = pb.run_cnn(ds)
+            got = _replay(ds, pb.KernelConfig(sigma), cnn).events == cnn.events
             assert got == full_run_agrees(ds, sigma), (ds, sigma)
+
+    def test_a_replay_out_of_passes_differs_in_its_last_pass(self):
+        # condensation's last pass is clean, so a replay that runs out of
+        # condensation's passes, with an update in the last of them, can
+        # never have its events
+        exhausted = 0
+        for ds, sigma in criterion3_cases():
+            cfg = pb.KernelConfig(sigma)
+            cnn = pb.run_cnn(ds)
+            replay = _replay(ds, cfg, cnn)
+            try:
+                pb.run_mp(ds, cfg, max_passes=cnn.n_passes)
+            except pb.PassBudgetError as exc:
+                exhausted += 1
+                assert replay.events == exc.trace.events
+                assert replay.n_passes == cnn.n_passes
+                assert replay.events[-1].pass_number == cnn.n_passes
+                assert replay.events != cnn.events, (ds, sigma)
+        assert exhausted > 0
 
     def test_bound_holds_at_every_trace_verified_sigma(self):
         verified = 0
@@ -893,7 +932,7 @@ class TestTraceVerification:
             diam = ds.diameter()
             for sigma in np.geomspace(1e-3 * diam, 2.0 * diam, 12):
                 cfg = pb.KernelConfig(float(sigma))
-                if not margin_bound._traces_agree(ds, cfg, cnn):
+                if _replay(ds, cfg, cnn).events != cnn.events:
                     continue
                 verified += 1
                 cert = pb.margin(ds, cfg)

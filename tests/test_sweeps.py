@@ -29,7 +29,6 @@ from sweep_oracles import (
     oracle_is_consistent,
     oracle_min_squared_gap,
     oracle_nearest_sq_dists,
-    oracle_pairwise_sq_dists,
     oracle_run_cnn,
     oracle_run_cnn_online,
     oracle_run_mp,
@@ -521,9 +520,6 @@ class TestRowBlocks:
     def test_equal_row_by_row_oracles(self, block_cap):
         ties = 0
         for ds in fuzz_sets(30) + [lattice_set(s) for s in range(30)]:
-            assert pb.pairwise_sq_dists(ds.coords).tobytes() == (
-                oracle_pairwise_sq_dists(ds.coords).tobytes()
-            )
             assert ds.nearest_sq_dists.tobytes() == (
                 oracle_nearest_sq_dists(ds).tobytes()
             )
