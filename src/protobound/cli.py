@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .cnn import default_checkpoints, run_cnn, run_cnn_online
@@ -307,6 +308,11 @@ def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
     if sigma is not None:
         _check_sigma(sigma)
     if fuzz is None:
+        ctx = click.get_current_context()
+        for name in ("seed", "max_n"):
+            if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+                _fail_input(f"--{name.replace('_', '-')} applies only with --fuzz")
+        seed = max_n = None  # file mode reads neither
         cases = [(None, _load(dataset_path, label_column))]
     else:
         cases = ((s, fuzz_dataset(s, max_n=max_n)) for s in range(seed, seed + fuzz))
@@ -328,7 +334,8 @@ def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
     if fuzz is not None:
         click.echo(f"{passed}/{fuzz} PASS")
     _emit_report(
-        out, {"runs": runs, "all_pass": passed == len(runs)}, dataset_path
+        out, {"runs": runs, "all_pass": passed == len(runs)}, dataset_path,
+        seed=seed, max_n=max_n,
     )
     if passed < len(runs):
         sys.exit(1)

@@ -295,10 +295,6 @@ class Dataset:
         self._gap: float | tuple[int, int, int] | None = None
 
     @property
-    def points(self) -> tuple[LabeledPoint, ...]:
-        return self._points
-
-    @property
     def classes(self) -> tuple[str, ...]:
         return self._classes
 

@@ -22,9 +22,9 @@ class PrototypeSet:
     """An insertion-ordered subset of a dataset's points.
 
     Members are stored only as source indices into the parent dataset, in
-    insertion order, plus a membership mask over the parent. `coords` and
-    `codes` gather the members' rows from the parent, in insertion order,
-    when asked for.
+    insertion order, plus a membership mask over the parent. `coords`
+    gathers the members' rows from the parent, in insertion order, when
+    asked for.
     """
 
     def __init__(self, parent: Dataset, indices: list[int] | None = None):
@@ -49,10 +49,6 @@ class PrototypeSet:
         return _take_rows(self._parent.coords, self.index_array)
 
     @property
-    def codes(self) -> np.ndarray:
-        return self._parent.label_codes[self.index_array]
-
-    @property
     def index_array(self) -> np.ndarray:
         return self._idx_arr[: self._size]
 
@@ -64,9 +60,6 @@ class PrototypeSet:
         self._idx_arr[self._size] = source_index
         self._member[source_index] = True
         self._size += 1
-
-    def members(self) -> list[tuple[int, LabeledPoint]]:
-        return [(i, self._parent[i]) for i in self.indices]
 
     def __contains__(self, source_index: int) -> bool:
         return 0 <= source_index < len(self._parent) and bool(

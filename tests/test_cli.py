@@ -97,6 +97,8 @@ def chain12_csv(tmp_path):
         ["neighborly", "{data}", "--sigma", "0.1", "--cap", "40"],
         ["mp", "{one}"],
         ["equiv", "{one}"],
+        ["equiv", "{data}", "--seed", "5"],
+        ["equiv", "{data}", "--max-n", "7"],
         ["neighborly", "{one}"],
         ["cnn", "{latin1}"],
         ["cnn", "{long_cell}"],
@@ -107,7 +109,8 @@ def chain12_csv(tmp_path):
         "gen-negative-seed", "neighborly-negative-seed", "bound-nan-grid",
         "bound-inf-grid", "online-negative-checkpoints", "bound-zero-iters",
         "bound-negative-tol", "bound-nan-tol", "neighborly-no-cap-option",
-        "mp-one-point", "equiv-one-point", "neighborly-one-point",
+        "mp-one-point", "equiv-one-point", "equiv-file-seed", "equiv-file-max-n",
+        "neighborly-one-point",
         "cnn-not-utf8", "cnn-cell-past-field-limit",
     ],
 )
@@ -273,6 +276,9 @@ class TestEnvelope:
             (["equiv", "--max-n", "5", "--seed", "2", "--fuzz", "1"],
              {"label_column": "label", "sigma": None, "fuzz": 1, "seed": 2,
               "max_n": 5}),
+            (["equiv", "{data}", "--sigma", "0.25"],
+             {"label_column": "label", "sigma": 0.25, "fuzz": None,
+              "seed": None, "max_n": None}),
             (["bound", "{data}", "--max-iters", "500", "--tol", "1e-9",
               "--sigma-grid", " 0.3, 0.1,"],
              {"label_column": "label", "sigma_grid": [0.3, 0.1], "tol": 1e-9,
@@ -285,8 +291,8 @@ class TestEnvelope:
               "{tmp}/c.csv", "--items", "6", "--spec", SPEC],
              {"spec": SPEC, "items": 6, "checkpoints": 2, "seed": 1}),
         ],
-        ids=["cnn", "mp-default-sigma", "mp", "equiv", "bound", "neighborly",
-             "online"],
+        ids=["cnn", "mp-default-sigma", "mp", "equiv", "equiv-file", "bound",
+             "neighborly", "online"],
     )
     def test_parameters_are_the_options_in_declaration_order(
         self, runner, line3_csv, tmp_path, args, parameters
@@ -543,6 +549,14 @@ class TestEquivCommand:
             runner.invoke(main, ["equiv", line3_csv, "--fuzz", "2"]).exit_code
             == 2
         )
+
+    @pytest.mark.parametrize("option, default", [("--seed", "0"), ("--max-n", "30")])
+    def test_file_mode_refuses_fuzz_options(self, runner, line3_csv, option, default):
+        # file mode reads neither option, so naming one, even at its
+        # default, is an input error
+        result = runner.invoke(main, ["equiv", line3_csv, option, default])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {option} applies only with --fuzz\n"
 
 
 class TestBoundCommand:

@@ -179,7 +179,7 @@ class TestRunCnnOnline:
         # one online sweep keeps exactly the points the first batch sweep adds
         for seed in range(5):
             ds = pb.fuzz_dataset(seed, max_n=25)
-            online = pb.run_cnn_online(iter(ds.points), len(ds), checkpoints=[len(ds)])
+            online = pb.run_cnn_online(iter(ds), len(ds), checkpoints=[len(ds)])
             batch_first = [
                 e.source_index for e in pb.run_cnn(ds).events if e.pass_number == 1
             ]

@@ -15,9 +15,7 @@ class TestPrototypeSet:
         ps.add(0)
         assert ps.indices == (2, 0)
         assert np.array_equal(ps.coords, [[11.0], [0.0]])
-        assert list(ps.codes) == [1, 0]
         assert 2 in ps and 1 not in ps
-        assert ps.members() == [(2, line3[2]), (0, line3[0])]
 
     def test_add_rejects_out_of_range_and_duplicates(self, line3):
         ps = pb.PrototypeSet(line3, [0])
@@ -31,7 +29,6 @@ class TestPrototypeSet:
         ps = pb.PrototypeSet(ds, list(range(40)))  # fills every row
         assert ps.indices == tuple(range(40))
         assert np.array_equal(ps.coords, ds.coords)
-        assert np.array_equal(ps.codes, ds.label_codes)
 
     @pytest.mark.parametrize("d", [2, 9])
     def test_views_are_the_parent_rows_in_insertion_order(self, d):
@@ -39,7 +36,6 @@ class TestPrototypeSet:
         order = [17, 3, 29, 0, 8]
         ps = pb.PrototypeSet(ds, order)
         assert np.array_equal(ps.coords, ds.coords[order])
-        assert np.array_equal(ps.codes, ds.label_codes[order])
 
     def test_membership_outside_the_parent(self, line3):
         ps = pb.PrototypeSet(line3, [2])

@@ -449,7 +449,7 @@ class TestRunCnnOnline:
         # default cap, in up to 9 coordinates
         for seed in range(30):
             max_n = 30 if seed % 2 else 400
-            items = list(pb.fuzz_dataset(seed, max_n=max_n, max_dim=9).points)
+            items = list(pb.fuzz_dataset(seed, max_n=max_n, max_dim=9))
             assert online_outcome(items, len(items)) == (
                 loop_run_cnn_online(iter(items), len(items))
             )
