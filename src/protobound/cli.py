@@ -307,12 +307,16 @@ def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
         _fail_input("pass a dataset file or --fuzz N (exactly one)")
     if sigma is not None:
         _check_sigma(sigma)
+    # each mode refuses the other's options, and its report records them null
     if fuzz is None:
-        ctx = click.get_current_context()
-        for name in ("seed", "max_n"):
-            if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
-                _fail_input(f"--{name.replace('_', '-')} applies only with --fuzz")
-        seed = max_n = None  # file mode reads neither
+        unread, mode = ("seed", "max_n"), "--fuzz"
+    else:
+        unread, mode = ("label_column",), "a dataset file"
+    ctx = click.get_current_context()
+    for name in unread:
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            _fail_input(f"--{name.replace('_', '-')} applies only with {mode}")
+    if fuzz is None:
         cases = [(None, _load(dataset_path, label_column))]
     else:
         cases = ((s, fuzz_dataset(s, max_n=max_n)) for s in range(seed, seed + fuzz))
@@ -335,7 +339,7 @@ def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
         click.echo(f"{passed}/{fuzz} PASS")
     _emit_report(
         out, {"runs": runs, "all_pass": passed == len(runs)}, dataset_path,
-        seed=seed, max_n=max_n,
+        **dict.fromkeys(unread),
     )
     if passed < len(runs):
         sys.exit(1)

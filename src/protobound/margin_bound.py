@@ -13,11 +13,12 @@ R^2 / delta^2 with R = sqrt(2).
 
 The solver is Wolfe's nearest-point algorithm (P. Wolfe, "Finding the
 nearest point in a polytope", Math. Programming 11, 1976) in gram form, run
-on each kernel component; its `iterations` count major steps, and so does
-`max_iters`. It reports a feasible margin delta_hat = min_v (p . v) / ||p||
-for its current hull point p. Feasibility makes 2 / delta_hat^2 a valid bound
-regardless of how far the solver converged; the duality gap ||p|| - delta_hat
-quantifies the remaining slack.
+on each kernel component from one kernel row per corral point; its
+`iterations` count major steps, and so does `max_iters`. It reports a
+feasible margin delta_hat = min_v (p . v) / ||p|| for its current hull point
+p. Feasibility makes 2 / delta_hat^2 a valid bound regardless of how far the
+solver converged; the duality gap ||p|| - delta_hat quantifies the remaining
+slack.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ DEFAULT_MAX_ITERS = 100_000
 # the radius is this constant rather than anything computed from the data.
 RADIUS = math.sqrt(2.0)
 # Largest gram, in bytes, that `margin` admits for one kernel component of m
-# pairs: 8 m^2. The solver never forms that gram. It keeps the corral's gram
-# rows, at most m of them, so 8 m^2 still bounds its row block, and the
-# corral inverse at most as much again; while either grows by a quarter, its
-# former copy is held too.
+# pairs: 8 m^2. The solver never forms that gram. It keeps one kernel row per
+# corral point, at most 8 n_c^2 = 8 m^2 / (|C| - 1)^2 bytes for n_c points;
+# 8 m^2 still bounds the corral inverse, its largest allocation. While the
+# inverse or the row store grows by a quarter, its former copy is held too.
 GRAM_BYTE_BUDGET = 2**30
 SIGMA_GRID_SIZE = 16
 # Rank-one terms `_hull_descent` holds before folding them into its inverse.
@@ -77,22 +78,24 @@ def _pair_rows(points: np.ndarray, q: int) -> np.ndarray:
     return (points[:, None] * q + np.arange(q)).ravel()
 
 
-def _pair_gram_rows(
+def _point_kernel_rows(
     dataset: Dataset, points: np.ndarray, cfg: KernelConfig
-) -> Callable[[int], np.ndarray]:
-    """Rows of the gram of the difference vectors of the given points, in
-    pair order: the returned `row(a)` makes row a.
+) -> tuple[Callable[[int], np.ndarray], np.ndarray, np.ndarray]:
+    """The kernel rows of the given points, from which the gram of their
+    difference vectors follows: the returned `row(j)` makes local point j's
+    row, and E and `local` give each pair, in pair order, its channel vector
+    and its point.
 
     Pair (i, y) stands for the feature of point i on its true channel minus
     the same feature on channel y. Inner products never touch feature space:
 
         <(i, y), (j, y')> = (e_{c_i} - e_y) . (e_{c_j} - e_{y'}) * k(x_i, x_j)
 
-    so with E's rows the channel vectors e_{c_i} - e_y, row a is point i's
-    kernel row gathered to pairs, times E E[a]. E E[a] holds small integers
-    and is exact, and the kernel row is one `sq_dists_to` row, whose entries
-    are exactly symmetric; so the gram is exactly symmetric, and its diagonal
-    is exactly 2.
+    so with E's rows the channel vectors e_{c_i} - e_y, gram entry (a, b) is
+    row(local[a])[local[b]] * (E[a] . E[b]). E[a] . E[b] is a small integer
+    and exact, and the kernel row is one `sq_dists_to` row, whose entries are
+    exactly symmetric; so the gram is exactly symmetric, and its diagonal is
+    exactly 2.
     """
     q = len(dataset.classes) - 1
     coords = _take_rows(dataset.coords, points)
@@ -101,12 +104,10 @@ def _pair_gram_rows(
     true = dataset.label_codes[points][local]
     E = eye[true] - eye[dataset.wrong_codes[points].ravel()]
 
-    def row(a: int) -> np.ndarray:
-        out = cfg.kernel(sq_dists_to(coords, coords[local[a]]))[local]
-        out *= E @ E[a]
-        return out
+    def row(j: int) -> np.ndarray:
+        return cfg.kernel(sq_dists_to(coords, coords[j]))
 
-    return row
+    return row, E, local
 
 
 def _kernel_components(
@@ -211,12 +212,17 @@ class _Block(NamedTuple):
 
 
 def _hull_descent(
-    row: Callable[[int], np.ndarray], m: int, tol: float, max_iters: int
+    row: Callable[[int], np.ndarray],
+    E: np.ndarray,
+    local: np.ndarray,
+    tol: float,
+    max_iters: int,
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Wolfe's nearest-point algorithm on the convex weights over m vertices,
-    from vertex 0, reading the gram only through `row`; returns the last
-    point's weights, renormalized, its scores rescored from scratch, the
-    major-step count and whether the gap closed to `tol`.
+    """Wolfe's nearest-point algorithm on the convex weights over the pairs
+    of `_point_kernel_rows`, from pair 0, reading the kernel only through
+    `row`; returns the last point's weights, renormalized, its scores
+    rescored from scratch, the major-step count and whether the gap closed
+    to `tol`.
 
     The corral S holds affinely independent vertices with positive weights
     `lam`. Each major step adds the vertex fw minimizing p . v; minor cycles
@@ -224,19 +230,27 @@ def _hull_descent(
     to (G_SS + J)^-1 1, stopping at the hull boundary and dropping the
     members that reach zero whenever an affine weight is negative.
 
-    Only the corral's gram rows are kept, as the first |S| rows of one
-    block: a vertex's row is made when it enters and swap-removed when it
-    leaves. The scores p . v are lam @ rows, and G[fw, S] is a column of the
-    rows, as G is exactly symmetric. The final rescoring reads the kept rows
-    and remakes only those of members the last minor cycles dropped.
+    Only the corral's kernel rows are kept, one per corral point in a slot
+    table: a point's row is made when its first pair enters and swap-removed
+    when its last pair leaves. Everything the solve reads comes from them.
+    The scores are p . v = E_v . W[:, j_v] for v on point j_v, where
+    W = V^T rows and V holds each slot's channel sums of lam. E_v sums to
+    zero, so measuring every channel from the last leaves the scores as
+    they are and zeroes the last channel: V and W keep the others, each
+    from one scatter and one row product. The column G[S, fw] is fw's point
+    row at S's points times E_S . E_fw, as the kernel is exactly symmetric;
+    the stall rebuild's G_SS is gathered from the rows alike; and the final
+    rescoring reads the kept rows and remakes only those of points the last
+    minor cycles dropped.
 
     The inverse of G_SS + J changes by one rank-one term per member that
     enters (a bordered update) or leaves (a Schur downdate of the last row
     and column, after a swap puts it there). It is kept as
     base + U diag(d) U^T, and the terms in U are folded into `base`
     _PENDING at a time, by one matrix product instead of one pass over its
-    |S|^2 entries each. Its row sums `w` are kept current directly. The row
-    block and the inverse grow by a quarter of |S| at a time, never past m.
+    |S|^2 entries each. Its row sums `w` are kept current directly. The
+    inverse grows by a quarter of |S| at a time, never past the pair count,
+    and the slot table likewise, never past the point count.
 
     An affine minimizer scores its corral alike, so fw in S is rounding, and
     so is a Schur complement s <= 0, which puts fw in S's affine hull. On
@@ -248,12 +262,52 @@ def _hull_descent(
     rounding level of the origin, where every hull point has margin at most
     sqrt(tol) and min_v (p . v) / ||p|| no longer recomputes stably.
     """
-    size = min(m, 64)
-    rows = np.empty((size, m))
-    rows[0] = row(0)
+    m, channels = E.shape
+    n = int(local[-1]) + 1
+    q = m // n  # pairs run point by point, q to a point
+    true, wrong = E.argmax(axis=1), E.argmin(axis=1)
+    F = E[:, :-1].T - E[:, -1]  # each pair's channels, measured from the last
+    W = np.zeros((channels, n))  # so W's last row stays zero
+    flat = W.ravel()
+    at_true, at_wrong = true * n + local, wrong * n + local  # places in W
+    table = np.empty((min(n, 64), n))
+    owner: list[int] = []  # the point of each slot in use
+    slot = np.full(n, -1, dtype=np.intp)
+
+    def admit(j: int, kernel_row: np.ndarray) -> None:
+        """Give point j the next slot, holding `kernel_row`."""
+        nonlocal table
+        if len(owner) == len(table):
+            grown = min(n, len(table) + len(table) // 4)
+            table = np.pad(table, ((0, grown - len(table)), (0, 0)))
+        slot[j] = len(owner)
+        table[len(owner)] = kernel_row
+        owner.append(j)
+
+    def evict(j: int) -> None:
+        """Free point j's slot, moving the last slot's row into it."""
+        last = owner.pop()
+        if last != j:
+            table[slot[j]] = table[len(owner)]
+            owner[slot[j]] = last
+            slot[last] = slot[j]
+        slot[j] = -1
+
+    def scores(pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """G @ x for the x with `weights` on `pairs`, whose points all hold
+        slots."""
+        at = slot[local[pairs]]
+        for ch in range(channels - 1):
+            v = np.zeros(len(owner))
+            np.add.at(v, at, weights * F[ch, pairs])
+            np.matmul(v, table[: len(owner)], out=W[ch])
+        return flat[at_true] - flat[at_wrong]
+
     corral = np.zeros(1, dtype=np.intp)
     lam = np.ones(1)
-    w = np.array([1.0 / (rows[0, 0] + 1.0)])
+    admit(0, row(0))
+    w = np.array([1.0 / (2.0 * table[0, 0] + 1.0)])
+    size = min(m, 64)
     base = np.zeros((size, size))
     base[0, 0] = w[0]
     U = np.empty((size, _PENDING))
@@ -262,7 +316,7 @@ def _hull_descent(
     in_corral = np.zeros(m, dtype=bool)
     in_corral[0] = True
     support, weights = corral.copy(), lam  # the last point p
-    g = lam @ rows[:1]
+    g = scores(corral, lam)
     norm2 = float(lam @ g[corral])
     iterations = 0
     converged = rebuilt = False
@@ -293,16 +347,25 @@ def _hull_descent(
         k = len(corral)
         s = 0.0
         if not in_corral[fw]:
-            new = row(fw)
-            c = rows[:k, fw] + 1.0
-            u, s = schur(c, new[fw])
+            j = int(local[fw])
+            new = row(j) if slot[j] < 0 else table[slot[j]]
+            # E_S . E_fw is E_S's channel c less its channel y, for
+            # E_fw = e_c - e_y; so E_fw . E_fw = 2
+            c = E[corral, true[fw]] - E[corral, wrong[fw]]
+            c *= new[local[corral]]
+            c += 1.0
+            diagonal = 2.0 * new[j]
+            u, s = schur(c, diagonal)
         if s <= 0.0:
             if rebuilt:
                 break
             rebuilt = True
             # w from a backward-stable solve, so that the corral's scores
             # agree to rounding, where the inverse's row sums need not
-            gram_j = rows[:k, corral] + 1.0
+            points = local[corral]
+            gram_j = table[np.ix_(slot[points], points)] * (
+                E[corral] @ E[corral].T
+            ) + 1.0
             try:
                 base[:k, :k] = np.linalg.inv(gram_j)
                 w = np.linalg.solve(gram_j, np.ones(k))
@@ -310,14 +373,14 @@ def _hull_descent(
                 break
             r = 0
             if not in_corral[fw]:
-                u, s = schur(c, new[fw])
+                u, s = schur(c, diagonal)
         if s > 0.0:
             if k == len(base):
                 grown = min(m, k + k // 4)
-                rows = np.pad(rows, ((0, grown - k), (0, 0)))
                 base = np.pad(base, (0, grown - k))
                 U = np.pad(U, ((0, grown - k), (0, 0)))
-            rows[k] = new
+            if slot[j] < 0:
+                admit(j, new)
             # bordered update: the old inverse padded with a zero row and
             # column, plus [u; -1] [u; -1]^T / s
             base[k, : k + 1] = base[:k, k] = 0.0
@@ -345,7 +408,6 @@ def _hull_descent(
                 corral[order], lam[order], w[order] = (
                     corral[swap], lam[swap], w[swap]
                 )
-                rows[i] = rows[k]
                 base[order, : k + 1] = base[swap, : k + 1]
                 base[: k + 1, order] = base[: k + 1, swap]
                 U[order, :r] = U[swap, :r]
@@ -355,8 +417,11 @@ def _hull_descent(
                 push(col[:k], -1.0 / col[k])
                 w = w[:k] - col[:k] * (w[k] / col[k])
                 in_corral[corral[k]] = False
+                gone = int(local[corral[k]])
+                if not in_corral[gone * q : (gone + 1) * q].any():
+                    evict(gone)
                 corral, lam = corral[:k], lam[:k]
-        g_step = lam @ rows[:k]
+        g_step = scores(corral, lam)
         norm2_step = float(lam @ g_step[corral])
         if not tol < norm2_step < norm2:
             break
@@ -364,10 +429,10 @@ def _hull_descent(
         g, norm2, rebuilt = g_step, norm2_step, False
     alpha = np.zeros(m, dtype=np.float64)
     alpha[support] = weights / weights.sum()
-    g = alpha[corral] @ rows[: len(corral)]
-    for b in support[~in_corral[support]]:  # dropped since p was reached
-        g += alpha[b] * row(int(b))
-    return alpha, g, iterations, converged
+    for j in np.unique(local[support]):
+        if slot[j] < 0:  # dropped since p was reached
+            admit(int(j), row(int(j)))
+    return alpha, scores(support, alpha[support]), iterations, converged
 
 
 def _component_block(
@@ -377,10 +442,11 @@ def _component_block(
     tol: float,
     max_iters: int,
 ) -> _Block:
-    """Solve one kernel component of two or more points from its gram rows."""
+    """Solve one kernel component of two or more points from its kernel
+    rows."""
     rows = _pair_rows(points, len(dataset.classes) - 1)
     alpha, g, iterations, converged = _hull_descent(
-        _pair_gram_rows(dataset, points, cfg), len(rows), tol, max_iters
+        *_point_kernel_rows(dataset, points, cfg), tol, max_iters
     )
     return _Block(rows, alpha, g, float(alpha @ g), iterations, converged)
 
@@ -426,8 +492,9 @@ def margin(
     point of the corral's hull nearest the origin, until the component's
     duality gap falls to `tol`, `max_iters` major steps run out, or rounding
     stops the descent. `iterations` counts those major steps. The solve
-    makes a gram row only when its vertex enters the corral, and keeps only
-    the corral's rows, so no m x m gram is formed; a set that is one
+    makes a point's kernel row only when the point's first pair enters the
+    corral, and keeps one row per corral point, from which it derives the
+    gram entries it reads, so no m x m gram is formed; a set that is one
     component takes the same steps as a single solve.
 
     The certificate weights the blocks' hull points by t_k as above and
@@ -454,8 +521,8 @@ def margin(
     as its solve computed them.
 
     Raises GramBudgetError, before solving any component, when the largest
-    component's gram of 8 m^2 bytes (m of its pairs), the most its row block
-    can reach, exceeds GRAM_BYTE_BUDGET.
+    component's gram of 8 m^2 bytes (m of its pairs), the most its corral
+    inverse can reach, exceeds GRAM_BYTE_BUDGET.
     """
     if len(dataset.classes) < 2:
         raise VacuousBoundError(

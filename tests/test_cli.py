@@ -99,6 +99,7 @@ def chain12_csv(tmp_path):
         ["equiv", "{one}"],
         ["equiv", "{data}", "--seed", "5"],
         ["equiv", "{data}", "--max-n", "7"],
+        ["equiv", "--fuzz", "1", "--label-column", "y"],
         ["neighborly", "{one}"],
         ["cnn", "{latin1}"],
         ["cnn", "{long_cell}"],
@@ -110,6 +111,7 @@ def chain12_csv(tmp_path):
         "bound-inf-grid", "online-negative-checkpoints", "bound-zero-iters",
         "bound-negative-tol", "bound-nan-tol", "neighborly-no-cap-option",
         "mp-one-point", "equiv-one-point", "equiv-file-seed", "equiv-file-max-n",
+        "equiv-fuzz-label-column",
         "neighborly-one-point",
         "cnn-not-utf8", "cnn-cell-past-field-limit",
     ],
@@ -274,8 +276,11 @@ class TestEnvelope:
             (["mp", "{data}", "--max-passes", "20", "--sigma", "0.25"],
              {"label_column": "label", "sigma": 0.25, "max_passes": 20}),
             (["equiv", "--max-n", "5", "--seed", "2", "--fuzz", "1"],
-             {"label_column": "label", "sigma": None, "fuzz": 1, "seed": 2,
+             {"label_column": None, "sigma": None, "fuzz": 1, "seed": 2,
               "max_n": 5}),
+            (["equiv", "--fuzz", "2", "--sigma", "0.25"],
+             {"label_column": None, "sigma": 0.25, "fuzz": 2, "seed": 0,
+              "max_n": 30}),
             (["equiv", "{data}", "--sigma", "0.25"],
              {"label_column": "label", "sigma": 0.25, "fuzz": None,
               "seed": None, "max_n": None}),
@@ -291,8 +296,8 @@ class TestEnvelope:
               "{tmp}/c.csv", "--items", "6", "--spec", SPEC],
              {"spec": SPEC, "items": 6, "checkpoints": 2, "seed": 1}),
         ],
-        ids=["cnn", "mp-default-sigma", "mp", "equiv", "equiv-file", "bound",
-             "neighborly", "online"],
+        ids=["cnn", "mp-default-sigma", "mp", "equiv", "equiv-fuzz-defaults",
+             "equiv-file", "bound", "neighborly", "online"],
     )
     def test_parameters_are_the_options_in_declaration_order(
         self, runner, line3_csv, tmp_path, args, parameters
@@ -557,6 +562,18 @@ class TestEquivCommand:
         result = runner.invoke(main, ["equiv", line3_csv, option, default])
         assert result.exit_code == 2
         assert result.stderr == f"error: {option} applies only with --fuzz\n"
+
+    def test_fuzz_mode_refuses_the_label_column(self, runner):
+        # fuzz datasets are generated, so no column is read, even at the
+        # default name
+        for name in ("y", "label"):
+            result = runner.invoke(
+                main, ["equiv", "--fuzz", "1", "--label-column", name]
+            )
+            assert result.exit_code == 2
+            assert result.stderr == (
+                "error: --label-column applies only with a dataset file\n"
+            )
 
 
 class TestBoundCommand:

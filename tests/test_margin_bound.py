@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -35,11 +36,14 @@ def full_run_agrees(dataset, sigma):
 
 
 def full_gram(dataset, cfg):
-    """The row producer's rows over every point, stacked: the whole set's
-    pair gram, in pair order, as the solver reads it."""
-    row = margin_bound._pair_gram_rows(dataset, np.arange(len(dataset)), cfg)
-    m = dataset.wrong_codes.size
-    return np.array([row(a) for a in range(m)]).reshape(m, m)
+    """The producer's kernel rows over every point, expanded to the whole
+    set's pair gram in pair order: entry (a, b) is the kernel row of a's
+    point at b's point times E[a] . E[b], the floats the solver reads."""
+    row, E, local = margin_bound._point_kernel_rows(
+        dataset, np.arange(len(dataset)), cfg
+    )
+    K = np.array([row(j) for j in range(len(dataset))]).reshape(len(dataset), -1)
+    return K[np.ix_(local, local)] * (E @ E.T)
 
 
 def four_mask_gram(dataset, cfg):
@@ -298,8 +302,8 @@ def gram_cases():
 
 
 class TestDifferenceVectorSet:
-    """The difference vectors' gram, as `_pair_gram_rows` makes its rows over
-    every point, against the pair order `margin` reports."""
+    """The difference vectors' gram, as `_point_kernel_rows`' kernel rows
+    expand to it over every point, against the pair order `margin` reports."""
 
     def test_pairs_enumerate_point_wrong_class(self, line3):
         cert = pb.margin(line3, pb.KernelConfig(1.0))
@@ -643,8 +647,9 @@ def stall_cases():
 
 
 class TestRowStoreSolver:
-    """`_hull_descent` keeps only its corral's gram rows; the dense solver it
-    replaced is the oracle."""
+    """`_hull_descent` keeps one kernel row per corral point, from which it
+    derives the gram entries it reads; the dense solver it replaced is the
+    oracle."""
 
     def test_converges_wherever_dense_oracle_does(self):
         tol = pb.DEFAULT_TOL
@@ -666,6 +671,22 @@ class TestRowStoreSolver:
             assert np.abs(block.scores - G @ block.alpha).max() <= 1e-12
             outcomes.add((converged, block.converged))
         assert outcomes == {(True, True), (False, False), (False, True)}
+
+    def test_memory_peak_holds_one_row_per_corral_point(self):
+        # 600 separated points at sigma=0.1 form one component of 1,200
+        # pairs, whose final corral of about 590 pairs sits on about 296
+        # points. One 600-wide kernel row per corral point stays below 9 MB;
+        # one 1,200-wide gram row per corral pair peaks near 11.6 MB
+        blobs = [((0.0, 0.0), "A"), ((2.0, 0.0), "B"), ((1.0, 1.5), "C")]
+        ds = pb.generate_blobs(0, 200, blobs, 0.3)
+        tracemalloc.start()
+        try:
+            cert = pb.margin(ds, pb.KernelConfig(0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cert.components, cert.converged) == (1, True)
+        assert peak < 9 * 2**20, peak
 
     def test_stalls_retry_from_a_rebuilt_inverse(self):
         # rounding in the corral inverse stalls the dense oracle on some of
