@@ -181,24 +181,6 @@ class MarginCertificate:
     def separable(self) -> bool:
         return self.delta_hat > 0.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "delta_hat": self.delta_hat,
-            "radius": self.radius,
-            "bound": self.bound,
-            "duality_gap": self.duality_gap,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "components": self.components,
-            "largest_component": self.largest_component,
-            "support": [
-                {"index": i, "wrong_class": y, "coefficient": float(a)}
-                for (i, y), a in zip(self.pairs, self.coefficients)
-                if a > 0.0
-            ],
-        }
-
 
 class _Block(NamedTuple):
     """The hull point of one orthogonal block of pairs, before weighting."""
@@ -669,9 +651,18 @@ def cnn_bound(
     not accounted for. An uncertified sigma is refused unless `override` is
     set, which skips the trace check. A single-class dataset yields the
     vacuous report (one prototype).
+
+    `trace` must be a condensation of `dataset` itself, and `certificate`
+    equal to `sufficient_sigma(dataset)`; either drawn from another dataset
+    raises ValueError. Tied data and a single point have no certificate, so
+    any certificate given for them is refused.
     """
     if trace is None:
         trace = run_cnn(dataset)
+    elif trace.prototypes.parent is not dataset:
+        raise ValueError("trace was not drawn from this dataset")
+    if certificate is not None and not _is_own_certificate(certificate, dataset):
+        raise ValueError("certificate is not this dataset's sufficient_sigma")
     count = len(trace.prototypes)
     if len(dataset.classes) < 2:
         return BoundReport(cfg.sigma, False, count, len(dataset), None)
@@ -690,6 +681,15 @@ def cnn_bound(
             f"no positive margin certified at sigma={cfg.sigma}"
         )
     return BoundReport(cfg.sigma, certified, count, len(dataset), cert)
+
+
+def _is_own_certificate(certificate: SigmaCertificate, dataset: Dataset) -> bool:
+    """Whether `certificate` is `sufficient_sigma(dataset)`, read from the
+    dataset's cached squared-distance gap."""
+    try:
+        return certificate == sufficient_sigma(dataset)
+    except (GammaDegenerateError, ValueError):  # a tie, or a single point
+        return False
 
 
 def default_sigma_grid(sigma_star: float) -> list[float]:

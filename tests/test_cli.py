@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -21,6 +22,15 @@ LINE3_CSV = "x0,label\n0.0,A\n10.0,B\n11.0,B\n"
 TIE_CSV = "x0,label\n-1.0,A\n0.0,B\n1.0,A\n"
 ONE_CSV = "x0,label\n0.0,A\n"
 SPEC = '{"centers": [{"coords": [0.0], "label": "A"}, {"coords": [9.0], "label": "B"}], "spread": 0.5}'
+# `gen` specs of the checks at scale: two blobs, and the three-centre blobs
+TWO_BLOBS_SPEC = (
+    '{"centers": [{"coords": [0, 0], "label": "A"}, {"coords": [3, 0], '
+    '"label": "B"}], "spread": 0.5}'
+)
+THREE_BLOBS_SPEC = (
+    '{"centers": [{"coords": [0, 0], "label": "A"}, {"coords": [2, 0], '
+    '"label": "B"}, {"coords": [1, 1.5], "label": "C"}], "spread": %s}'
+)
 
 
 @pytest.fixture
@@ -37,6 +47,25 @@ def line3_csv(tmp_path):
 
 def read_report(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def gen_csv(runner, path, spec, n_per_class):
+    """Write `gen`'s seed-0 blobs to `path`; return the path as a string."""
+    result = runner.invoke(
+        main, ["gen", "--n-per-class", str(n_per_class), "--seed", "0",
+               "--out", str(path), "--spec", spec]
+    )
+    assert result.exit_code == 0, result.output
+    return str(path)
+
+
+def invoke_within(runner, seconds, argv):
+    """Run the CLI on `argv`, which must return within `seconds`."""
+    start = time.perf_counter()
+    result = runner.invoke(main, argv)
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"{argv[0]} took {elapsed:.1f} s"
+    return result
 
 
 @pytest.fixture
@@ -501,9 +530,9 @@ class TestEquivCommand:
         # far above sigma*, seeds 0 and 2 run out condensation's pass count;
         # every run still reports condensation's prototypes and passes
         out = tmp_path / "report.json"
-        result = runner.invoke(
-            main, ["equiv", "--fuzz", "3", "--seed", "0", "--sigma", "50",
-                   "--out", str(out)]
+        result = invoke_within(
+            runner, 30, ["equiv", "--fuzz", "3", "--seed", "0", "--sigma", "50",
+                         "--out", str(out)]
         )
         assert result.exit_code == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -632,6 +661,49 @@ class TestBoundCommand:
         assert result.exit_code == 1
         assert "FAIL: no positive margin certified at sigma=" in result.stderr
         assert "--max-iters 10" in result.stderr
+
+    def test_ten_blob_points_form_one_converged_component(self, runner, tmp_path):
+        # at sigma=0.3 the 10 points are one kernel component, whose solve
+        # must converge within the default budget of major steps
+        tiny = gen_csv(runner, tmp_path / "tiny.csv", TWO_BLOBS_SPEC, 5)
+        out = tmp_path / "tiny-bound.json"
+        result = runner.invoke(
+            main, ["bound", tiny, "--sigma-grid", "0.3", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        r = read_report(out)["results"]["evaluated"][0]
+        assert r["largest_component"] == 10 and r["converged"], r
+
+    def test_tied_data_needs_an_explicit_grid(self, runner, tmp_path):
+        # tied data has no analytic threshold: the default grid is refused,
+        # and an explicit grid point is certified where the perceptron
+        # replays condensation's trace instead
+        tie = tmp_path / "tie.csv"
+        tie.write_text("x,label\n-1,A\n0,B\n1,A\n", encoding="utf-8")
+        assert runner.invoke(main, ["bound", str(tie)]).exit_code == 2
+        out = tmp_path / "tie.json"
+        result = runner.invoke(
+            main, ["bound", str(tie), "--sigma-grid", "0.05", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        best = read_report(out)["results"]["best"]
+        assert best["sigma_certified"], best
+
+    def test_separated_600_points_far_above_sigma_star(self, runner, tmp_path):
+        # far above sigma*, the perceptron replays condensation's trace at
+        # sigma=0.01 and 0.1 but not at 1, so the grid keeps the first two
+        # and skips the third
+        sep600 = gen_csv(runner, tmp_path / "sep600.csv", THREE_BLOBS_SPEC % 0.3, 200)
+        out = tmp_path / "sep600.json"
+        result = invoke_within(
+            runner, 120,
+            ["bound", sep600, "--sigma-grid", "0.01,0.1,1", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        r = read_report(out)["results"]
+        b = r["best"]
+        assert (b["sigma"], b["prototype_count"], b["sigma_certified"],
+                r["skipped_sigmas"]) == (0.1, 13, True, [1.0]), r
 
     def test_gram_past_budget_exits_2(self, runner, chain12_csv, monkeypatch):
         monkeypatch.setattr(pb.margin_bound, "GRAM_BYTE_BUDGET", 1000)
@@ -835,6 +907,67 @@ class TestOnlineCommand:
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("error: stream item ")
         assert message in result.output
+
+    def test_twenty_thousand_items(self, runner, tmp_path):
+        # two separated classes, scored in blocks: every item is read, no
+        # conflict is skipped, and the curve has 10 non-decreasing sizes
+        # ending at the prototype count
+        spec = ('{"centers": [{"coords": [0, 0], "label": "A"}, '
+                '{"coords": [6, 0], "label": "B"}], "spread": 1}')
+        out = tmp_path / "online.json"
+        result = invoke_within(
+            runner, 60,
+            ["online", "--items", "20000", "--out", str(out), "--spec", spec],
+        )
+        assert result.exit_code == 0, result.output
+        r = read_report(out)["results"]
+        sizes = [s for _, s in r["curve"]]
+        assert r["items_seen"] == 20000 and r["conflicts_skipped"] == 0, r
+        assert len(sizes) == 10 and sizes == sorted(sizes), r
+        assert sizes[-1] == r["prototype_count"], r
+
+
+@pytest.fixture(scope="module")
+def overlap_csv(tmp_path_factory):
+    """3,000 points of three overlapping classes, from `gen`."""
+    path = tmp_path_factory.mktemp("overlap") / "overlap.csv"
+    return gen_csv(CliRunner(), path, THREE_BLOBS_SPEC % 0.8, 1000)
+
+
+class TestOverlappingClassesAtScale:
+    @pytest.fixture(scope="class")
+    def half_sigma_star(self, overlap_csv):
+        result = CliRunner().invoke(main, ["neighborly", overlap_csv])
+        assert result.exit_code == 0, result.output
+        return json.loads(result.stdout)["sigma_star"] / 2
+
+    def test_bound_is_the_closed_form(self, runner, overlap_csv, tmp_path):
+        # every certified bandwidth isolates every point, so the closed form
+        # must answer at scale
+        out = tmp_path / "overlap.json"
+        result = invoke_within(runner, 120, ["bound", overlap_csv, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        best = read_report(out)["results"]["best"]
+        assert best["largest_component"] == 1, best
+
+    def test_sampled_verification_passes(self, runner, overlap_csv, half_sigma_star):
+        # the default 2,000 trials at half the certified bandwidth
+        result = invoke_within(
+            runner, 120,
+            ["neighborly", overlap_csv, "--sigma", repr(half_sigma_star),
+             "--mode", "sampled"],
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stdout.startswith("PASS"), result.output
+
+    def test_perceptron_replays_condensation(self, runner, overlap_csv, half_sigma_star):
+        # the perceptron, which skips the kernel entries that underflow to
+        # 0.0, must replay condensation's trace
+        result = invoke_within(
+            runner, 120, ["equiv", overlap_csv, "--sigma", repr(half_sigma_star)]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stdout.startswith("PASS"), result.output
 
 
 class TestGenCommand:
