@@ -48,9 +48,10 @@ class _NearestPrototypes:
     """Every point's nearest prototype (squared distance, source index, class
     code), in scan order: `nn_rule._sweep`'s scorer for condensation. Each
     addition takes one distance row over the set, the very floats
-    `sq_dists_to(prototypes.coords, x)` would give, and wins where it is
-    nearer, or as near with a smaller source index: `nearest`'s tie-break,
-    as insertion order is not source order under a shuffle.
+    `sq_dists_to(prototypes.coords, x)` would give, written into one
+    n-float buffer, and wins where it is nearer, or as near with a smaller
+    source index: `nearest`'s tie-break, as insertion order is not source
+    order under a shuffle.
     """
 
     def __init__(self, dataset: Dataset, order: np.ndarray):
@@ -61,16 +62,22 @@ class _NearestPrototypes:
         self._near_index = np.zeros(len(order), dtype=np.int64)
         self.argmax_codes = np.zeros(len(order), dtype=np.int64)
         self.mistaken = np.ones(len(order), dtype=bool)  # the empty set errs
+        self._row = np.empty(len(order))
 
     def add(self, t: int) -> None:
         """Add the point at scan position t as a prototype."""
         i, code = self._order[t], self._codes[t]
-        d2 = sq_dists_to(self._coords, self._coords[t])
-        won = (d2 < self._near_d2) | ((d2 == self._near_d2) & (i < self._near_index))
-        self._near_d2[won] = d2[won]
-        self._near_index[won] = i
-        self.argmax_codes[won] = code
-        self.mistaken[won] = self._codes[won] != code
+        d2 = sq_dists_to(self._coords, self._coords[t], out=self._row)
+        # only points the new prototype reaches, at d2 <= their nearest, can
+        # change; of those it wins where nearer, or tied with a smaller index
+        reach = np.flatnonzero(d2 <= self._near_d2)
+        d2 = d2[reach]
+        won = (d2 < self._near_d2[reach]) | (i < self._near_index[reach])
+        at = reach[won]
+        self._near_d2[at] = d2[won]
+        self._near_index[at] = i
+        self.argmax_codes[at] = code
+        self.mistaken[at] = self._codes[at] != code
 
 
 @dataclass

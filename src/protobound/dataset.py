@@ -26,6 +26,9 @@ DEFAULT_LABEL_COLUMN = "label"
 MIN_COORD_MAGNITUDE = 2.0**-482
 # Batched distance passes split their queries into blocks of at most this
 # many elements (at least one query per block), so their memory stays flat.
+# Against n points in d coordinates a query counts n elements below 8
+# coordinates, its result row, and n * d from 8 on, its share of the
+# (q, n, d) difference block (`_query_blocks`).
 BLOCK_ELEMENTS = 2**14
 
 
@@ -62,7 +65,9 @@ def _take_rows(coords: np.ndarray, idx) -> np.ndarray:
     return coords[idx]
 
 
-def sq_dists_to(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
+def sq_dists_to(
+    coords: np.ndarray, x: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Squared Euclidean distance from each row of `coords` to `x`; for `x`
     of shape (q, d), one such row per query, shape (q, len(coords)).
 
@@ -71,11 +76,16 @@ def sq_dists_to(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
     `np.sum(diff * diff, axis=-1)` over C-contiguous copies bit for bit, for
     `coords` and `x` in any layout. Below 8 coordinates numpy adds them left
     to right, which a sum of squared columns does: one pass per coordinate,
-    contiguous when `coords` is feature-major (`_coord_buffer`), with no
-    (q, n, d) temporary. From 8 on, numpy's pairwise order applies only over
-    contiguous rows (over a strided last axis `np.sum` adds left to right),
-    so `diff` is formed in C order whatever the caller's layout, and squared
-    in place.
+    contiguous when `coords` is feature-major (`_coord_buffer`), with one
+    column temporary and no (q, n, d) block. From 8 on, numpy's pairwise
+    order applies only over contiguous rows (over a strided last axis
+    `np.sum` adds left to right), so `diff` is formed in C order whatever
+    the caller's layout, and squared in place.
+
+    With `out`, a C-contiguous float64 array of the result's shape, the
+    result is written there, with the same floats, and `out` is returned:
+    a loop that scores one query block after another can keep its rows in
+    one buffer it allocates once.
     """
     x = np.asarray(x)
     d = coords.shape[-1]
@@ -83,19 +93,23 @@ def sq_dists_to(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
         diff = coords - x[..., None, :]
         if not diff.flags.c_contiguous:
             diff = np.ascontiguousarray(diff)
-        return np.sum(np.multiply(diff, diff, out=diff), axis=-1)
-    out = coords[:, 0] - x[..., 0, None]
+        return np.sum(np.multiply(diff, diff, out=diff), axis=-1, out=out)
+    out = np.subtract(coords[:, 0], x[..., 0, None], out=out)
     np.multiply(out, out, out=out)
+    sq = None  # the column temporary, made by the first column past 0
     for j in range(1, d):
-        sq = coords[:, j] - x[..., j, None]
+        sq = np.subtract(coords[:, j], x[..., j, None], out=sq)
         out += np.multiply(sq, sq, out=sq)
     return out
 
 
-def _query_blocks(n_queries: int, per_query: int) -> Iterator[slice]:
-    """Consecutive slices of range(n_queries) that hold at most
-    BLOCK_ELEMENTS elements at `per_query` elements a query, and at least
-    one query each."""
+def _query_blocks(n_queries: int, coords: np.ndarray) -> Iterator[slice]:
+    """Consecutive slices of range(n_queries) whose queries, scored against
+    `coords` by `sq_dists_to`, hold at most BLOCK_ELEMENTS elements (a
+    query's row below 8 coordinates, its n * d differences from 8 on), and
+    at least one query each."""
+    n, d = coords.shape
+    per_query = n if d < _PAIRWISE_MIN_DIM else n * d
     step = max(1, BLOCK_ELEMENTS // max(1, per_query))
     for start in range(0, n_queries, step):
         yield slice(start, min(start + step, n_queries))
@@ -111,12 +125,26 @@ def _stream_block_size(n: int, d: int, limit: int) -> int:
     return max(1, min(q, limit))
 
 
+def _row_blocks(
+    coords: np.ndarray, queries: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """(block, `sq_dists_to(coords, queries[block])`) over the consecutive
+    `_query_blocks` of `queries`; row r of a block's matrix is query
+    block.start + r, the very floats a single-row call gives. Every block's
+    matrix is a leading slice of one buffer, so its rows are valid until the
+    next block is drawn, and the caller may overwrite them."""
+    rows = None
+    for block in _query_blocks(len(queries), coords):
+        if rows is None:  # the first block is the longest
+            rows = np.empty((block.stop, len(coords)))
+        out = rows[: block.stop - block.start]
+        yield block, sq_dists_to(coords, queries[block], out=out)
+
+
 def _distance_row_blocks(coords: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """(block, `sq_dists_to(coords, coords[block])`) over consecutive query
-    blocks of every point in `coords`; row r of a block's matrix is query
-    block.start + r, the very floats a single-row call gives."""
-    for block in _query_blocks(len(coords), coords.size):
-        yield block, sq_dists_to(coords, coords[block])
+    """`_row_blocks` of every point in `coords` against them all: the rows
+    of the all-pairs pass, valid until the next block is drawn."""
+    return _row_blocks(coords, coords)
 
 
 class DatasetError(Exception):
@@ -140,12 +168,11 @@ class LabeledPoint:
     label: str
 
     def __post_init__(self) -> None:
-        coords = tuple(float(v) for v in self.coords)
+        coords = tuple(map(float, self.coords))
         if not coords:
             raise DatasetError("a point needs at least one coordinate")
-        for v in coords:
-            if not math.isfinite(v):
-                raise DatasetError(f"non-finite coordinate in point {coords!r}")
+        if not all(map(math.isfinite, coords)):
+            raise DatasetError(f"non-finite coordinate in point {coords!r}")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "label", str(self.label))
 
@@ -369,7 +396,11 @@ class Dataset:
             rows.sort(axis=1)
             nearest[block] = rows[:, 1]
             largest = max(largest, float(rows[:, -1].max()))
-            diffs = np.diff(rows, axis=1)
+            # the consecutive differences overwrite the sorted rows in the
+            # block buffer, as a second block-sized buffer would raise the
+            # pass's peak memory; numpy reads the overlapping operand from a
+            # transient copy
+            diffs = np.subtract(rows[:, 1:], rows[:, :-1], out=rows[:, 1:])
             smallest = float(diffs.min())
             if smallest == 0.0:  # sorted rows have no negative gaps
                 # only a tie needs its row unsorted, to name the tied points
@@ -649,9 +680,10 @@ def blob_stream(
 
     def items() -> Iterator[LabeledPoint]:
         rng = np.random.default_rng(seed)
+        integers, standard_normal = rng.integers, rng.standard_normal
         while True:
-            center, label = validated[int(rng.integers(len(validated)))]
-            noise = rng.standard_normal(dim).tolist()
+            center, label = validated[int(integers(len(validated)))]
+            noise = standard_normal(dim).tolist()
             yield LabeledPoint(
                 tuple([c + spread * z for c, z in zip(center, noise)]), label
             )

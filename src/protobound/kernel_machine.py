@@ -284,8 +284,8 @@ def _replay(dataset: Dataset, cfg: KernelConfig, trace: UpdateTrace) -> UpdateTr
 
 class _SweepScores:
     """`argmax_class(w, x)` for every point x of a dataset, kept current as
-    records are appended to `w`, one distance row per record:
-    `nn_rule._sweep`'s scorer for the perceptron.
+    records are appended to `w`, one distance row per record, written into
+    one n-float buffer: `nn_rule._sweep`'s scorer for the perceptron.
 
     Per point, it keeps the shift (the smallest squared distance to a record)
     and the per-class sums of added and subtracted shifted ratios, class-major
@@ -330,6 +330,7 @@ class _SweepScores:
         # an empty weight vector's argmax is the first class, degenerately
         self.argmax_codes = np.zeros(n, dtype=np.int64)
         self.mistaken = np.ones(n, dtype=bool)
+        self._row = np.empty(n)
 
     def add(self, i: int) -> None:
         """Append the update at point i to `w`, as `run_mp` sets out, and
@@ -344,7 +345,7 @@ class _SweepScores:
     def absorb(self, i: int) -> None:
         """Take in the record just appended to `w`, at point i."""
         w = self._w
-        d2 = sq_dists_to(self._coords, self._coords[i])
+        d2 = sq_dists_to(self._coords, self._coords[i], out=self._row)
         # the nearer points, with d2 - shift < 0, are all kept
         keep = np.flatnonzero(d2 - self._shift <= self._cut)
         d2 = d2[keep]
@@ -360,7 +361,7 @@ class _SweepScores:
         self._added[w.c_codes[-1], keep] += ratios
         if w.y_codes[-1] >= 0:
             self._subtracted[w.y_codes[-1], keep] += ratios
-        for block in _query_blocks(len(nearer), w.coords.size):
+        for block in _query_blocks(len(nearer), w.coords):
             q = nearer[block]
             sums = _shifted_class_sums(
                 sq_dists_to(w.coords, self._coords[q]),

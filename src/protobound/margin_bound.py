@@ -171,7 +171,8 @@ class MarginCertificate:
         """(point index, wrong class) of each coefficient: point by point,
         each point's wrong classes in alphabet order. Made on first read,
         as a grid search never reads it, and kept; each certificate has its
-        own list."""
+        own list. The benchmark's `perfbench/workloads.recomputed_delta`
+        reads it to rebuild a dense gram and check `delta_hat`."""
         wrong = self._dataset.wrong_codes
         points = np.repeat(np.arange(len(wrong)), wrong.shape[1])
         names = np.array(self._dataset.classes, dtype=object)[wrong]

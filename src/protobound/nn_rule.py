@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, LabeledPoint, _query_blocks, _take_rows, sq_dists_to
+from .dataset import Dataset, LabeledPoint, _row_blocks, _take_rows, sq_dists_to
 
 
 class EmptyPrototypeSetError(Exception):
@@ -138,8 +138,7 @@ def is_consistent(prototypes: PrototypeSet, dataset: Dataset) -> bool:
     members = np.sort(prototypes.index_array)
     coords = _take_rows(dataset.coords, members)
     codes = dataset.label_codes[members]
-    for block in _query_blocks(len(dataset), coords.size):
-        d2 = sq_dists_to(coords, dataset.coords[block])
+    for block, d2 in _row_blocks(coords, dataset.coords):
         if (codes[d2.argmin(axis=1)] != dataset.label_codes[block]).any():
             return False
     return True

@@ -158,6 +158,21 @@ class TestSqDists:
                         assert got.shape == expected.shape
                         assert got.tobytes() == expected.tobytes(), d
 
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 16])
+    def test_out_buffer_holds_the_allocating_result(self, d):
+        # written into a caller's buffer, a leading slice of a larger one
+        # included, the result is the allocating call's, and is that buffer
+        rng = np.random.default_rng(d)
+        rows = rng.normal(size=(40, d)) * 10.0 ** rng.uniform(-50, 50, size=(40, d))
+        for coords in (rows, np.asfortranarray(rows)):
+            for x, big in ((rows[3], np.full(60, np.nan)),
+                           (rows[5:9], np.full((7, 40), np.nan))):
+                want = pb.sq_dists_to(coords, x)
+                for buf in (np.empty(want.shape), big[: len(want)]):
+                    got = pb.sq_dists_to(coords, x, out=buf)
+                    assert got is buf
+                    assert got.tobytes() == want.tobytes()
+
 
 def is_layout_for(coords, d):
     """Whether every column (below 8 coordinates) or every row (from 8 on)

@@ -6,11 +6,13 @@ order, and blocked online condensation against its per-item loop."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import protobound as pb
+import protobound.cnn
 import protobound.dataset
 import protobound.kernel_machine
 from protobound.cnn import _NearestPrototypes
@@ -20,6 +22,7 @@ from protobound.kernel_machine import (
     _SweepScores,
     _zero_cut,
 )
+from protobound.dataset import _distance_row_blocks
 from sweep_oracles import (
     blocked_min_squared_gap,
     dense_class_sums,
@@ -39,10 +42,19 @@ MAX_PASSES = 20
 OVERLAP = [((0.0, 0.0), "A"), ((0.0, 0.0), "B")]
 
 
-@pytest.fixture(params=[None, 1, 2**62], ids=["default-cap", "one-row", "huge-cap"])
+# splits most 40-point fuzz sets, in either coordinate layout, into blocks
+# of a few rows with a shorter last block
+FEW_ROWS = 500
+
+
+@pytest.fixture(
+    params=[None, 1, FEW_ROWS, 2**62],
+    ids=["default-cap", "one-row", "few-rows", "huge-cap"],
+)
 def block_cap(request, monkeypatch):
-    """Batched passes at the default block cap, one query per block, and
-    every query in one block."""
+    """Batched passes at the default block cap, one query per block, a few
+    queries per block with a shorter last one, and every query in one
+    block."""
     if request.param is not None:
         monkeypatch.setattr(protobound.dataset, "BLOCK_ELEMENTS", request.param)
 
@@ -177,6 +189,31 @@ class TestScorersAgree:
             assert len(w) == len(ds)
             checked += 1
         assert checked >= 40
+
+
+def test_every_event_row_lands_in_one_buffer(monkeypatch):
+    # each sweep writes its per-event distance row into one buffer it owns;
+    # the rows are kept alive here, so fresh rows would be distinct arrays
+    rows = []
+    kernel = pb.sq_dists_to
+
+    def recorded(coords, x, **kwargs):
+        got = kernel(coords, x, **kwargs)
+        if np.ndim(x) == 1:  # an event's row, not a block of re-derivations
+            rows.append(got)
+        return got
+
+    monkeypatch.setattr(protobound.cnn, "sq_dists_to", recorded)
+    monkeypatch.setattr(protobound.kernel_machine, "sq_dists_to", recorded)
+    ds = blob_set(67)
+    cnn = pb.run_cnn(ds)
+    assert len(rows) == len(cnn.events) > 1
+    assert all(row is rows[0] for row in rows)
+    rows.clear()
+    sigma = pb.sufficient_sigma(ds).sigma_star / 2.0
+    mp, _ = pb.run_mp(ds, pb.KernelConfig(sigma))
+    assert len(rows) == len(mp.events) > 1
+    assert all(row is rows[0] for row in rows)
 
 
 def replayed_sweep(dataset, w):
@@ -509,6 +546,24 @@ class TestRunCnnOnline:
         assert str(exc.value) == str(former.value)
 
 
+def test_few_rows_cap_splits_blocks_into_one_buffer(monkeypatch):
+    # in both coordinate layouts some fuzz sets split into blocks of several
+    # rows with a shorter last one, and every block is a leading slice of
+    # the first one
+    monkeypatch.setattr(protobound.dataset, "BLOCK_ELEMENTS", FEW_ROWS)
+    short_tails = set()
+    for ds in fuzz_sets(40):
+        sizes, first = [], None
+        for block, rows in _distance_row_blocks(ds.coords):
+            first = rows if first is None else first
+            assert rows.ctypes.data == first.ctypes.data
+            assert rows.shape == (block.stop - block.start, len(ds))
+            sizes.append(len(rows))
+        if sizes[-1] < sizes[0]:
+            short_tails.add(ds.dim >= 8)
+    assert short_tails == {False, True}
+
+
 def min_squared_gap_outcome(dataset):
     try:
         return pb.min_squared_gap(dataset)
@@ -601,6 +656,16 @@ class TestAllPairsPass:
         assert (ds.diameter(), ds.nearest_sq_dists.tolist()) == (0.0, [math.inf])
         with pytest.raises(ValueError):
             pb.min_squared_gap(ds)
+
+    def test_the_sorting_pass_holds_no_n_by_n_array(self):
+        ds = pb.random_dataset(0, 2000, 2, 3)
+        tracemalloc.start()
+        try:
+            pb.sufficient_sigma(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # an n x n float64 array would take 32 MB
 
     def test_bound_infimum_runs_one_pass(self, passes):
         ds = blob_set(60)
