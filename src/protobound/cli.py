@@ -154,6 +154,17 @@ def _check_sigma(sigma: float, prefix: str = "") -> None:
         _fail_input(f"{prefix}{exc}")
 
 
+def _refuse_unread(mode: str, *unread: str) -> dict:
+    """Exit 2 if an option named in `unread`, which the running mode does not
+    read, was given; `mode` says what they apply with. Returns them as the
+    report's null parameters."""
+    ctx = click.get_current_context()
+    for name in unread:
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            _fail_input(f"--{name.replace('_', '-')} applies only with {mode}")
+    return dict.fromkeys(unread)
+
+
 def _default_sigma(dataset: Dataset) -> float:
     cert = _certificate(dataset, "bandwidth threshold", "pass --sigma explicitly")
     return cert.sigma_star / 2.0
@@ -307,15 +318,10 @@ def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
         _fail_input("pass a dataset file or --fuzz N (exactly one)")
     if sigma is not None:
         _check_sigma(sigma)
-    # each mode refuses the other's options, and its report records them null
     if fuzz is None:
-        unread, mode = ("seed", "max_n"), "--fuzz"
+        unread = _refuse_unread("--fuzz", "seed", "max_n")
     else:
-        unread, mode = ("label_column",), "a dataset file"
-    ctx = click.get_current_context()
-    for name in unread:
-        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
-            _fail_input(f"--{name.replace('_', '-')} applies only with {mode}")
+        unread = _refuse_unread("a dataset file", "label_column")
     if fuzz is None:
         cases = [(None, _load(dataset_path, label_column))]
     else:
@@ -339,7 +345,7 @@ def equiv_cmd(dataset_path, label_column, sigma, fuzz, seed, max_n, out):
         click.echo(f"{passed}/{fuzz} PASS")
     _emit_report(
         out, {"runs": runs, "all_pass": passed == len(runs)}, dataset_path,
-        **dict.fromkeys(unread),
+        **unread,
     )
     if passed < len(runs):
         sys.exit(1)
@@ -401,17 +407,26 @@ def bound_cmd(dataset_path, label_column, sigma_grid, tol, max_iters, out):
 @click.option("--sigma", type=float, default=None,
               help="Verify this bandwidth; omit to print the certificate.")
 @click.option("--mode", type=click.Choice(["exhaustive", "sampled"]),
-              default="exhaustive", show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+              default="exhaustive", show_default=True,
+              help="How --sigma is verified.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Seed of the sampled trials.")
 @click.option("--trials", type=int, default=DEFAULT_SAMPLED_TRIALS,
-              show_default=True)
+              show_default=True, help="Number of sampled trials.")
 @click.option("--out", type=click.Path(), default=None, help="JSON report path.")
 def neighborly_cmd(dataset_path, label_column, sigma, mode, seed, trials, out):
     """Certify or verify that kernel scoring reproduces the 1-NN rule."""
+    if sigma is None:
+        unread = _refuse_unread("--sigma", "mode", "seed", "trials")
+    elif mode == "exhaustive":
+        unread = _refuse_unread("--mode sampled", "seed", "trials")
+    else:
+        unread = {}
     dataset = _load(dataset_path, label_column)
     if sigma is None:
         cert = _certificate(dataset, "certificate", "verify an explicit --sigma")
-        _emit_report(out, {"certificate": cert.to_json_dict()}, dataset_path)
+        _emit_report(out, {"certificate": cert.to_json_dict()}, dataset_path,
+                     **unread)
         click.echo(json.dumps(cert.to_json_dict(), indent=2))
         return
     try:
@@ -434,7 +449,7 @@ def neighborly_cmd(dataset_path, label_column, sigma, mode, seed, trials, out):
             "degenerate": violation.degenerate,
         },
     }
-    _emit_report(out, results, dataset_path)
+    _emit_report(out, results, dataset_path, **unread)
     if violation is None:
         click.echo(f"PASS: sigma={sigma} is neighborly ({mode})")
     else:

@@ -28,7 +28,7 @@ MIN_COORD_MAGNITUDE = 2.0**-482
 # many elements (at least one query per block), so their memory stays flat.
 # Against n points in d coordinates a query counts n elements below 8
 # coordinates, its result row, and n * d from 8 on, its share of the
-# (q, n, d) difference block (`_query_blocks`).
+# (q, n, d) difference block (`_row_blocks`).
 BLOCK_ELEMENTS = 2**14
 
 
@@ -103,18 +103,6 @@ def sq_dists_to(
     return out
 
 
-def _query_blocks(n_queries: int, coords: np.ndarray) -> Iterator[slice]:
-    """Consecutive slices of range(n_queries) whose queries, scored against
-    `coords` by `sq_dists_to`, hold at most BLOCK_ELEMENTS elements (a
-    query's row below 8 coordinates, its n * d differences from 8 on), and
-    at least one query each."""
-    n, d = coords.shape
-    per_query = n if d < _PAIRWISE_MIN_DIM else n * d
-    step = max(1, BLOCK_ELEMENTS // max(1, per_query))
-    for start in range(0, n_queries, step):
-        yield slice(start, min(start + step, n_queries))
-
-
 def _stream_block_size(n: int, d: int, limit: int) -> int:
     """The largest q >= 1, and at most `limit`, with q * (n + q) * d <=
     BLOCK_ELEMENTS: a block of q queries scored against n points and against
@@ -128,16 +116,21 @@ def _stream_block_size(n: int, d: int, limit: int) -> int:
 def _row_blocks(
     coords: np.ndarray, queries: np.ndarray
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """(block, `sq_dists_to(coords, queries[block])`) over the consecutive
-    `_query_blocks` of `queries`; row r of a block's matrix is query
-    block.start + r, the very floats a single-row call gives. Every block's
-    matrix is a leading slice of one buffer, so its rows are valid until the
-    next block is drawn, and the caller may overwrite them."""
-    rows = None
-    for block in _query_blocks(len(queries), coords):
-        if rows is None:  # the first block is the longest
-            rows = np.empty((block.stop, len(coords)))
-        out = rows[: block.stop - block.start]
+    """(block, `sq_dists_to(coords, queries[block])`) over consecutive
+    slices of `queries` that count at most BLOCK_ELEMENTS elements each, and
+    at least one query; row r of a block's matrix is query block.start + r,
+    the very floats a single-row call gives. Every block's matrix is a
+    leading slice of one buffer, so its rows are valid until the next block
+    is drawn, and the caller may overwrite them. Every batched pass over a
+    query set cuts its blocks here; only online condensation, which must
+    size a block before pulling its items, uses `_stream_block_size`."""
+    n, d = coords.shape
+    per_query = n if d < _PAIRWISE_MIN_DIM else n * d
+    step = max(1, BLOCK_ELEMENTS // max(1, per_query))
+    rows = np.empty((min(step, len(queries)), n))
+    for start in range(0, len(queries), step):
+        block = slice(start, min(start + step, len(queries)))
+        out = rows[: block.stop - start]
         yield block, sq_dists_to(coords, queries[block], out=out)
 
 

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, _coord_buffer, _doubled, _query_blocks, sq_dists_to
+from .dataset import Dataset, _coord_buffer, _doubled, _row_blocks, sq_dists_to
 from .nn_rule import UpdateTrace, _sweep
 
 
@@ -309,7 +309,7 @@ class _SweepScores:
       reached yet (old = inf) is here too, unless the cut itself is inf.
     - otherwise, a near tie: every ratio changes, and the point is
       re-derived from all records exactly as `shifted_class_scores` derives
-      them, batched in query blocks.
+      them, batched in `_row_blocks`.
 
     The row skips the points whose shifted squared distance to the record
     exceeds `_zero_cut`, as `_shifted_class_sums` skips such entries in the
@@ -361,14 +361,12 @@ class _SweepScores:
         self._added[w.c_codes[-1], keep] += ratios
         if w.y_codes[-1] >= 0:
             self._subtracted[w.y_codes[-1], keep] += ratios
-        for block in _query_blocks(len(nearer), w.coords):
-            q = nearer[block]
-            sums = _shifted_class_sums(
-                sq_dists_to(w.coords, self._coords[q]),
-                np.stack((w.c_codes, w.y_codes)), w.kernel, len(w.classes),
-            )
-            self._added[:, q] = sums[:, 0].T
-            self._subtracted[:, q] = sums[:, 1].T
+        if len(nearer):  # most records leave no near tie to re-derive
+            codes = np.stack((w.c_codes, w.y_codes))
+            for block, d2 in _row_blocks(w.coords, self._coords[nearer]):
+                sums = _shifted_class_sums(d2, codes, w.kernel, len(w.classes))
+                self._added[:, nearer[block]] = sums[:, 0].T
+                self._subtracted[:, nearer[block]] = sums[:, 1].T
         # a zero ratio changes no sum, and every moved point's is 1
         changed = keep[np.flatnonzero(ratios)]
         scores = self._added[:, changed] - self._subtracted[:, changed]

@@ -31,7 +31,7 @@ from typing import Callable, ClassVar, NamedTuple
 import numpy as np
 
 from .cnn import run_cnn
-from .dataset import Dataset, _take_rows, sq_dists_to
+from .dataset import Dataset, _row_blocks, _take_rows, sq_dists_to
 from .kernel_machine import KernelConfig, _replay
 from .neighborly import GammaDegenerateError, SigmaCertificate, sufficient_sigma
 from .nn_rule import UpdateTrace
@@ -120,7 +120,7 @@ def _kernel_components(
     arrays of at least two points each, ordered by their first point. exp is
     monotone, so a point is isolated exactly when the kernel of its nearest
     other point is 0.0; only the remaining points are searched, breadth
-    first, with one row of squared distances per frontier point. Those rows
+    first, one wave of frontier rows at a time (`_row_blocks`). Those rows
     are `sq_dists_to`'s, like the gram's kernel rows, and exactly symmetric,
     so the links are too.
     """
@@ -134,8 +134,8 @@ def _kernel_components(
         while len(frontier) and len(unseen):
             rest = _take_rows(coords, unseen)
             linked = np.zeros(len(unseen), dtype=bool)
-            for i in frontier:
-                linked |= cfg.kernel(sq_dists_to(rest, coords[i])) > 0.0
+            for _, rows in _row_blocks(rest, coords[frontier]):
+                linked |= (cfg.kernel(rows) > 0.0).any(axis=0)
             frontier, unseen = unseen[linked], unseen[~linked]
             members.append(frontier)
         components.append(np.sort(np.concatenate(members)))
@@ -148,10 +148,11 @@ class MarginCertificate:
 
     `coefficients` are convex weights over `pairs` describing the hull point
     p. `delta_hat` is the feasible margin min_v (p . v) / ||p||; `bound` is
-    radius^2 / delta_hat^2. `duality_gap` is ||p|| - delta_hat. `iterations`
-    sums the solver's major steps over the kernel components; `components`
-    counts them, isolated points included, and `largest_component` is the
-    point count of the largest.
+    radius^2 / delta_hat^2, or inf where delta_hat^2 is not positive.
+    `duality_gap` is ||p|| - delta_hat. `iterations` sums the solver's major
+    steps over the kernel components; `components` counts them, isolated
+    points included, and `largest_component` is the point count of the
+    largest.
     """
 
     radius: ClassVar[float] = RADIUS
@@ -180,7 +181,9 @@ class MarginCertificate:
 
     @property
     def separable(self) -> bool:
-        return self.delta_hat > 0.0
+        """Whether the certificate bounds the prototype count: a positive
+        margin whose square is positive too, so the bound is finite."""
+        return math.isfinite(self.bound)
 
 
 class _Block(NamedTuple):
@@ -503,10 +506,13 @@ def margin(
     and the bound above that point's exact bound. A component's scores count
     as its solve computed them.
 
-    Raises GramBudgetError, before solving any component, when the largest
+    Raises ValueError for a negative or non-finite `tol`, and
+    GramBudgetError, before solving any component, when the largest
     component's gram of 8 m^2 bytes (m of its pairs), the most its corral
     inverse can reach, exceeds GRAM_BYTE_BUDGET.
     """
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
     if len(dataset.classes) < 2:
         raise VacuousBoundError(
             "a single-class alphabet admits no difference vectors"
@@ -550,7 +556,10 @@ def margin(
         delta_hat = 0.0
         gap = 0.0
     converged = all(b.converged for b in blocks) and gap <= tol
-    bound = RADIUS * RADIUS / (delta_hat * delta_hat) if delta_hat > 0.0 else math.inf
+    # a positive delta_hat below about 1.5e-162 squares to 0.0: no finite bound
+    bound = math.inf
+    if delta_hat > 0.0 and delta_hat * delta_hat > 0.0:
+        bound = RADIUS * RADIUS / (delta_hat * delta_hat)
     return MarginCertificate(
         cfg.sigma,
         delta_hat,
@@ -680,6 +689,9 @@ def cnn_bound(
     if not cert.separable:
         raise NotSeparableError(
             f"no positive margin certified at sigma={cfg.sigma}"
+            if cert.delta_hat <= 0.0 else
+            f"delta_hat={cert.delta_hat!r} at sigma={cfg.sigma} squares to "
+            f"0.0, so no finite bound is certified"
         )
     return BoundReport(cfg.sigma, certified, count, len(dataset), cert)
 

@@ -129,6 +129,11 @@ def chain12_csv(tmp_path):
         ["equiv", "{data}", "--seed", "5"],
         ["equiv", "{data}", "--max-n", "7"],
         ["equiv", "--fuzz", "1", "--label-column", "y"],
+        ["neighborly", "{line3}", "--sigma", "0.1", "--trials", "5", "--seed", "3"],
+        ["neighborly", "{line3}", "--sigma", "0.1", "--seed", "0"],
+        ["neighborly", "{line3}", "--mode", "sampled"],
+        ["neighborly", "{line3}", "--seed", "3"],
+        ["neighborly", "{line3}", "--trials", "5"],
         ["neighborly", "{one}"],
         ["cnn", "{latin1}"],
         ["cnn", "{long_cell}"],
@@ -141,16 +146,20 @@ def chain12_csv(tmp_path):
         "bound-negative-tol", "bound-nan-tol", "neighborly-no-cap-option",
         "mp-one-point", "equiv-one-point", "equiv-file-seed", "equiv-file-max-n",
         "equiv-fuzz-label-column",
+        "neighborly-exhaustive-seed-trials", "neighborly-exhaustive-default-seed",
+        "neighborly-certificate-mode", "neighborly-certificate-seed",
+        "neighborly-certificate-trials",
         "neighborly-one-point",
         "cnn-not-utf8", "cnn-cell-past-field-limit",
     ],
 )
-def test_input_errors_exit_2(runner, d20_csv, one_csv, tmp_path, args):
+def test_input_errors_exit_2(runner, d20_csv, one_csv, line3_csv, tmp_path, args):
     # one Latin-1 byte, and a cell past the CSV reader's field size limit
     (tmp_path / "latin1.csv").write_bytes(b"x,label\n0,caf\xe9\n")
     (tmp_path / "long_cell.csv").write_text("x,label\n0," + "a" * 200_000 + "\n")
     argv = [a.replace("{data}", d20_csv).replace("{one}", one_csv)
-            .replace("{tmp}", str(tmp_path)) for a in args]
+            .replace("{line3}", line3_csv).replace("{tmp}", str(tmp_path))
+            for a in args]
     argv = [a.replace("{latin1}", str(tmp_path / "latin1.csv"))
             .replace("{long_cell}", str(tmp_path / "long_cell.csv")) for a in argv]
     result = runner.invoke(main, argv)
@@ -321,12 +330,19 @@ class TestEnvelope:
               "--mode", "sampled", "--sigma", "0.3"],
              {"label_column": "label", "sigma": 0.3, "mode": "sampled",
               "seed": 4, "trials": 7}),
+            (["neighborly", "{data}", "--sigma", "0.3"],
+             {"label_column": "label", "sigma": 0.3, "mode": "exhaustive",
+              "seed": None, "trials": None}),
+            (["neighborly", "{data}"],
+             {"label_column": "label", "sigma": None, "mode": None,
+              "seed": None, "trials": None}),
             (["online", "--seed", "1", "--checkpoints", "2", "--out-csv",
               "{tmp}/c.csv", "--items", "6", "--spec", SPEC],
              {"spec": SPEC, "items": 6, "checkpoints": 2, "seed": 1}),
         ],
         ids=["cnn", "mp-default-sigma", "mp", "equiv", "equiv-fuzz-defaults",
-             "equiv-file", "bound", "neighborly", "online"],
+             "equiv-file", "bound", "neighborly", "neighborly-exhaustive",
+             "neighborly-certificate", "online"],
     )
     def test_parameters_are_the_options_in_declaration_order(
         self, runner, line3_csv, tmp_path, args, parameters
@@ -617,6 +633,35 @@ class TestBoundCommand:
         assert report["results"]["best"]["R"] == pytest.approx(2**0.5)
         assert len(report["results"]["evaluated"]) == 16
 
+    def test_single_class_is_a_vacuous_report(self, runner, tmp_path):
+        path = tmp_path / "one_class.csv"
+        path.write_text("x0,label\n0.0,A\n1.0,A\n2.5,A\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["bound", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == "single-class data: vacuous bound, prototypes=1\n"
+        best = read_report(out)["results"]["best"]
+        assert best["vacuous"] is True and best["bound"] is None, best
+        assert best["delta_hat"] is None and best["satisfied"] is True, best
+        assert best["prototype_count"] == 1, best
+
+    def test_margin_squaring_to_zero_is_a_failing_verdict(self, runner, tmp_path):
+        # one major step leaves delta_hat near 2.7e-200, whose square is 0.0:
+        # no finite bound, so a FAIL line and exit 1, not a traceback
+        path = tmp_path / "chain4.csv"
+        path.write_text("x0,label\n0.0,A\n1.0,A\n2.0,A\n100.0,B\n",
+                        encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["bound", str(path), "--sigma-grid", "0.03296902366978935",
+             "--max-iters", "1"],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("FAIL: delta_hat="), result.stderr
+        assert "squares to 0.0" in result.stderr
+        assert result.stderr.endswith(" within --max-iters 1\n")
+
     def test_explicit_grid(self, runner, line3_csv):
         result = runner.invoke(main, ["bound", line3_csv, "--sigma-grid", "0.1,0.2"])
         assert result.exit_code == 0
@@ -815,6 +860,27 @@ class TestNeighborlyCommand:
         result = runner.invoke(main, ["neighborly", line3_csv, "--sigma", "0"])
         assert result.exit_code == 2
         assert "sigma must be positive" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--sigma", "0.1", "--trials", "5", "--seed", "3"],
+             "--seed applies only with --mode sampled"),
+            (["--sigma", "0.1", "--mode", "exhaustive", "--trials", "5"],
+             "--trials applies only with --mode sampled"),
+            (["--mode", "exhaustive"], "--mode applies only with --sigma"),
+            (["--trials", "5"], "--trials applies only with --sigma"),
+        ],
+        ids=["exhaustive-seed", "exhaustive-trials", "certificate-mode",
+             "certificate-trials"],
+    )
+    def test_unread_option_is_named(self, runner, line3_csv, args, message):
+        # exhaustive mode reads neither --seed nor --trials, and the
+        # certificate none of the three verification options
+        result = runner.invoke(main, ["neighborly", line3_csv, *args])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
+        assert result.stdout == ""
 
 
 class TestOnlineCommand:

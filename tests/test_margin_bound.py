@@ -478,6 +478,37 @@ class TestMarginSolver:
         assert not cert.separable
         assert cert.bound == math.inf
 
+    @pytest.mark.parametrize(
+        "dataset, sigma",
+        [
+            (pb.Dataset([((0.0,), "A"), ((1.0,), "A"), ((2.0,), "A"),
+                         ((100.0,), "B")]), math.sqrt(1 / 920)),
+            (pb.fuzz_dataset(385, max_n=12, max_dim=2, max_classes=3), 1e-3),
+        ],
+        ids=["chain4", "fuzz385"],
+    )
+    def test_margin_squaring_to_zero_has_no_finite_bound(self, dataset, sigma):
+        # one major step leaves a positive delta_hat below about 1.5e-162,
+        # whose square is 0.0: the bound is inf, as for a non-positive margin
+        cert = pb.margin(dataset, pb.KernelConfig(sigma), max_iters=1)
+        assert 0.0 < cert.delta_hat and cert.delta_hat * cert.delta_hat == 0.0
+        assert cert.bound == math.inf and not cert.separable
+        with pytest.raises(pb.NotSeparableError, match="squares to 0.0"):
+            pb.cnn_bound(dataset, pb.KernelConfig(sigma), max_iters=1,
+                         override=True)
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_tol_must_be_nonnegative_and_finite(self, tol):
+        # a negative tol once let the solver step to the origin and then
+        # divide by its zero norm; nan and inf ran without complaint
+        with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+            pb.margin(two_point(1.0), pb.KernelConfig(1e9), tol=tol)
+
+    def test_zero_tol_still_solves(self):
+        cert = pb.margin(two_point(1.0), pb.KernelConfig(1.0), tol=0.0)
+        default = pb.margin(two_point(1.0), pb.KernelConfig(1.0))
+        assert cert.separable and cert.delta_hat == default.delta_hat
+
     def test_delta_hat_recomputable_from_reported_state(self):
         for seed in range(10):
             ds = pb.fuzz_dataset(seed, max_n=10, max_classes=3)
@@ -496,6 +527,15 @@ class TestKernelComponents:
             got |= {frozenset(c.tolist()) for c in components}
             assert got == union_find_components(ds, cfg.sigma)
             assert all(len(c) >= 2 for c in components)
+
+    @pytest.mark.parametrize("cap", [1, 24, 2**62],
+                             ids=["one-row", "few-rows", "huge-cap"])
+    def test_partition_equals_union_find_at_every_block_cap(self, monkeypatch, cap):
+        # each breadth-first wave reads its frontier's rows in `_row_blocks`:
+        # one row per block, a few (24 elements hold two rows against 12
+        # unseen points), or the whole frontier in one
+        monkeypatch.setattr(pb.dataset, "BLOCK_ELEMENTS", cap)
+        self.test_partition_equals_union_find()
 
     def test_certificates_against_dense_oracle(self):
         # a budget of 2,000 steps leaves about a fifth of the away-step

@@ -2,13 +2,14 @@
 
 Condensation is a multiclass perceptron run at a certified bandwidth only
 while the package keeps one kernel producer, one scoring path, one distance
-kernel, one sweep loop, one replay and one all-pairs pass. Each rule names
-what it pins and the modules (`cli`) or functions (`cli.mp_cmd`,
-`kernel_machine.KernelConfig.kernel`) where that may appear; a nested
-function is a scope of its own. A name ending in "(" counts where it is
-called, any other name wherever it is referenced or imported. A site counts
-when its dotted name ends with the rule's name, so `pb.run_mp(...)` is a
-`run_mp(` site. Comments and docstrings are not code and never count.
+kernel, one sweep loop, one replay, one all-pairs pass and one place that
+cuts query blocks. Each rule names what it pins and the modules (`cli`) or
+functions (`cli.mp_cmd`, `kernel_machine.KernelConfig.kernel`) where that
+may appear; a nested function is a scope of its own. A name ending in "("
+counts where it is called, any other name wherever it is referenced or
+imported. A site counts when its dotted name ends with the rule's name, so
+`pb.run_mp(...)` is a `run_mp(` site. Comments and docstrings are not code
+and never count.
 """
 
 import ast
@@ -42,6 +43,9 @@ RULES = [
      "elsewhere only the mp command runs the perceptron"),
     (("_distance_row_blocks",), ("dataset",),
      "loops over all pairs of points live in dataset.py"),
+    (("BLOCK_ELEMENTS",), ("dataset",),
+     "query blocks are cut in dataset.py alone, by _row_blocks and, for the "
+     "online pull, _stream_block_size"),
     (("verify_neighborly", "ExhaustiveCapError"),
      tuple(m for m in MODULES if m != "margin_bound"),
      "the size bound certifies a bandwidth analytically or by trace replay"),
@@ -117,6 +121,7 @@ PLANTED = [
     ("run_mp(", "cli", "def _planted(dataset, cfg):\n    return run_mp(dataset, cfg)"),
     ("_distance_row_blocks", "neighborly",
      "def _planted(coords):\n    return list(_distance_row_blocks(coords))"),
+    ("BLOCK_ELEMENTS", "kernel_machine", "from .dataset import BLOCK_ELEMENTS"),
     ("verify_neighborly", "margin_bound", "from .neighborly import verify_neighborly"),
     ("ExhaustiveCapError", "margin_bound",
      "def _planted():\n    raise ExhaustiveCapError('past the cap')"),
