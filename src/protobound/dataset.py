@@ -26,24 +26,16 @@ DEFAULT_LABEL_COLUMN = "label"
 MIN_COORD_MAGNITUDE = 2.0**-482
 # Batched distance passes split their queries into blocks of at most this
 # many elements (at least one query per block), so their memory stays flat.
-# Against n points in d coordinates a query counts n elements below 8
-# coordinates, its result row, and n * d from 8 on, its share of the
-# (q, n, d) difference block (`_row_blocks`).
+# Against n points a query counts n elements, its result row (`_row_blocks`).
 BLOCK_ELEMENTS = 2**14
-
-
-# numpy's sum adds fewer than this many terms left to right and more in
-# pairwise blocks; `sq_dists_to` and the coordinate layout follow it.
-_PAIRWISE_MIN_DIM = 8
 
 
 def _coord_buffer(n: int, d: int) -> np.ndarray:
     """An uninitialised (n, d) float64 coordinate matrix in the layout
-    `sq_dists_to` reads: feature-major (Fortran order) below 8 coordinates,
-    row-major from 8 on. Every coordinate matrix the package owns is
+    `sq_dists_to` reads: feature-major (Fortran order), so each coordinate
+    is one contiguous column. Every coordinate matrix the package owns is
     allocated here."""
-    order = "F" if d < _PAIRWISE_MIN_DIM else "C"
-    return np.empty((n, d), dtype=np.float64, order=order)
+    return np.empty((n, d), dtype=np.float64, order="F")
 
 
 def _doubled(buf: np.ndarray) -> np.ndarray:
@@ -58,11 +50,9 @@ def _doubled(buf: np.ndarray) -> np.ndarray:
 
 
 def _take_rows(coords: np.ndarray, idx) -> np.ndarray:
-    """`coords[idx]` for an index array `idx`, in the layout `_coord_buffer`
-    gives; plain fancy indexing would return rows."""
-    if coords.shape[1] < _PAIRWISE_MIN_DIM:
-        return np.take(coords.T, idx, axis=1).T
-    return coords[idx]
+    """`coords[idx]` for an index array `idx`, feature-major as
+    `_coord_buffer` gives; plain fancy indexing would return rows."""
+    return np.take(coords.T, idx, axis=1).T
 
 
 def sq_dists_to(
@@ -72,15 +62,13 @@ def sq_dists_to(
     of shape (q, d), one such row per query, shape (q, len(coords)).
 
     This is the single distance kernel for the whole package; everything that
-    must agree bit-for-bit on distances routes through it. The result equals
-    `np.sum(diff * diff, axis=-1)` over C-contiguous copies bit for bit, for
-    `coords` and `x` in any layout. Below 8 coordinates numpy adds them left
-    to right, which a sum of squared columns does: one pass per coordinate,
-    contiguous when `coords` is feature-major (`_coord_buffer`), with one
-    column temporary and no (q, n, d) block. From 8 on, numpy's pairwise
-    order applies only over contiguous rows (over a strided last axis
-    `np.sum` adds left to right), so `diff` is formed in C order whatever
-    the caller's layout, and squared in place.
+    must agree bit for bit on distances routes through it. It adds the
+    squared coordinate differences left to right, one column of `coords` at
+    a time, so each float follows from IEEE arithmetic alone, for `coords`
+    and `x` in any layout. Each column is one contiguous pass when `coords`
+    is feature-major (`_coord_buffer`), and the pass holds one column
+    temporary besides the result, never a (q, n, d) block. A query whose
+    last axis is not d long raises ValueError.
 
     With `out`, a C-contiguous float64 array of the result's shape, the
     result is written there, with the same floats, and `out` is returned:
@@ -89,11 +77,8 @@ def sq_dists_to(
     """
     x = np.asarray(x)
     d = coords.shape[-1]
-    if d >= _PAIRWISE_MIN_DIM:
-        diff = coords - x[..., None, :]
-        if not diff.flags.c_contiguous:
-            diff = np.ascontiguousarray(diff)
-        return np.sum(np.multiply(diff, diff, out=diff), axis=-1, out=out)
+    if x.shape[-1] != d:
+        raise ValueError(f"query has {x.shape[-1]} coordinates, expected {d}")
     out = np.subtract(coords[:, 0], x[..., 0, None], out=out)
     np.multiply(out, out, out=out)
     sq = None  # the column temporary, made by the first column past 0
@@ -106,7 +91,8 @@ def sq_dists_to(
 def _stream_block_size(n: int, d: int, limit: int) -> int:
     """The largest q >= 1, and at most `limit`, with q * (n + q) * d <=
     BLOCK_ELEMENTS: a block of q queries scored against n points and against
-    itself then forms at most BLOCK_ELEMENTS elements of differences."""
+    itself then takes d column passes of q * (n + q) elements, at most
+    BLOCK_ELEMENTS elements in all."""
     # q * (n + q) <= m  <=>  (2q + n)^2 <= n^2 + 4m  <=>  2q + n <= isqrt(...)
     m = BLOCK_ELEMENTS // d
     q = (math.isqrt(n * n + 4 * m) - n) // 2
@@ -117,16 +103,16 @@ def _row_blocks(
     coords: np.ndarray, queries: np.ndarray
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """(block, `sq_dists_to(coords, queries[block])`) over consecutive
-    slices of `queries` that count at most BLOCK_ELEMENTS elements each, and
-    at least one query; row r of a block's matrix is query block.start + r,
-    the very floats a single-row call gives. Every block's matrix is a
-    leading slice of one buffer, so its rows are valid until the next block
-    is drawn, and the caller may overwrite them. Every batched pass over a
-    query set cuts its blocks here; only online condensation, which must
-    size a block before pulling its items, uses `_stream_block_size`."""
-    n, d = coords.shape
-    per_query = n if d < _PAIRWISE_MIN_DIM else n * d
-    step = max(1, BLOCK_ELEMENTS // max(1, per_query))
+    slices of `queries` that count at most BLOCK_ELEMENTS elements each, a
+    query counting its result row of len(coords), and at least one query;
+    row r of a block's matrix is query block.start + r, the very floats a
+    single-row call gives. Every block's matrix is a leading slice of one
+    buffer, so its rows are valid until the next block is drawn, and the
+    caller may overwrite them. Every batched pass over a query set cuts its
+    blocks here; only online condensation, which must size a block before
+    pulling its items, uses `_stream_block_size`."""
+    n = len(coords)
+    step = max(1, BLOCK_ELEMENTS // max(1, n))
     rows = np.empty((min(step, len(queries)), n))
     for start in range(0, len(queries), step):
         block = slice(start, min(start + step, len(queries)))
@@ -204,9 +190,9 @@ def _check_range(coords: np.ndarray) -> None:
     MIN_COORD_MAGNITUDE. Every two distinct accepted points then have a
     squared distance d2 with 0 < d2 < inf. O(n d).
     """
-    # per-coordinate min and max: numpy reduces contiguous rows far faster,
-    # and feature-major coordinates are already columns
-    columns = np.ascontiguousarray(coords.T)
+    # per-coordinate min and max over the contiguous rows of the
+    # feature-major coordinates' transpose, which numpy reduces far faster
+    columns = coords.T
     _check_box(columns.min(axis=1), columns.max(axis=1))
     magnitudes = np.abs(coords)
     tiny = (magnitudes > 0.0) & (magnitudes < MIN_COORD_MAGNITUDE)
@@ -326,9 +312,8 @@ class Dataset:
     def coords(self) -> np.ndarray:
         """Read-only (n, d) float64 coordinate matrix, in point order.
 
-        Below 8 coordinates it is stored column by column (Fortran order),
-        so each coordinate is one contiguous pass of `sq_dists_to`; from 8
-        on, row by row. Shape, values and indexing are the same either way.
+        It is stored column by column (Fortran order), so each coordinate is
+        one contiguous pass of `sq_dists_to`.
         """
         return self._coords
 

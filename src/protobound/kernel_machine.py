@@ -35,6 +35,7 @@ function, `_shifted_class_sums`, which skips the same entries.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -241,6 +242,15 @@ def argmax_class(w: DualWeightVector, x) -> tuple[str, bool]:
 DEFAULT_MAX_PASSES = 1000
 
 
+def _check_budget(name: str, value) -> None:
+    """Refuse, with ValueError, a budget of passes or solver steps that is
+    not an integer of at least 1: fewer than one could never finish."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def run_mp(
     dataset: Dataset,
     cfg: KernelConfig,
@@ -255,11 +265,10 @@ def run_mp(
     subtract).
 
     Termination is not guaranteed for arbitrary bandwidths; `max_passes`
-    bounds the sweep and the raised error carries the partial trace. Fewer
-    than one pass could never finish, so it is refused.
+    bounds the sweep and the raised error carries the partial trace. A
+    budget that is not an integer of at least 1 raises ValueError.
     """
-    if max_passes < 1:
-        raise ValueError(f"max_passes must be at least 1, got {max_passes}")
+    _check_budget("max_passes", max_passes)
     w = DualWeightVector(cfg, dataset.classes, dataset.dim)
     scores = _SweepScores(dataset, w)
     trace, clean = _sweep(dataset, scores, range(len(dataset)), max_passes)

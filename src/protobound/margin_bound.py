@@ -32,7 +32,7 @@ import numpy as np
 
 from .cnn import run_cnn
 from .dataset import Dataset, _row_blocks, _take_rows, sq_dists_to
-from .kernel_machine import KernelConfig, _replay
+from .kernel_machine import KernelConfig, _check_budget, _replay
 from .neighborly import GammaDegenerateError, SigmaCertificate, sufficient_sigma
 from .nn_rule import UpdateTrace
 
@@ -506,13 +506,15 @@ def margin(
     and the bound above that point's exact bound. A component's scores count
     as its solve computed them.
 
-    Raises ValueError for a negative or non-finite `tol`, and
-    GramBudgetError, before solving any component, when the largest
-    component's gram of 8 m^2 bytes (m of its pairs), the most its corral
-    inverse can reach, exceeds GRAM_BYTE_BUDGET.
+    Raises ValueError for a negative or non-finite `tol` or a `max_iters`
+    that is not an integer of at least 1, and GramBudgetError, before
+    solving any component, when the largest component's gram of 8 m^2 bytes
+    (m of its pairs), the most its corral inverse can reach, exceeds
+    GRAM_BYTE_BUDGET.
     """
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
+    _check_budget("max_iters", max_iters)
     if len(dataset.classes) < 2:
         raise VacuousBoundError(
             "a single-class alphabet admits no difference vectors"

@@ -31,6 +31,12 @@ THREE_BLOBS_SPEC = (
     '{"centers": [{"coords": [0, 0], "label": "A"}, {"coords": [2, 0], '
     '"label": "B"}, {"coords": [1, 1.5], "label": "C"}], "spread": %s}'
 )
+# three blobs in 9 coordinates, to run the chain from gen to bound at d >= 8
+NINE_D_SPEC = (
+    '{"centers": [{"coords": [0, 0, 0, 0, 0, 0, 0, 0, 0], "label": "A"}, '
+    '{"coords": [2, 0, 0, 0, 0, 0, 0, 0, 1], "label": "B"}, '
+    '{"coords": [1, 1.5, 0, 0, 0, 0, 0, 1, 0], "label": "C"}], "spread": 0.5}'
+)
 
 
 @pytest.fixture
@@ -1034,6 +1040,17 @@ class TestOverlappingClassesAtScale:
         )
         assert result.exit_code == 0, result.output
         assert result.stdout.startswith("PASS"), result.output
+
+
+def test_the_chain_runs_in_nine_coordinates(runner, tmp_path):
+    wide = gen_csv(runner, tmp_path / "wide.csv", NINE_D_SPEC, 20)
+    assert pb.load_csv(wide).dim == 9
+    result = runner.invoke(main, ["equiv", wide])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.startswith("PASS"), result.output
+    result = runner.invoke(main, ["bound", wide])
+    assert result.exit_code == 0, result.output
+    assert "satisfied=True" in result.stdout, result.output
 
 
 class TestGenCommand:

@@ -228,6 +228,16 @@ class TestScoring:
         label, degenerate = pb.argmax_class(w, [0.3])
         assert (label, degenerate) == ("B", True)
 
+    def test_a_query_of_another_dimension_is_refused(self):
+        # a longer query must not be scored by its first two coordinates
+        w = pb.DualWeightVector(pb.KernelConfig(1.0), ("A", "B"), 2)
+        w.append(0, (0.0, 0.0), "A", "B")
+        w.append(1, (3.0, 4.0), "B", "A")
+        assert pb.argmax_class(w, [3.0, 4.0]) == ("B", False)
+        for x in ([3.0, 4.0, 100.0], [3.0]):
+            with pytest.raises(ValueError, match="expected 2"):
+                pb.argmax_class(w, x)
+
 
 class TestRunMp:
     def test_two_point_hand_trace(self):
@@ -285,7 +295,9 @@ class TestRunMp:
         assert len(exc.value.weights) == 2
 
     def test_no_passes_is_refused(self, line3):
-        # zero passes could never finish; that is a usage error, not a verdict
-        for max_passes in (0, -3):
-            with pytest.raises(ValueError, match="at least 1"):
+        # zero passes could never finish, and range() would raise TypeError
+        # on a fraction; both are usage errors, not verdicts
+        for max_passes, reason in ((0, "at least 1"), (-3, "at least 1"),
+                                   (2.5, "an integer")):
+            with pytest.raises(ValueError, match=f"max_passes must be {reason}"):
                 pb.run_mp(line3, pb.KernelConfig(1.0), max_passes=max_passes)

@@ -457,7 +457,7 @@ class TestMarginSolver:
 
     def test_budget_exhaustion_still_feasible(self, line3):
         cert = pb.margin(line3, pb.KernelConfig(0.3), max_iters=1)
-        assert not cert.converged
+        assert cert.iterations == 1 and not cert.converged
         assert cert.separable
         assert cert.duality_gap > pb.DEFAULT_TOL
         # feasibility: delta_hat never exceeds the converged value
@@ -503,6 +503,14 @@ class TestMarginSolver:
         # divide by its zero norm; nan and inf ran without complaint
         with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
             pb.margin(two_point(1.0), pb.KernelConfig(1e9), tol=tol)
+
+    @pytest.mark.parametrize("max_iters", [0, -3, 2.5])
+    def test_max_iters_must_be_a_positive_integer(self, max_iters):
+        # no step would leave delta_hat at its starting vertex's -0.858,
+        # and a fractional budget would run its ceiling in steps
+        ds = pb.Dataset([((0.0,), "A"), ((1.0,), "B"), ((1.5,), "A")])
+        with pytest.raises(ValueError, match="max_iters must be"):
+            pb.margin(ds, pb.KernelConfig(1.0), max_iters=max_iters)
 
     def test_zero_tol_still_solves(self):
         cert = pb.margin(two_point(1.0), pb.KernelConfig(1.0), tol=0.0)

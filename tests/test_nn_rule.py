@@ -1,5 +1,7 @@
 """Nearest-neighbor rule: determinism, ties, and consistency checking."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,11 +129,13 @@ class TestSqDists:
                 assert batched[q].tobytes() == row.tobytes()
 
     def test_equals_numpy_sum_bit_for_bit(self):
-        # the column sum below 8 coordinates, and numpy's pairwise sum from 8
-        # on, against the reduction it replaces over C-contiguous copies, with
-        # magnitudes spread over 200 decades, for every layout the package
-        # stores or gathers coordinates in: row-major, feature-major, strided
-        # slices, `_take_rows` output and feature-major query blocks
+        # the column sum against an explicit left-to-right sum of squared
+        # differences over C-contiguous copies, with magnitudes spread over
+        # 200 decades, for every layout the package stores or gathers
+        # coordinates in: row-major, feature-major, strided slices,
+        # `_take_rows` output and feature-major query blocks; below 8
+        # coordinates, where numpy's sum also adds left to right, that is
+        # `np.sum` bit for bit
         rng = np.random.default_rng(3)
         for d in (*range(1, 10), 16, 17, 33, 130):
             for _ in range(20):
@@ -153,10 +157,39 @@ class TestSqDists:
                     for q in (x, queries, np.asfortranarray(queries), big[:4, ::2]):
                         cc, qc = np.ascontiguousarray(c), np.ascontiguousarray(q)
                         diff = cc - qc[..., None, :]
-                        expected = np.sum(diff * diff, axis=-1)
+                        squares = diff * diff
+                        expected = squares[..., 0].copy()
+                        for j in range(1, d):
+                            expected += squares[..., j]
+                        if d < 8:
+                            summed = np.sum(squares, axis=-1)
+                            assert summed.tobytes() == expected.tobytes(), d
                         got = pb.sq_dists_to(c, q)
                         assert got.shape == expected.shape
                         assert got.tobytes() == expected.tobytes(), d
+
+    @pytest.mark.parametrize("d", [2, 9])
+    def test_refuses_a_query_of_another_dimension(self, d):
+        coords = np.asfortranarray(np.arange(3.0 * d).reshape(3, d))
+        for k in (d - 1, d + 1):
+            for x in (np.zeros(k), np.zeros((2, k))):
+                with pytest.raises(ValueError, match=f"{k} coordinates, expected {d}"):
+                    pb.sq_dists_to(coords, x)
+
+    def test_a_wide_batch_forms_no_difference_block(self):
+        # 4 queries against 4,000 points in 64 coordinates: a (q, n, d)
+        # difference block would take 8 MB, the result and one column
+        # temporary 128 kB each
+        rng = np.random.default_rng(5)
+        coords = np.asfortranarray(rng.normal(size=(4000, 64)))
+        queries = rng.normal(size=(4, 64))
+        tracemalloc.start()
+        try:
+            pb.sq_dists_to(coords, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("d", [1, 2, 7, 8, 16])
     def test_out_buffer_holds_the_allocating_result(self, d):
@@ -174,27 +207,26 @@ class TestSqDists:
                     assert got.tobytes() == want.tobytes()
 
 
-def is_layout_for(coords, d):
-    """Whether every column (below 8 coordinates) or every row (from 8 on)
-    of `coords` is contiguous, as `sq_dists_to` reads them."""
-    axis = 0 if d < 8 else 1
-    return coords.strides[axis] == coords.itemsize
+def is_feature_major(coords):
+    """Whether every column of `coords` is contiguous, as `sq_dists_to`
+    reads them."""
+    return coords.strides[0] == coords.itemsize
 
 
 class TestLayout:
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16])
     def test_owned_coordinates_are_stored_as_the_kernel_reads_them(self, d):
         ds = pb.random_dataset(d, n_points=30, dim=d, n_classes=3)
-        assert is_layout_for(ds.coords, d)
-        assert ds.coords.flags.f_contiguous == (d < 8)
-        assert ds.coords.flags.c_contiguous == (d >= 8 or d == 1)
+        assert is_feature_major(ds.coords)
+        assert ds.coords.flags.f_contiguous
+        assert ds.coords.flags.c_contiguous == (d == 1)
         ps = pb.PrototypeSet(ds, [4, 0, 17])
-        assert is_layout_for(ps.coords, d)
+        assert is_feature_major(ps.coords)
         assert np.array_equal(ps.coords, ds.coords[[4, 0, 17]])
         w = pb.DualWeightVector(pb.KernelConfig(1.0), ds.classes, d)
         for i, p in enumerate(ds):  # 30 records: the buffer doubles twice
             w.append(i, p.coords, p.label, None)
-        assert is_layout_for(w.coords, d)
+        assert is_feature_major(w.coords)
         assert np.array_equal(w.coords, ds.coords)
 
     def test_take_rows_equals_fancy_indexing(self):
@@ -204,4 +236,4 @@ class TestLayout:
             idx = rng.permutation(20)[:9]
             got = _take_rows(ds.coords, idx)
             assert np.array_equal(got, ds.coords[idx])
-            assert is_layout_for(got, d)
+            assert is_feature_major(got)

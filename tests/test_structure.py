@@ -2,14 +2,14 @@
 
 Condensation is a multiclass perceptron run at a certified bandwidth only
 while the package keeps one kernel producer, one scoring path, one distance
-kernel, one sweep loop, one replay, one all-pairs pass and one place that
-cuts query blocks. Each rule names what it pins and the modules (`cli`) or
-functions (`cli.mp_cmd`, `kernel_machine.KernelConfig.kernel`) where that
-may appear; a nested function is a scope of its own. A name ending in "("
-counts where it is called, any other name wherever it is referenced or
-imported. A site counts when its dotted name ends with the rule's name, so
-`pb.run_mp(...)` is a `run_mp(` site. Comments and docstrings are not code
-and never count.
+kernel over one coordinate layout, one sweep loop, one replay, one all-pairs
+pass and one place that cuts query blocks. Each rule names what it pins and
+the modules (`cli`) or functions (`cli.mp_cmd`,
+`kernel_machine.KernelConfig.kernel`) where that may appear; a nested
+function is a scope of its own. A name ending in "(" counts where it is
+called, any other name wherever it is referenced or imported. A site counts
+when its dotted name ends with the rule's name, so `pb.run_mp(...)` is a
+`run_mp(` site. Comments and docstrings are not code and never count.
 """
 
 import ast
@@ -30,6 +30,8 @@ MODULES = sorted(_module(SRC, p) for p in SRC.rglob("*.py"))
 # (names, modules or functions where they may appear, reason)
 RULES = [
     (("scipy",), (), "scipy is not a dependency"),
+    (("np.ascontiguousarray", "np.asfortranarray"), (),
+     "coordinates have one layout, feature-major from _coord_buffer"),
     (("np.exp",), ("kernel_machine.KernelConfig.kernel",),
      "kernel values come from KernelConfig.kernel"),
     (("np.bincount",), ("kernel_machine._shifted_class_sums",),
@@ -102,6 +104,9 @@ def test_the_package_keeps_its_single_paths():
 PLANTED = [
     ("scipy", "cnn", "from scipy import linalg"),
     ("scipy", "dataset", "def _planted():\n    import scipy.spatial"),
+    ("np.ascontiguousarray", "dataset",
+     "def _planted(coords):\n    return np.ascontiguousarray(coords.T)"),
+    ("np.asfortranarray", "cnn", "to_columns = np.asfortranarray"),
     ("np.exp", "kernel_machine", "def _planted(d2):\n    return np.exp(-d2)"),
     ("np.bincount", "kernel_machine",
      "def _planted(codes):\n    return np.bincount(codes)"),
