@@ -18,7 +18,7 @@ from .dataset import (
     DatasetError,
     LabeledPoint,
     _coord_buffer,
-    _doubled,
+    _grown,
     _RangeGuard,
     _stream_block_size,
     _take_rows,
@@ -192,7 +192,7 @@ def run_cnn_online(
                         inner = sq_dists_to(x, x).tolist()
                     added.append(t)
                     if len(labels) == len(coords):
-                        coords = _doubled(coords)
+                        coords = _grown(coords, (2 * len(coords), dim))
                     coords[len(labels)] = item.coords
                     labels.append(item.label)
             while first + t + 1 == next_mark:

@@ -34,18 +34,16 @@ def _coord_buffer(n: int, d: int) -> np.ndarray:
     """An uninitialised (n, d) float64 coordinate matrix in the layout
     `sq_dists_to` reads: feature-major (Fortran order), so each coordinate
     is one contiguous column. Every coordinate matrix the package owns is
-    allocated here."""
+    allocated here, or grown from one by `_grown`."""
     return np.empty((n, d), dtype=np.float64, order="F")
 
 
-def _doubled(buf: np.ndarray) -> np.ndarray:
-    """A copy of `buf` in a buffer with twice as many rows; a coordinate
-    matrix keeps `_coord_buffer`'s layout."""
-    if buf.ndim == 2:
-        grown = _coord_buffer(2 * len(buf), buf.shape[1])
-    else:
-        grown = np.empty(2 * len(buf), dtype=buf.dtype)
-    grown[: len(buf)] = buf
+def _grown(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A copy of `buf` in the leading corner of an uninitialised buffer of
+    `shape`, in `buf`'s dtype and layout, so a coordinate matrix keeps
+    `_coord_buffer`'s: the package's one way to grow a buffer."""
+    grown = np.empty_like(buf, shape=shape)
+    grown[tuple(map(slice, buf.shape))] = buf
     return grown
 
 

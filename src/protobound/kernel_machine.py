@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, _coord_buffer, _doubled, _row_blocks, sq_dists_to
+from .dataset import Dataset, _coord_buffer, _grown, _row_blocks, sq_dists_to
 from .nn_rule import UpdateTrace, _sweep
 
 
@@ -82,7 +82,9 @@ class DualWeightVector:
 
     Materializing the feature space is never needed: scores against any query
     are kernel sums over the records. The records are kept as growing arrays
-    so the per-query scan stays vectorized.
+    so the per-query scan stays vectorized: the coordinates, and one (3, n)
+    code array whose contiguous rows hold each record's true class,
+    subtracted class and source index.
     """
 
     def __init__(self, kernel: KernelConfig, classes: Sequence[str], dim: int):
@@ -96,9 +98,7 @@ class DualWeightVector:
         self._code = {c: k for k, c in enumerate(self.classes)}
         self._size = 0
         self._coords = _coord_buffer(8, self.dim)
-        self._c_codes = np.empty(8, dtype=np.int64)
-        self._y_codes = np.empty(8, dtype=np.int64)
-        self._indices = np.empty(8, dtype=np.int64)
+        self._codes = np.empty((3, 8), dtype=np.int64)
 
     @property
     def coords(self) -> np.ndarray:
@@ -106,12 +106,12 @@ class DualWeightVector:
 
     @property
     def c_codes(self) -> np.ndarray:
-        return self._c_codes[: self._size]
+        return self._codes[0, : self._size]
 
     @property
     def y_codes(self) -> np.ndarray:
         """Subtracted-channel codes; -1 stands for no subtraction."""
-        return self._y_codes[: self._size]
+        return self._codes[1, : self._size]
 
     def append(self, index: int | None, x, c: str, y: str | None) -> None:
         if index is not None and index < 0:
@@ -126,15 +126,12 @@ class DualWeightVector:
         if len(coords) != self.dim:
             raise ValueError(f"point has dimension {len(coords)}, expected {self.dim}")
         n = self._size
-        if n == len(self._indices):
-            self._coords = _doubled(self._coords)
-            self._c_codes = _doubled(self._c_codes)
-            self._y_codes = _doubled(self._y_codes)
-            self._indices = _doubled(self._indices)
+        if n == len(self._coords):
+            self._coords = _grown(self._coords, (2 * n, self.dim))
+            self._codes = _grown(self._codes, (3, 2 * n))
         self._coords[n] = coords
-        self._c_codes[n] = self._code[c]
-        self._y_codes[n] = -1 if y is None else self._code[y]
-        self._indices[n] = -1 if index is None else index
+        self._codes[:, n] = (self._code[c], self._code.get(y, -1),
+                             -1 if index is None else index)
         self._size = n + 1
 
     def __len__(self) -> int:
@@ -152,7 +149,7 @@ class DualWeightVector:
                     "y": None if y < 0 else self.classes[y],
                 }
                 for i, x, c, y in zip(
-                    self._indices[: self._size].tolist(),
+                    self._codes[2, : self._size].tolist(),
                     self.coords.tolist(),
                     self.c_codes.tolist(),
                     self.y_codes.tolist(),
@@ -220,8 +217,7 @@ def shifted_class_scores(w: DualWeightVector, x) -> np.ndarray:
     if len(w) == 0:
         return np.zeros(len(w.classes), dtype=np.float64)
     d2 = sq_dists_to(w.coords, np.asarray(x, dtype=np.float64)[None])
-    codes = np.stack((w.c_codes, w.y_codes))
-    sums = _shifted_class_sums(d2, codes, w.kernel, len(w.classes))
+    sums = _shifted_class_sums(d2, w._codes[:2, : len(w)], w.kernel, len(w.classes))
     return sums[0, 0] - sums[0, 1]
 
 
@@ -371,7 +367,7 @@ class _SweepScores:
         if w.y_codes[-1] >= 0:
             self._subtracted[w.y_codes[-1], keep] += ratios
         if len(nearer):  # most records leave no near tie to re-derive
-            codes = np.stack((w.c_codes, w.y_codes))
+            codes = w._codes[:2, : len(w)]
             for block, d2 in _row_blocks(w.coords, self._coords[nearer]):
                 sums = _shifted_class_sums(d2, codes, w.kernel, len(w.classes))
                 self._added[:, nearer[block]] = sums[:, 0].T

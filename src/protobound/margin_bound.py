@@ -31,7 +31,7 @@ from typing import Callable, ClassVar, NamedTuple
 import numpy as np
 
 from .cnn import run_cnn
-from .dataset import Dataset, _row_blocks, _take_rows, sq_dists_to
+from .dataset import Dataset, _grown, _row_blocks, _take_rows, sq_dists_to
 from .kernel_machine import KernelConfig, _check_budget, _replay
 from .neighborly import GammaDegenerateError, SigmaCertificate, sufficient_sigma
 from .nn_rule import UpdateTrace
@@ -41,11 +41,11 @@ DEFAULT_MAX_ITERS = 100_000
 # Every difference vector has squared norm exactly 2 (the gram diagonal), so
 # the radius is this constant rather than anything computed from the data.
 RADIUS = math.sqrt(2.0)
-# Largest gram, in bytes, that `margin` admits for one kernel component of m
-# pairs: 8 m^2. The solver never forms that gram. It keeps one kernel row per
-# corral point, at most 8 n_c^2 = 8 m^2 / (|C| - 1)^2 bytes for n_c points;
-# 8 m^2 still bounds the corral inverse, its largest allocation. While the
-# inverse or the row store grows by a quarter, its former copy is held too.
+# Bytes the solver of one kernel component may hold in its slot table of
+# kernel rows, its corral inverse and the inverse's pending terms, a growing
+# buffer's former copy included; it is charged at each growth. Not charged:
+# the stall rebuild's transient k x k arrays (about four, k <= the inverse's
+# size) and the solve's vectors of one entry per pair or point.
 GRAM_BYTE_BUDGET = 2**30
 SIGMA_GRID_SIZE = 16
 # Rank-one terms `_hull_descent` holds before folding them into its inverse.
@@ -70,7 +70,7 @@ class NotSeparableError(Exception):
 
 
 class GramBudgetError(Exception):
-    """The largest kernel component's gram would exceed GRAM_BYTE_BUDGET."""
+    """A kernel component's solve would hold more than GRAM_BYTE_BUDGET."""
 
 
 def _pair_rows(points: np.ndarray, q: int) -> np.ndarray:
@@ -235,8 +235,11 @@ def _hull_descent(
     base + U diag(d) U^T, and the terms in U are folded into `base`
     _PENDING at a time, by one matrix product instead of one pass over its
     |S|^2 entries each. Its row sums `w` are kept current directly. The
-    inverse grows by a quarter of |S| at a time, never past the pair count,
-    and the slot table likewise, never past the point count.
+    inverse and U grow by a quarter of |S| at a time, never past the pair
+    count, and the slot table likewise, never past the point count. Each
+    growth, and each first allocation, goes through `grow`, which raises
+    GramBudgetError before allocating where the bytes the three hold, with
+    the new buffer's, would pass GRAM_BYTE_BUDGET.
 
     An affine minimizer scores its corral alike, so fw in S is rounding, and
     so is a Schur complement s <= 0, which puts fw in S's affine hull. On
@@ -256,16 +259,28 @@ def _hull_descent(
     W = np.zeros((channels, n))  # so W's last row stays zero
     flat = W.ravel()
     at_true, at_wrong = true * n + local, wrong * n + local  # places in W
-    table = np.empty((min(n, 64), n))
+    corral = np.zeros(1, dtype=np.intp)
     owner: list[int] = []  # the point of each slot in use
     slot = np.full(n, -1, dtype=np.intp)
+    table = base = U = np.empty((0, 0))
+
+    def grow(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+        """`_grown(buf, shape)`, charged with what the table, the inverse
+        and U hold, `buf` among them, and the new buffer."""
+        held = table.nbytes + base.nbytes + U.nbytes + 8 * shape[0] * shape[1]
+        if held > GRAM_BYTE_BUDGET:
+            raise GramBudgetError(
+                f"a kernel component of {n} points, at a corral of "
+                f"{len(corral)} pairs on {len(owner)} points, would hold "
+                f"{held:,} bytes, past the budget of {GRAM_BYTE_BUDGET:,} bytes"
+            )
+        return _grown(buf, shape)
 
     def admit(j: int, kernel_row: np.ndarray) -> None:
         """Give point j the next slot, holding `kernel_row`."""
         nonlocal table
         if len(owner) == len(table):
-            grown = min(n, len(table) + len(table) // 4)
-            table = np.pad(table, ((0, grown - len(table)), (0, 0)))
+            table = grow(table, (min(n, len(table) + len(table) // 4), n))
         slot[j] = len(owner)
         table[len(owner)] = kernel_row
         owner.append(j)
@@ -289,14 +304,14 @@ def _hull_descent(
             np.matmul(v, table[: len(owner)], out=W[ch])
         return flat[at_true] - flat[at_wrong]
 
-    corral = np.zeros(1, dtype=np.intp)
     lam = np.ones(1)
+    table = grow(table, (min(n, 64), n))
     admit(0, row(0))
     w = np.array([1.0 / (2.0 * table[0, 0] + 1.0)])
     size = min(m, 64)
-    base = np.zeros((size, size))
+    base = grow(base, (size, size))
     base[0, 0] = w[0]
-    U = np.empty((size, _PENDING))
+    U = grow(U, (size, _PENDING))
     d = np.empty(_PENDING)
     r = 0  # terms pending in U and d
     in_corral = np.zeros(m, dtype=bool)
@@ -362,9 +377,9 @@ def _hull_descent(
                 u, s = schur(c, diagonal)
         if s > 0.0:
             if k == len(base):
-                grown = min(m, k + k // 4)
-                base = np.pad(base, (0, grown - k))
-                U = np.pad(U, ((0, grown - k), (0, 0)))
+                size = min(m, k + k // 4)
+                base = grow(base, (size, size))
+                U = grow(U, (size, _PENDING))
             if slot[j] < 0:
                 admit(j, new)
             # bordered update: the old inverse padded with a zero row and
@@ -449,6 +464,14 @@ def _isolated_block(points: np.ndarray, q: int) -> _Block:
     return _Block(rows, alpha, scores, float(alpha @ scores), 0, True)
 
 
+def _check_solver(tol: float, max_iters: int) -> None:
+    """Refuse, with ValueError, a negative or non-finite `tol` or a
+    `max_iters` that is not an integer of at least 1."""
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
+    _check_budget("max_iters", max_iters)
+
+
 def margin(
     dataset: Dataset,
     cfg: KernelConfig,
@@ -506,15 +529,13 @@ def margin(
     and the bound above that point's exact bound. A component's scores count
     as its solve computed them.
 
-    Raises ValueError for a negative or non-finite `tol` or a `max_iters`
-    that is not an integer of at least 1, and GramBudgetError, before
-    solving any component, when the largest component's gram of 8 m^2 bytes
-    (m of its pairs), the most its corral inverse can reach, exceeds
-    GRAM_BYTE_BUDGET.
+    Raises ValueError as `_check_solver` does, before any other work, and
+    GramBudgetError where a component's solve would grow what it holds past
+    GRAM_BYTE_BUDGET: its slot table of kernel rows, its corral inverse and
+    the inverse's pending terms. The solve charges them as they grow, so a
+    refusal can come after some of its steps.
     """
-    if not (tol >= 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
-    _check_budget("max_iters", max_iters)
+    _check_solver(tol, max_iters)
     if len(dataset.classes) < 2:
         raise VacuousBoundError(
             "a single-class alphabet admits no difference vectors"
@@ -522,17 +543,12 @@ def margin(
     wrong = dataset.wrong_codes
     m, q = wrong.size, wrong.shape[1]
     isolated, components = _kernel_components(dataset, cfg)
-    largest = max((len(c) for c in components), default=1)
-    gram_bytes = 8 * (largest * q) ** 2
-    if components and gram_bytes > GRAM_BYTE_BUDGET:
-        raise GramBudgetError(
-            f"at sigma={cfg.sigma} the largest kernel component has {largest} "
-            f"points; its gram needs an estimated {gram_bytes:,} bytes, past "
-            f"the budget of {GRAM_BYTE_BUDGET:,} bytes"
-        )
-    blocks = [
-        _component_block(dataset, c, cfg, tol, max_iters) for c in components
-    ]
+    try:
+        blocks = [
+            _component_block(dataset, c, cfg, tol, max_iters) for c in components
+        ]
+    except GramBudgetError as exc:
+        raise GramBudgetError(f"at sigma={cfg.sigma}, {exc}") from None
     if len(isolated):
         blocks.append(_isolated_block(isolated, q))
 
@@ -571,7 +587,7 @@ def margin(
         converged,
         sum(b.iterations for b in blocks),
         len(components) + len(isolated),
-        largest,
+        max((len(c) for c in components), default=1),
         dataset,
     )
 
@@ -667,8 +683,10 @@ def cnn_bound(
     `trace` must be a condensation of `dataset` itself, and `certificate`
     equal to `sufficient_sigma(dataset)`; either drawn from another dataset
     raises ValueError. Tied data and a single point have no certificate, so
-    any certificate given for them is refused.
+    any certificate given for them is refused, and so, before any other
+    work, are the `tol` and `max_iters` that `margin` refuses.
     """
+    _check_solver(tol, max_iters)
     if trace is None:
         trace = run_cnn(dataset)
     elif trace.prototypes.parent is not dataset:
@@ -753,10 +771,13 @@ def bound_infimum(
     is the scope of this search. The analytic threshold's sorting pass over
     all pairs also finds each point's nearest squared distance
     (`Dataset.nearest_sq_dists`), which every grid point's margin shares, so
-    the search runs one all-pairs pass.
+    the search runs one all-pairs pass. The `tol` and `max_iters` that
+    `margin` refuses are refused first.
     """
+    _check_solver(tol, max_iters)
     if len(dataset.classes) < 2:
-        return GridSearchReport([cnn_bound(dataset, KernelConfig(1.0))], [])
+        vacuous = cnn_bound(dataset, KernelConfig(1.0), tol=tol, max_iters=max_iters)
+        return GridSearchReport([vacuous], [])
     analytic: SigmaCertificate | None
     try:
         analytic = sufficient_sigma(dataset)

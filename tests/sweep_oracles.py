@@ -15,7 +15,7 @@ import protobound as pb
 from protobound.dataset import (
     _coord_buffer,
     _distance_row_blocks,
-    _doubled,
+    _grown,
     _RangeGuard,
 )
 from protobound.kernel_machine import DEFAULT_MAX_PASSES
@@ -196,7 +196,7 @@ def loop_run_cnn_online(stream, max_items, checkpoints=None):
                 misclassified = False
         if misclassified:
             if n == len(coords):
-                coords = _doubled(coords)
+                coords = _grown(coords, (2 * len(coords), dim))
             coords[n] = item.coords
             kept.append(item)
         while next_mark is not None and seen == next_mark:

@@ -761,7 +761,8 @@ class TestBoundCommand:
         result = runner.invoke(main, ["bound", chain12_csv])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-        assert "largest kernel component" in result.stderr
+        assert "a kernel component of" in result.stderr
+        assert "would hold" in result.stderr and "at sigma=" in result.stderr
         assert "past the budget of 1,000 bytes" in result.stderr
 
 

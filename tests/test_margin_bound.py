@@ -673,11 +673,35 @@ class TestKernelComponents:
                     assert report.satisfied and report.bound >= n
 
     def test_gram_budget_refuses_before_allocating(self, monkeypatch, line3):
-        cfg = pb.KernelConfig(3.0)  # one component of three points
-        assert pb.margin(line3, cfg).largest_component == 3
-        monkeypatch.setattr(margin_bound, "GRAM_BYTE_BUDGET", 8 * 3 * 3 - 1)
-        with pytest.raises(pb.GramBudgetError, match="estimated 72 bytes"):
-            pb.margin(line3, cfg)
+        # 600 separated points at sigma=0.1 form one component of 1,200
+        # pairs, whose full gram would take 11,520,000 bytes. The solve
+        # charges only what it holds: at 4 MB it is refused as its corral
+        # inverse grows past 378 pairs, before its traced peak passes
+        # 4.3 MB, and at 8 MB it runs to the default budget's certificate
+        blobs = [((0.0, 0.0), "A"), ((2.0, 0.0), "B"), ((1.0, 1.5), "C")]
+        ds = pb.generate_blobs(0, 200, blobs, 0.3)
+        cfg = pb.KernelConfig(0.1)
+        ds.nearest_sq_dists  # the all-pairs pass is the dataset's, not the solve's
+        full = pb.margin(ds, cfg)
+        monkeypatch.setattr(margin_bound, "GRAM_BYTE_BUDGET", 4_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                pb.GramBudgetError,
+                match=r"at a corral of \d+ pairs .* would hold [\d,]+ bytes, "
+                r"past the budget of 4,000,000 bytes",
+            ):
+                pb.margin(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.3e6, peak
+        monkeypatch.setattr(margin_bound, "GRAM_BYTE_BUDGET", 8_000_000)
+        cert = pb.margin(ds, cfg)
+        assert (cert.delta_hat, cert.bound, cert.duality_gap, cert.iterations) == (
+            full.delta_hat, full.bound, full.duality_gap, full.iterations
+        )
+        assert cert.coefficients.tobytes() == full.coefficients.tobytes()
         # isolated points build no gram, so the budget does not apply
         assert pb.margin(line3, pb.KernelConfig(1e-3)).bound == pytest.approx(3.0)
 
@@ -890,6 +914,36 @@ class TestCnnBound:
                 pb.cnn_bound(ds, pb.KernelConfig(0.05), pb.sufficient_sigma(line3))
 
 
+class TestSolverArguments:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_iters": 0}, {"max_iters": 2.5}, {"tol": -1.0}, {"tol": math.nan}],
+        ids=["0-steps", "2.5-steps", "tol-1", "tol-nan"],
+    )
+    @pytest.mark.parametrize("labels", ["AA", "AB"], ids=["one-class", "two-class"])
+    def test_every_entry_point_refuses_before_an_all_pairs_pass(
+        self, monkeypatch, labels, kwargs
+    ):
+        # one class once took any budget, since its vacuous report never
+        # reached margin; two classes paid sufficient_sigma's sorting pass,
+        # run_cnn and a replay before the grid search refused
+        ds = pb.Dataset([((0.0,), labels[0]), ((1.0,), labels[1])])
+
+        def no_pass(self, sort):
+            raise AssertionError("an all-pairs pass ran before the refusal")
+
+        monkeypatch.setattr(pb.Dataset, "_all_pairs", no_pass)
+        cfg = pb.KernelConfig(1.0)
+        for solve in (
+            lambda: pb.margin(ds, cfg, **kwargs),
+            lambda: pb.cnn_bound(ds, cfg, **kwargs),
+            lambda: pb.bound_infimum(ds, **kwargs),
+            lambda: pb.bound_infimum(ds, sigma_grid=[1.0], **kwargs),
+        ):
+            with pytest.raises(ValueError, match="(tol|max_iters) must be"):
+                solve()
+
+
 class TestBoundInfimum:
     def test_default_grid_on_line(self, line3):
         star = pb.sufficient_sigma(line3).sigma_star
@@ -1048,6 +1102,14 @@ class TestTraceVerification:
                 assert cert.separable, (seed, sigma)
                 assert len(cnn.prototypes) <= cert.bound, (seed, sigma)
         assert verified > 0
+
+    def test_disk_bound_holds_past_the_full_gram_budget(self):
+        # one component of 20,000 pairs, whose full gram would take 3.2 GB,
+        # solves in a few dozen steps: the budget charges what the solve
+        # holds, not that gram
+        cert = pb.margin(uniform_disks(20_000), pb.KernelConfig(0.66))
+        assert cert.components == 1 and cert.converged
+        assert cert.bound < 12
 
     @pytest.mark.parametrize("n", [600, 1500, 3000])
     def test_disk_bound_does_not_grow_with_n(self, n):

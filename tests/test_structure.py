@@ -2,9 +2,9 @@
 
 Condensation is a multiclass perceptron run at a certified bandwidth only
 while the package keeps one kernel producer, one scoring path, one distance
-kernel over one coordinate layout, one sweep loop, one replay, one all-pairs
-pass and one place that cuts query blocks. Each rule names what it pins and
-the modules (`cli`) or functions (`cli.mp_cmd`,
+kernel over one coordinate layout, one way to grow a buffer, one sweep loop,
+one replay, one all-pairs pass and one place that cuts query blocks. Each
+rule names what it pins and the modules (`cli`) or functions (`cli.mp_cmd`,
 `kernel_machine.KernelConfig.kernel`) where that may appear; a nested
 function is a scope of its own. A name ending in "(" counts where it is
 called, any other name wherever it is referenced or imported. A site counts
@@ -32,6 +32,8 @@ RULES = [
     (("scipy",), (), "scipy is not a dependency"),
     (("np.ascontiguousarray", "np.asfortranarray"), (),
      "coordinates have one layout, feature-major from _coord_buffer"),
+    (("np.pad", "np.empty_like"), ("dataset._grown",),
+     "buffers grow through dataset._grown alone"),
     (("np.exp",), ("kernel_machine.KernelConfig.kernel",),
      "kernel values come from KernelConfig.kernel"),
     (("np.bincount",), ("kernel_machine._shifted_class_sums",),
@@ -107,6 +109,11 @@ PLANTED = [
     ("np.ascontiguousarray", "dataset",
      "def _planted(coords):\n    return np.ascontiguousarray(coords.T)"),
     ("np.asfortranarray", "cnn", "to_columns = np.asfortranarray"),
+    ("np.pad", "margin_bound",
+     "def _planted(base):\n    return np.pad(base, (0, 16))"),
+    ("np.empty_like", "kernel_machine",
+     "class _Planted:\n    def grow(self, codes):\n"
+     "        return np.empty_like(codes, shape=(3, 16))"),
     ("np.exp", "kernel_machine", "def _planted(d2):\n    return np.exp(-d2)"),
     ("np.bincount", "kernel_machine",
      "def _planted(codes):\n    return np.bincount(codes)"),
