@@ -8,6 +8,7 @@ correctly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -115,10 +116,9 @@ def run_cnn_online(
     rather than admitted.
 
     Items are pulled and checked one at a time, and scored in blocks. With
-    n prototypes in d coordinates a block is the largest q with
-    q * (n + q) * d <= `BLOCK_ELEMENTS` (at least 1, and never past
-    `max_items`); the first item, which fixes d, is a block of its own and
-    is always kept. Every block is scored on one path, with at most two
+    n prototypes a block is the largest q whose q * (n + q) distances fit
+    in `BLOCK_ELEMENTS` (at least 1, and never past `max_items`), from the
+    first block on. Every block is scored on one path, with at most two
     distance calls, each giving the very floats a per-item call would. The
     first gives each item its squared distances to the n block-start
     prototypes, and its nearest one is the earliest minimum. The second,
@@ -128,8 +128,14 @@ def run_cnn_online(
     walk added, and s wins only on a strictly smaller d2: its insertion
     index is later than every block-start prototype's. That is the
     earliest-minimum rule over the grown set, so the prototypes, curve and
-    conflict count are those of scoring one item at a time.
+    conflict count are those of scoring one item at a time. A `max_items`
+    that is not an integer of at least 0 is refused, with ValueError,
+    before any item is pulled.
     """
+    if not isinstance(max_items, numbers.Integral) or max_items < 0:
+        raise ValueError(
+            f"max_items must be an integer of at least 0, got {max_items!r}"
+        )
     if checkpoints is None:
         checkpoints = default_checkpoints(max_items)
     checkpoints = sorted(set(int(c) for c in checkpoints))
@@ -146,7 +152,7 @@ def run_cnn_online(
     seen = 0
 
     it: Iterator[LabeledPoint] = iter(stream)
-    q = 1  # the first item fixes the dimension: a block of its own
+    q = _stream_block_size(0, max_items)
     while seen < max_items:
         block: list[LabeledPoint] = []
         for item in it:
@@ -200,8 +206,5 @@ def run_cnn_online(
                 next_mark = next(marks, None)
         if len(block) < q:
             break
-        if q > 1 or n == 0:
-            # n only grows and the items left only shrink, so once a block
-            # holds one item every later block does
-            q = _stream_block_size(len(labels), dim, max_items - seen)
+        q = _stream_block_size(len(labels), max_items - seen)
     return OnlineResult(curve, len(labels), seen, conflicts)

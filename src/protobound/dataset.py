@@ -86,14 +86,12 @@ def sq_dists_to(
     return out
 
 
-def _stream_block_size(n: int, d: int, limit: int) -> int:
-    """The largest q >= 1, and at most `limit`, with q * (n + q) * d <=
-    BLOCK_ELEMENTS: a block of q queries scored against n points and against
-    itself then takes d column passes of q * (n + q) elements, at most
-    BLOCK_ELEMENTS elements in all."""
+def _stream_block_size(n: int, limit: int) -> int:
+    """The largest q >= 1, and at most `limit`, with q * (n + q) <=
+    BLOCK_ELEMENTS: the distances a block of q queries holds against n
+    points and against itself, counted as `_row_blocks` counts its rows."""
     # q * (n + q) <= m  <=>  (2q + n)^2 <= n^2 + 4m  <=>  2q + n <= isqrt(...)
-    m = BLOCK_ELEMENTS // d
-    q = (math.isqrt(n * n + 4 * m) - n) // 2
+    q = (math.isqrt(n * n + 4 * BLOCK_ELEMENTS) - n) // 2
     return max(1, min(q, limit))
 
 

@@ -772,9 +772,13 @@ def bound_infimum(
     all pairs also finds each point's nearest squared distance
     (`Dataset.nearest_sq_dists`), which every grid point's margin shares, so
     the search runs one all-pairs pass. The `tol` and `max_iters` that
-    `margin` refuses are refused first.
+    `margin` refuses, an empty grid and a grid point that `KernelConfig`
+    refuses are refused first, with ValueError.
     """
     _check_solver(tol, max_iters)
+    configs = None if sigma_grid is None else [KernelConfig(s) for s in sigma_grid]
+    if configs == []:
+        raise ValueError("the sigma grid needs at least one bandwidth")
     if len(dataset.classes) < 2:
         vacuous = cnn_bound(dataset, KernelConfig(1.0), tol=tol, max_iters=max_iters)
         return GridSearchReport([vacuous], [])
@@ -789,20 +793,19 @@ def bound_infimum(
                 "no analytic threshold exists (exact distance tie); "
                 "supply an explicit sigma grid"
             )
-        sigma_grid = default_sigma_grid(analytic.sigma_star)
+        configs = [KernelConfig(s) for s in default_sigma_grid(analytic.sigma_star)]
     cnn = run_cnn(dataset)
     evaluated: list[BoundReport] = []
     skipped: list[float] = []
-    for sigma in sigma_grid:
-        cfg = KernelConfig(sigma)
+    for cfg in configs:
         try:
             evaluated.append(
                 cnn_bound(dataset, cfg, analytic, tol, max_iters, trace=cnn)
             )
         except UncertifiedSigmaError:
-            skipped.append(sigma)
+            skipped.append(cfg.sigma)
     if not evaluated:
         raise NoCertifiedSigmaError(
-            f"none of the {len(sigma_grid)} grid bandwidths could be certified"
+            f"none of the {len(configs)} grid bandwidths could be certified"
         )
     return GridSearchReport(evaluated, skipped)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -254,10 +255,11 @@ def verify_neighborly(
     in k classes. Sampled mode draws `trials` random triples from `seed`,
     each in a fixed order: membership by fair coin, then every member's wrong
     class in one uniform `integers(k - 1, size=|P|)` call, then a uniform
-    query (see `_sampled_cases`). It refuses fewer than one trial, which
-    would pass without checking anything. Returns None
-    on a pass or the first violation found; a degenerate (tied) argmax counts
-    as a violation even when its resolution happens to match the NN label.
+    query (see `_sampled_cases`). It refuses a trial count that is not an
+    integer, or is below one and would pass without checking anything.
+    Returns None on a pass or the first violation found; a degenerate (tied)
+    argmax counts as a violation even when its resolution happens to match
+    the NN label.
     """
     n, k = len(dataset), len(dataset.classes)
     if mode == "exhaustive":
@@ -270,8 +272,11 @@ def verify_neighborly(
             )
         cases = _exhaustive_cases(dataset)
     elif mode == "sampled":
-        if trials < 1:
-            raise ValueError(f"sampled mode needs at least one trial, got {trials}")
+        if not isinstance(trials, numbers.Integral) or trials < 1:
+            raise ValueError(
+                f"sampled mode needs a whole number of at least one trial, "
+                f"got {trials!r}"
+            )
         cases = _sampled_cases(dataset, seed, trials)
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -943,6 +943,29 @@ class TestSolverArguments:
             with pytest.raises(ValueError, match="(tol|max_iters) must be"):
                 solve()
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [([1.0, -1.0], "positive and finite"), ([math.nan], "positive and finite"),
+         ([0.1, math.inf], "positive and finite"), ([], "at least one bandwidth")],
+        ids=["negative", "nan", "inf", "empty"],
+    )
+    @pytest.mark.parametrize("labels", ["AA", "AB"], ids=["one-class", "two-class"])
+    def test_bad_or_empty_grid_refused_before_any_pass(
+        self, monkeypatch, labels, grid, message
+    ):
+        # checked inside the search, a bad point would be found only after
+        # sufficient_sigma's sorting pass, run_cnn and the replays and solves
+        # of the grid points before it; an empty grid after all of them
+        ds = pb.Dataset([((0.0,), labels[0]), ((1.0,), labels[1])])
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass ran before the refusal")
+
+        monkeypatch.setattr(pb.Dataset, "_all_pairs", no_pass)
+        monkeypatch.setattr(margin_bound, "run_cnn", no_pass)
+        with pytest.raises(ValueError, match=message):
+            pb.bound_infimum(ds, sigma_grid=grid)
+
 
 class TestBoundInfimum:
     def test_default_grid_on_line(self, line3):

@@ -285,8 +285,9 @@ class TestVerifyNeighborly:
             pb.verify_neighborly(line3, pb.KernelConfig(1.0), mode="all")
 
     def test_sampled_mode_refuses_no_trials(self, line3):
-        # zero trials would check nothing and report a pass
-        for trials in (0, -5):
+        # zero trials would check nothing and report a pass; a fractional
+        # count would reach range() and raise TypeError
+        for trials in (0, -5, 2.5):
             with pytest.raises(ValueError, match="at least one trial"):
                 pb.verify_neighborly(
                     line3, pb.KernelConfig(15.0), mode="sampled", trials=trials

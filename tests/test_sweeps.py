@@ -527,6 +527,31 @@ class TestRunCnnOnline:
             result = pb.run_cnn_online(stream, max_items)
             assert stream.pulled == result.items_seen == min(max_items, length)
 
+    @pytest.mark.parametrize("max_items", [2.5, -5, 1e9, "10"])
+    def test_bad_max_items_refused_before_any_pull(self, max_items):
+        # a fractional cap never fills a block, so it would pull the whole
+        # stream into one, and an endless stream until memory runs out
+        stream = CountingStream(itertools.islice(pb.blob_stream(0, OVERLAP, 1.0), 50))
+        for checkpoints in (None, [1, 2]):
+            with pytest.raises(ValueError, match="max_items must be an integer"):
+                pb.run_cnn_online(stream, max_items, checkpoints)
+        assert stream.pulled == 0
+
+    @pytest.mark.parametrize(
+        "centers, length",
+        [(OVERLAP, 25_000), ([((0.0, 0.0), "A"), ((6.0, 0.0), "B")], 100_000)],
+        ids=["overlap", "separated"],
+    )
+    def test_equals_per_item_loop_at_benchmark_scale(self, centers, length):
+        # the online benchmark's two phases at seed 0: 128-item first blocks,
+        # and blocks against a few hundred prototypes
+        items = list(itertools.islice(pb.blob_stream(0, centers, 1.0), length))
+        got = pb.run_cnn_online(iter(items), length)
+        curve, kept, seen, conflicts = loop_run_cnn_online(iter(items), length)
+        assert (got.curve, got.prototype_count, got.items_seen,
+                got.conflicts_skipped) == (curve, len(kept), seen, conflicts)
+        assert seen == length
+
     def test_bad_item_inside_a_block_named_and_nothing_past_it_pulled(
         self, block_cap
     ):
