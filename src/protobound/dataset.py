@@ -1,10 +1,13 @@
 """Training-set ingestion, validation, synthetic data, and the distance kernel.
 
-A dataset is an immutable, ordered list of labeled points in R^d. The class
-alphabet is derived from the data: labels in order of first appearance.
-Entries with identical coordinates but different labels are rejected at
-construction time because every consumer downstream assumes the nearest
-neighbor of a training point with distance zero has that point's own label.
+A dataset is an immutable, ordered sequence of labeled points in R^d, held as
+arrays alone: a feature-major coordinate matrix, one class code per point
+and the class alphabet, derived from the data as the labels in order of
+first appearance. A `LabeledPoint` is made only when one is handed out, by
+indexing or iteration. Entries with identical coordinates but different
+labels are rejected at construction time because every consumer downstream
+assumes the nearest neighbor of a training point with distance zero has that
+point's own label.
 Coordinates whose squared distances could leave float64 are rejected too, so
 every two distinct points have a squared distance d2 with 0 < d2 < inf.
 """
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -137,7 +141,10 @@ class ConflictingDuplicateError(DatasetError):
 
 @dataclass(frozen=True)
 class LabeledPoint:
-    """A point in R^d with a class label. Coordinates must be finite."""
+    """A point in R^d with a class label. Coordinates must be finite.
+
+    A `Dataset` holds no such objects: it makes one from its arrays each
+    time a point is indexed or iterated. `blob_stream` yields them."""
 
     coords: tuple[float, ...]
     label: str
@@ -224,9 +231,39 @@ class _RangeGuard:
             _check_box(self._lo, self._hi)
 
 
+def _first_conflict(coords: np.ndarray, codes: np.ndarray) -> tuple[int, int] | None:
+    """The first pair (first, second) of points with equal coordinates and
+    different codes, in point order: `second` is the smallest index whose
+    code differs from that of the first point with its coordinates, `first`.
+    None if there is none.
+
+    One stable lexsort groups equal rows with their smallest index first.
+    Rows compare by value, so -0.0 equals 0.0 as in a dict of coordinate
+    tuples; numpy's `unique(axis=0)` compares bytes and would split them.
+    """
+    order = np.lexsort(coords.T)
+    starts = np.zeros(len(order), dtype=bool)
+    starts[0] = True
+    for column in coords.T:
+        ranked = column[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    first = order[starts][np.cumsum(starts) - 1]
+    clash = codes[order] != codes[first]
+    if not clash.any():
+        return None
+    k = int(order[clash].argmin())
+    return int(first[clash][k]), int(order[clash][k])
+
+
 class Dataset:
     """Immutable training set with a deterministic class alphabet: labels in
-    order of first appearance in the point list."""
+    order of first appearance in the point list.
+
+    It is held as arrays alone: the coordinate matrix, one class code per
+    point and the alphabet. Indexing and iteration make each `LabeledPoint`
+    from them when it is handed out, so two reads of a point give equal,
+    not identical, objects.
+    """
 
     def __init__(
         self,
@@ -234,10 +271,10 @@ class Dataset:
         feature_names: Sequence[str] | None = None,
         label_name: str = DEFAULT_LABEL_COLUMN,
     ):
-        pts = tuple(
+        pts = [
             p if isinstance(p, LabeledPoint) else LabeledPoint(tuple(p[0]), p[1])
             for p in points
-        )
+        ]
         if not pts:
             raise DatasetError("dataset needs at least one point")
         dim = len(pts[0].coords)
@@ -246,23 +283,58 @@ class Dataset:
                 raise DatasetError(
                     f"point {i} has dimension {len(p.coords)}, expected {dim}"
                 )
-        seen: dict[tuple[float, ...], tuple[int, str]] = {}
-        for i, p in enumerate(pts):
-            prev = seen.get(p.coords)
-            if prev is None:
-                seen[p.coords] = (i, p.label)
-            elif prev[1] != p.label:
-                raise ConflictingDuplicateError(
-                    f"points {prev[0]} and {i} share coordinates {p.coords!r} "
-                    f"but have labels {prev[1]!r} and {p.label!r}",
-                    prev[0],
-                    i,
-                )
-        classes: list[str] = []
-        for p in pts:
-            if p.label not in classes:
-                classes.append(p.label)
+        coords = _coord_buffer(len(pts), dim)
+        coords[:] = [p.coords for p in pts]
+        alphabet: dict[str, int] = {}
+        codes = [alphabet.setdefault(p.label, len(alphabet)) for p in pts]
+        self._hold(coords, np.array(codes, dtype=np.int64), tuple(alphabet),
+                   feature_names, label_name)
 
+    @classmethod
+    def _from_arrays(
+        cls,
+        coords: np.ndarray,
+        codes: np.ndarray,
+        names: Sequence[str],
+        feature_names: Sequence[str] | None = None,
+        label_name: str = DEFAULT_LABEL_COLUMN,
+    ) -> Dataset:
+        """The dataset whose point i has row i of `coords` and the label
+        names[codes[i]]: how the loaders and generators build one, through
+        the checks of the public constructor (`_hold`)."""
+        dataset = cls.__new__(cls)
+        dataset._hold(coords, codes, names, feature_names, label_name)
+        return dataset
+
+    def _hold(self, coords, codes, names, feature_names, label_name) -> None:
+        """Check and keep the points: `coords`, a filled `_coord_buffer` of
+        at least one row, which is kept and made read-only, and the labels
+        names[codes[i]], `names` distinct. Every dataset is made here, so
+        every one is refused alike: a non-finite coordinate, two points
+        with equal coordinates and different labels, a feature name count
+        that is not the dimension, or a range `_check_range` refuses."""
+        finite = np.isfinite(coords).all(axis=1)
+        if not finite.all():
+            row = tuple(coords[int(finite.argmin())].tolist())
+            raise DatasetError(f"non-finite coordinate in point {row!r}")
+        # the alphabet in order of first appearance, the codes renumbered to it
+        present, first_seen = np.unique(codes, return_index=True)
+        alphabet = present[np.argsort(first_seen)]
+        rank = np.empty(len(names), dtype=np.int64)
+        rank[alphabet] = np.arange(len(alphabet))
+        codes = rank[codes]
+        classes = tuple(names[c] for c in alphabet.tolist())
+        conflict = _first_conflict(coords, codes)
+        if conflict is not None:
+            first, second = conflict
+            raise ConflictingDuplicateError(
+                f"points {first} and {second} share coordinates "
+                f"{tuple(coords[second].tolist())!r} but have labels "
+                f"{classes[codes[first]]!r} and {classes[codes[second]]!r}",
+                first,
+                second,
+            )
+        dim = coords.shape[1]
         if feature_names is not None:
             feature_names = tuple(str(f) for f in feature_names)
             if len(feature_names) != dim:
@@ -271,19 +343,14 @@ class Dataset:
                 )
         else:
             feature_names = tuple(f"x{j}" for j in range(dim))
+        _check_range(coords)
 
-        self._points = pts
-        self._classes = tuple(classes)
+        self._classes = classes
         self._class_code = {c: k for k, c in enumerate(classes)}
-        self._dim = dim
         self._feature_names = feature_names
         self._label_name = str(label_name)
-        coords = _coord_buffer(len(pts), dim)
-        coords[:] = [p.coords for p in pts]
-        _check_range(coords)
         coords.flags.writeable = False
         self._coords = coords
-        codes = np.array([self._class_code[p.label] for p in pts], dtype=np.int64)
         codes.flags.writeable = False
         self._label_codes = codes
         others = np.arange(len(classes) - 1)
@@ -302,7 +369,7 @@ class Dataset:
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._coords.shape[1]
 
     @property
     def coords(self) -> np.ndarray:
@@ -412,25 +479,39 @@ class Dataset:
         return math.sqrt(self._max_sq_dist)
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._label_codes)
 
     def __iter__(self) -> Iterator[LabeledPoint]:
-        return iter(self._points)
+        return map(self.__getitem__, range(len(self)))
 
-    def __getitem__(self, i: int) -> LabeledPoint:
-        return self._points[i]
+    def __getitem__(self, i: int | slice) -> LabeledPoint | tuple[LabeledPoint, ...]:
+        """Point i as a new `LabeledPoint`, or a tuple of them for a slice;
+        indices behave as on a tuple of the points."""
+        picked = range(len(self))[i]
+        if isinstance(picked, range):
+            return tuple(map(self.__getitem__, picked))
+        return LabeledPoint(
+            tuple(self._coords[picked].tolist()),
+            self._classes[self._label_codes[picked]],
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self._points == other._points
+        return (
+            self._classes == other._classes
+            and np.array_equal(self._label_codes, other._label_codes)
+            and np.array_equal(self._coords, other._coords)
+        )
 
     def __hash__(self) -> int:
-        return hash(self._points)
+        # adding 0.0 folds -0.0 into 0.0, which compare equal
+        folded = self._coords + 0.0
+        return hash((self._classes, self._label_codes.tobytes(), folded.tobytes()))
 
     def __repr__(self) -> str:
         return (
-            f"Dataset(n={len(self)}, dim={self._dim}, "
+            f"Dataset(n={len(self)}, dim={self.dim}, "
             f"classes={list(self._classes)!r})"
         )
 
@@ -467,30 +548,40 @@ def load_csv(path: str | Path, label_column: str = DEFAULT_LABEL_COLUMN) -> Data
             ]
             if not feature_cols:
                 raise DatasetError(f"{path}: no feature columns besides the label")
-            points: list[LabeledPoint] = []
-            for row_no, row in enumerate(reader, start=1):
-                if len(row) != len(header):
-                    raise DatasetError(
-                        f"{path}: row {row_no} has {len(row)} cells, "
-                        f"expected {len(header)}"
-                    )
-                coords = []
-                for j, name in feature_cols:
-                    cell = row[j].strip()
-                    try:
-                        v = float(cell)
-                    except ValueError:
+            codes: list[int] = []
+            alphabet: dict[str, int] = {}
+
+            def parsed_rows() -> Iterator[list[float]]:
+                """Each row's coordinates, its label code appended to `codes`."""
+                for row_no, row in enumerate(reader, start=1):
+                    if len(row) != len(header):
                         raise DatasetError(
-                            f"{path}: row {row_no}, column {name!r}: "
-                            f"cannot parse {cell!r} as a number"
-                        ) from None
-                    if not math.isfinite(v):
-                        raise DatasetError(
-                            f"{path}: row {row_no}, column {name!r}: "
-                            f"non-finite value {cell!r}"
+                            f"{path}: row {row_no} has {len(row)} cells, "
+                            f"expected {len(header)}"
                         )
-                    coords.append(v)
-                points.append(LabeledPoint(tuple(coords), row[label_pos].strip()))
+                    coords = []
+                    for j, name in feature_cols:
+                        cell = row[j].strip()
+                        try:
+                            v = float(cell)
+                        except ValueError:
+                            raise DatasetError(
+                                f"{path}: row {row_no}, column {name!r}: "
+                                f"cannot parse {cell!r} as a number"
+                            ) from None
+                        if not math.isfinite(v):
+                            raise DatasetError(
+                                f"{path}: row {row_no}, column {name!r}: "
+                                f"non-finite value {cell!r}"
+                            )
+                        coords.append(v)
+                    label = row[label_pos].strip()
+                    codes.append(alphabet.setdefault(label, len(alphabet)))
+                    yield coords
+
+            # numpy grows one row-major array as the rows are parsed, so no
+            # Python float outlives its row
+            rows = np.fromiter(parsed_rows(), np.dtype((np.float64, len(feature_cols))))
     except OSError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -500,11 +591,16 @@ def load_csv(path: str | Path, label_column: str = DEFAULT_LABEL_COLUMN) -> Data
         ) from None
     except csv.Error as exc:
         raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not points:
+    if not codes:
         raise DatasetError(f"{path}: no data rows")
+    coords = _coord_buffer(*rows.shape)
+    coords[:] = rows
+    del rows
     try:
-        return Dataset(
-            points,
+        return Dataset._from_arrays(
+            coords,
+            np.array(codes, dtype=np.int64),
+            tuple(alphabet),
             feature_names=[name for _, name in feature_cols],
             label_name=label_column,
         )
@@ -566,7 +662,8 @@ def _write_points(
     _check_reloadable(dataset, source_index=indices is not None)
     header = [*dataset.feature_names, dataset.label_name]
     picked = range(len(dataset)) if indices is None else indices
-    rows = ([*map(repr, dataset[i].coords), dataset[i].label] for i in picked)
+    coords, codes, classes = dataset.coords, dataset.label_codes, dataset.classes
+    rows = ([*map(repr, coords[i].tolist()), classes[codes[i]]] for i in picked)
     if indices is not None:
         header = ["source_index", *header]
         rows = ([i, *row] for i, row in zip(indices, rows))
@@ -585,6 +682,16 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
     opened.
     """
     _write_points(dataset, path)
+
+
+def _checked_count(name: str, value, minimum: int = 1) -> int:
+    """`value` as an int, refused with DatasetError before a generator draws
+    anything unless it is an integer of at least `minimum`."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise DatasetError(
+            f"{name} must be an integer of at least {minimum}, got {value!r}"
+        )
+    return int(value)
 
 
 def _validated_centers(
@@ -619,17 +726,20 @@ def generate_blobs(
     measure-zero event that two blobs emit the exact same coordinates with
     different labels, `Dataset` raises `ConflictingDuplicateError`.
     """
-    if n_per_class < 1:
-        raise DatasetError("n_per_class must be at least 1")
+    n_per_class = _checked_count("n_per_class", n_per_class)
     if not (spread > 0 and math.isfinite(spread)):
         raise DatasetError(f"spread must be positive and finite, got {spread!r}")
     centers = _validated_centers(centers)
     rng = np.random.default_rng(seed)
-    points: list[LabeledPoint] = []
-    for center, label in centers:
-        draws = center + spread * rng.standard_normal((n_per_class, center.size))
-        points.extend(LabeledPoint(tuple(row), label) for row in draws.tolist())
-    return Dataset(points)
+    dim = centers[0][0].size
+    coords = _coord_buffer(len(centers) * n_per_class, dim)
+    for k, (center, _) in enumerate(centers):
+        draws = center + spread * rng.standard_normal((n_per_class, dim))
+        coords[k * n_per_class : (k + 1) * n_per_class] = draws
+    labels = [label for _, label in centers]
+    alphabet = list(dict.fromkeys(labels))
+    codes = np.repeat([alphabet.index(label) for label in labels], n_per_class)
+    return Dataset._from_arrays(coords, codes, alphabet)
 
 
 def blob_stream(
@@ -678,20 +788,18 @@ def random_dataset(seed: int, n_points: int, dim: int, n_classes: int) -> Datase
     coordinates (and hence conflicts) have probability zero; the constructor
     still enforces validity.
     """
-    if n_points < 1 or dim < 1 or n_classes < 1:
-        raise DatasetError("n_points, dim, and n_classes must be positive")
+    n_points = _checked_count("n_points", n_points)
+    dim = _checked_count("dim", dim)
+    n_classes = _checked_count("n_classes", n_classes)
     n_classes = min(n_classes, n_points, len(_CLASS_NAMES))
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, n_classes, size=n_points)
     # Guarantee every class shows up at least once.
     slots = rng.choice(n_points, size=n_classes, replace=False)
     codes[slots] = rng.permutation(n_classes)
-    coords = rng.uniform(*_BOX, size=(n_points, dim))
-    points = [
-        LabeledPoint(tuple(float(v) for v in coords[i]), _CLASS_NAMES[codes[i]])
-        for i in range(n_points)
-    ]
-    return Dataset(points)
+    coords = _coord_buffer(n_points, dim)
+    coords[:] = rng.uniform(*_BOX, size=(n_points, dim))
+    return Dataset._from_arrays(coords, codes, _CLASS_NAMES[:n_classes])
 
 
 def fuzz_dataset(
@@ -706,6 +814,9 @@ def fuzz_dataset(
     Mixes uniformly scattered labels with blob-structured data so fuzz runs
     cover both noisy and separable regimes.
     """
+    max_n = _checked_count("max_n", max_n, _FUZZ_MIN_POINTS)
+    max_dim = _checked_count("max_dim", max_dim)
+    max_classes = _checked_count("max_classes", max_classes, 2)
     rng = np.random.default_rng(seed)
     n = int(rng.integers(_FUZZ_MIN_POINTS, max_n + 1))
     d = int(rng.integers(1, max_dim + 1))

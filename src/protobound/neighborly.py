@@ -162,7 +162,8 @@ def replay_violation(
     """
     w = DualWeightVector(cfg, dataset.classes, dataset.dim)
     for i in violation.subset:
-        w.append(i, dataset[i].coords, dataset[i].label, violation.assignment[i])
+        point = dataset[i]
+        w.append(i, point.coords, point.label, violation.assignment[i])
     prototypes = PrototypeSet(dataset, list(violation.subset))
     label, degenerate = argmax_class(w, dataset.coords[violation.query_index])
     nn_label = classify(prototypes, dataset.coords[violation.query_index])

@@ -170,7 +170,8 @@ def _sweep(
                 break
             i = int(order[t])
             predicted = dataset.classes[scores.argmax_codes[t]] if events else None
-            events.append(UpdateEvent(pass_no, i, dataset[i].label, predicted))
+            label = dataset.classes[dataset.label_codes[i]]
+            events.append(UpdateEvent(pass_no, i, label, predicted))
             scores.add(t)
             if i not in prototypes:
                 prototypes.add(i)

@@ -5,6 +5,8 @@ sums, zero ratios included. The incremental sweeps in `protobound` must
 reproduce these bit for bit. So must the blocked all-pairs passes reproduce
 their row-by-row loops, and blocked online condensation its per-item loop,
 kept below. `min_squared_gap` must give what its former block loop gave.
+`Dataset`, which holds arrays alone, must hand out the points of its former
+tuple of `LabeledPoint`s, `TupleDataset`, and refuse what that refused.
 """
 
 import math
@@ -267,3 +269,44 @@ def loop_generate_blobs(seed, n_per_class, centers, spread):
             coords = center + spread * rng.standard_normal(center.size)
             points.append((tuple(float(v) for v in coords), str(label)))
     return points
+
+
+class TupleDataset:
+    """A dataset's points as `Dataset` held them before it kept arrays alone:
+    a tuple of `LabeledPoint`s, with conflicting duplicates found by one
+    dict scan over coordinate tuples. Only what the tuple gave is kept:
+    indexing, iteration, length, equality and hash."""
+
+    def __init__(self, points):
+        pts = tuple(
+            p if isinstance(p, pb.LabeledPoint) else pb.LabeledPoint(tuple(p[0]), p[1])
+            for p in points
+        )
+        seen = {}
+        for i, p in enumerate(pts):
+            prev = seen.get(p.coords)
+            if prev is None:
+                seen[p.coords] = (i, p.label)
+            elif prev[1] != p.label:
+                raise pb.ConflictingDuplicateError(
+                    f"points {prev[0]} and {i} share coordinates {p.coords!r} "
+                    f"but have labels {prev[1]!r} and {p.label!r}",
+                    prev[0],
+                    i,
+                )
+        self._points = pts
+
+    def __len__(self):
+        return len(self._points)
+
+    def __iter__(self):
+        return iter(self._points)
+
+    def __getitem__(self, i):
+        return self._points[i]
+
+    def __eq__(self, other):
+        return self._points == other._points
+
+    def __hash__(self):
+        return hash(self._points)

@@ -1,6 +1,7 @@
 """Ingestion, validation, and the synthetic generators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import protobound as pb
 from conftest import OVERFLOWING_POINTS, UNDERFLOWING_POINTS
 from protobound.dataset import MIN_COORD_MAGNITUDE
-from sweep_oracles import loop_generate_blobs
+from sweep_oracles import TupleDataset, loop_generate_blobs
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -406,6 +407,11 @@ class TestGenerators:
             pb.generate_blobs(0, 1, [], 0.5)
         with pytest.raises(pb.DatasetError):
             pb.generate_blobs(0, 1, [([0.0], "A"), ([0.0, 1.0], "B")], 0.5)
+        # a draw that overflows is refused as a point built from it would be
+        with np.errstate(over="ignore"):
+            with pytest.raises(pb.DatasetError, match="non-finite coordinate in "
+                               r"point \(inf, "):
+                pb.generate_blobs(0, 5, [([1.7e308, 0.0], "A")], 1e308)
 
     def test_stream_validates_when_called(self):
         # the call itself raises, before any item is pulled
@@ -455,3 +461,169 @@ class TestGenerators:
             assert 2 <= len(ds) <= 12
             assert 1 <= ds.dim <= 3
             assert 2 <= len(ds.classes) <= 3
+
+
+# coordinates a fuzzed set repeats, so that sets hold equal rows under both
+# labels and rows that differ only in the sign of a zero
+REPEATED_VALUES = (0.0, -0.0, 1.0, -2.5, 3.0)
+
+
+def repeating_points(seed):
+    """1-12 points of dimension 1-3, labels A and B, whose coordinates are
+    drawn from REPEATED_VALUES."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 13)), int(rng.integers(1, 4))
+    picks = rng.integers(len(REPEATED_VALUES), size=(n, d)).tolist()
+    labels = rng.choice(["A", "B"], size=n).tolist()
+    return [
+        (tuple(REPEATED_VALUES[k] for k in row), label)
+        for row, label in zip(picks, labels)
+    ]
+
+
+def built(make, points):
+    """`make(points)`, or the ConflictingDuplicateError it raised."""
+    try:
+        return make(points)
+    except pb.ConflictingDuplicateError as exc:
+        return exc
+
+
+def shown(points):
+    """The points' reprs, which tell -0.0 from 0.0."""
+    return [repr(p) for p in points]
+
+
+class TestArraysAgainstTheTupleOracle:
+    SEEDS = range(300)
+    SLICES = [slice(None), slice(1, None), slice(None, None, -1), slice(-3, -1),
+              slice(None, None, 2), slice(5, 2), slice(-20, 20, 3)]
+
+    @pytest.mark.parametrize("start", SEEDS[::50])
+    def test_same_refusal_or_same_points(self, start):
+        for s in range(start, start + 50):
+            points = repeating_points(s)
+            got, want = built(pb.Dataset, points), built(TupleDataset, points)
+            if isinstance(want, pb.ConflictingDuplicateError):
+                assert isinstance(got, pb.ConflictingDuplicateError)
+                assert (got.first, got.second) == (want.first, want.second)
+                assert str(got) == str(want)
+                continue
+            n = len(want)
+            assert len(got) == n
+            assert shown(got) == shown(want)
+            for i in range(-n, n):
+                assert repr(got[i]) == repr(want[i])
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    got[i]
+            for cut in self.SLICES:
+                assert isinstance(got[cut], tuple)
+                assert shown(got[cut]) == shown(want[cut])
+
+    def test_equality_and_hash(self):
+        sets = []
+        for seed in self.SEEDS:
+            points = repeating_points(seed)
+            if isinstance(built(TupleDataset, points), pb.ConflictingDuplicateError):
+                continue
+            # the same points with every -0.0 turned into 0.0
+            folded = [(tuple(v + 0.0 for v in c), label) for c, label in points]
+            assert pb.Dataset(points) == pb.Dataset(folded)
+            assert hash(pb.Dataset(points)) == hash(pb.Dataset(folded))
+            sets.append(points)
+        assert len(sets) > 50
+        for a, b in zip(sets, sets[1:] + sets[:1]):
+            for x, y in ((a, b), (a, a[::-1]), (a, a + a[:1])):
+                assert (pb.Dataset(x) == pb.Dataset(y)) == (
+                    TupleDataset(x) == TupleDataset(y)
+                )
+
+    def test_signed_zero_sets_are_equal_and_hash_equal(self):
+        a = pb.Dataset([((-0.0, 1.0), "A"), ((0.0, -0.0), "B")])
+        b = pb.Dataset([((0.0, 1.0), "A"), ((-0.0, 0.0), "B")])
+        assert a == b and hash(a) == hash(b)
+        assert a[0].coords[0] == 0.0 and math.copysign(1.0, a[0].coords[0]) < 0
+        with pytest.raises(pb.ConflictingDuplicateError) as exc:
+            pb.Dataset([((0.0,), "A"), ((-0.0,), "B")])
+        assert (exc.value.first, exc.value.second) == (0, 1)
+
+    @pytest.mark.parametrize("start", SEEDS[::50])
+    def test_load_csv_rekeys_the_refusal_as_file_rows(self, tmp_path, start):
+        for s in range(start, start + 50):
+            points = repeating_points(s)
+            want = built(TupleDataset, points)
+            d = len(points[0][0])
+            path = tmp_path / f"set{s}.csv"
+            lines = [",".join([*(f"x{j}" for j in range(d)), "label"])]
+            lines += [",".join([*map(repr, c), label]) for c, label in points]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            if isinstance(want, pb.ConflictingDuplicateError):
+                with pytest.raises(pb.ConflictingDuplicateError) as exc:
+                    pb.load_csv(path)
+                rows = (want.first + 1, want.second + 1)
+                assert (exc.value.first, exc.value.second) == rows
+                assert str(exc.value) == (
+                    f"{path}: rows {rows[0]} and {rows[1]} have identical "
+                    f"coordinates but different labels"
+                )
+            else:
+                loaded = pb.load_csv(path)
+                assert loaded == pb.Dataset(points)
+                assert shown(loaded) == shown(want)
+
+
+class TestGeneratorCounts:
+    CENTERS = [([0.0, 0.0], "A"), ([10.0, 0.0], "B")]
+
+    @pytest.mark.parametrize(
+        "make, args, kwargs",
+        [
+            ("generate_blobs", (0, 2.5, CENTERS, 0.5), {}),
+            ("generate_blobs", (0, "3", CENTERS, 0.5), {}),
+            ("generate_blobs", (0, 0, CENTERS, 0.5), {}),
+            ("random_dataset", (0, 5, 2.0, 2), {}),
+            ("random_dataset", (0, 0, 2, 2), {}),
+            ("random_dataset", (0, 5, 2, 0), {}),
+            ("fuzz_dataset", (0,), {"max_n": 1}),
+            ("fuzz_dataset", (0,), {"max_n": 2.5}),
+            ("fuzz_dataset", (0,), {"max_dim": 0}),
+            ("fuzz_dataset", (0,), {"max_classes": 1}),
+        ],
+        ids=["blobs-float", "blobs-str", "blobs-zero", "random-float-dim",
+             "random-no-points", "random-no-classes", "fuzz-one-point",
+             "fuzz-float-max-n", "fuzz-no-dim", "fuzz-one-class"],
+    )
+    def test_a_bad_count_is_refused_before_drawing(self, monkeypatch, make, args,
+                                                   kwargs):
+        def no_draws(*_):
+            raise AssertionError("drew before checking its counts")
+
+        monkeypatch.setattr(pb.dataset.np.random, "default_rng", no_draws)
+        with pytest.raises(pb.DatasetError, match="must be an integer of at least"):
+            getattr(pb, make)(*args, **kwargs)
+
+
+def held_mb(make):
+    """The memory, in MB by tracemalloc, that the result of `make()` holds,
+    after one warm-up call."""
+    make()
+    tracemalloc.start()
+    try:
+        kept = make()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 20_000
+    return held / 2**20
+
+
+def test_a_large_set_holds_its_arrays_alone(tmp_path):
+    # 20,000 points in 2-D in two classes: coordinates (320 kB), label codes
+    # (160 kB) and wrong codes (160 kB); one LabeledPoint per point held
+    # besides them came to over 4 MB
+    centers = [((0.0, 0.0), "A"), ((2.0, 0.0), "B")]
+    path = tmp_path / "large.csv"
+    pb.write_csv(pb.generate_blobs(0, 10_000, centers, 0.8), path)
+    assert held_mb(lambda: pb.load_csv(path)) < 1.0
+    assert held_mb(lambda: pb.generate_blobs(0, 10_000, centers, 0.8)) < 1.0

@@ -3,7 +3,8 @@
 Condensation is a multiclass perceptron run at a certified bandwidth only
 while the package keeps one kernel producer, one scoring path, one distance
 kernel over one coordinate layout, one way to grow a buffer, one sweep loop,
-one replay, one all-pairs pass and one place that cuts query blocks. Each
+one replay, one all-pairs pass and one place that cuts query blocks, and
+datasets hold arrays, never a list of points. Each
 rule names what it pins and the modules (`cli`) or functions (`cli.mp_cmd`,
 `kernel_machine.KernelConfig.kernel`) where that may appear; a nested
 function is a scope of its own. A name ending in "(" counts where it is
@@ -40,6 +41,11 @@ RULES = [
      "class sums of shifted kernel ratios come from _shifted_class_sums"),
     (("np.einsum", "np.linalg.norm", "np.square", "np.hypot", "diff * diff"),
      ("dataset.sq_dists_to",), "squared distances come from sq_dists_to"),
+    (("LabeledPoint(",),
+     ("dataset.Dataset.__getitem__", "dataset.Dataset.__init__",
+      "dataset.blob_stream.items"),
+     "a dataset holds arrays: a LabeledPoint is made only when a dataset hands "
+     "one out, from a caller's (coords, label) tuple, or by the stream"),
     (("UpdateEvent(",), ("nn_rule._sweep",),
      "updates are logged by the one sweep loop, nn_rule._sweep"),
     (("run_mp(",), ("kernel_machine", "cli.mp_cmd"),
@@ -125,6 +131,11 @@ PLANTED = [
      "class _Planted:\n    def dist(self, x, y):\n        return np.hypot(x, y)"),
     ("diff * diff", "dataset",
      "def _planted(a, b):\n    diff = a - b\n    return (diff * diff).sum()"),
+    ("LabeledPoint(", "dataset",
+     "def _planted(coords, label):\n    return LabeledPoint(tuple(coords), label)"),
+    ("LabeledPoint(", "nn_rule",
+     "class _Planted:\n    def point(self, row):\n"
+     "        return pb.LabeledPoint(row, 'A')"),
     ("UpdateEvent(", "nn_rule",
      "def _planted(i):\n    return UpdateEvent(1, i, 'A', None)"),
     ("UpdateEvent(", "cnn", "def _planted(i):\n    return pb.UpdateEvent(1, i, 'A', None)"),
